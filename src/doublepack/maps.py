@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import InvariantViolation
 
@@ -23,6 +25,7 @@ __all__ = [
     "PlanarMap",
     "FaceStructure",
     "MapData",
+    "DartTree",
     "Truncation",
     "build_map",
     "trace_faces",
@@ -455,6 +458,27 @@ def induce_submap(pmap: PlanarMap, keep: np.ndarray):
     return sub, parent_vertices
 
 
+@dataclass(frozen=True)
+class DartTree:
+    """Breadth-first spanning tree of the darts a layout can reach from the
+    root's first dart (see ``Truncation.dart_tree``).
+
+    Entry ``i`` describes dart ``order[i]``; entry 0 is the root dart, its own
+    parent.  A child's direction is its parent's plus a turn: pi when the
+    child is the parent's reverse, otherwise ``turn_sign[i]`` times the kite
+    corner at dart ``turn_dart[i]``.
+    """
+
+    order: np.ndarray        # reached darts, level by level
+    parent: np.ndarray       # parent dart of each entry
+    levels: np.ndarray       # order[levels[k]:levels[k + 1]] is level k
+    reverse: np.ndarray      # entry is its parent's reverse dart
+    turn_sign: np.ndarray    # -1 (back across the parent's corner) or +1
+    turn_dart: np.ndarray    # dart whose kite corner the turn crosses
+    vertex_dart: np.ndarray  # first entry leaving each vertex, -1 if none
+    face_dart: np.ndarray    # first entry bordering each bounded face, else -1
+
+
 class Truncation:
     """A finite map with a designated grounding boundary around a root.
 
@@ -549,6 +573,60 @@ class Truncation:
         """Darts bordering a bounded face: one per vertex-face corner."""
         self._require_outer_face()
         return np.flatnonzero(self.faces.face_of != self.outer_face)
+
+    @cached_property
+    def dart_tree(self) -> DartTree:
+        """The dart tree along which ``packing.layout`` places circles.
+
+        From a dart ``e`` a layout reaches its reverse (turning by pi), the
+        dart before it around its origin when ``e`` borders a bounded face
+        (turning back across the corner of ``e``), and the dart after it when
+        that one borders a bounded face (turning forward across its own
+        corner); corners on the outer face are never crossed.  The tree
+        depends only on the combinatorics, so it is built once.
+        """
+        self._require_outer_face()
+        g = self.graph
+        m = g.n_darts
+        face_of = self.faces.face_of
+        bounded = face_of != self.outer_face
+        darts = np.arange(m)
+        ahead = bounded[g.nxt]
+        src = np.concatenate([darts, darts[bounded], darts[ahead]])
+        dst = np.concatenate([darts ^ 1, g.prv[bounded], g.nxt[ahead]])
+        adj = sp.csr_matrix((np.ones(src.size), (src, dst)), shape=(m, m))
+        first = int(g.vertex_darts(self.root)[0])
+        order, pred = breadth_first_order(adj, first, directed=True,
+                                          return_predecessors=True)
+        order = order.astype(np.int64)
+        parent = pred[order].astype(np.int64)
+        parent[0] = first
+
+        # children are queued in the order their parents are dequeued, so
+        # parent positions never decrease along ``order`` and each level is
+        # the run of entries whose parents lie in the level before
+        position = np.empty(m, dtype=np.int64)
+        position[order] = np.arange(order.size)
+        parent_position = position[parent[1:]]
+        levels = [0, 1]
+        while levels[-1] < order.size:
+            levels.append(1 + int(np.searchsorted(parent_position, levels[-1])))
+
+        reverse = order == (parent ^ 1)
+        back = ~reverse & bounded[parent] & (order == g.prv[parent])
+        back[0] = False
+        turn_sign = np.where(back, -1, 1)
+        turn_dart = np.where(back, parent, order)
+
+        vertex_dart = np.full(g.n_vertices, -1, dtype=np.int64)
+        v, i = np.unique(g.origin[order], return_index=True)
+        vertex_dart[v] = order[i]
+        face_dart = np.full(self.faces.n_faces, -1, dtype=np.int64)
+        on_face = order[bounded[order]]
+        f, i = np.unique(face_of[on_face], return_index=True)
+        face_dart[f] = on_face[i]
+        return DartTree(order, parent, np.array(levels), reverse, turn_sign,
+                        turn_dart, vertex_dart, face_dart)
 
     def _require_outer_face(self):
         if self.outer_face is None:

@@ -6,9 +6,11 @@ vertex the kite corners 2*arctan(r(f)/r(v)) of the incident faces sum to a
 full turn, and dually around every bounded face.  ``solve_radii`` finds the
 radii (a damped fixed-point warm-up followed by Newton steps on log radii,
 whose Jacobian is a vertex-face Laplacian grounded at the boundary),
-``layout`` places the circles by a breadth-first traversal, and
-``compute_delta0`` extracts the shrinkage level used by the averaging
-operators downstream.
+``layout`` places the circles along a breadth-first dart tree that each
+truncation builds once and caches (directions and centers are summed down the
+tree level by level, then every closing constraint is checked in one
+vectorized pass), and ``compute_delta0`` extracts the shrinkage level used by
+the averaging operators downstream.
 """
 
 from __future__ import annotations
@@ -238,6 +240,7 @@ def solve_radii(trunc: Truncation, boundary_mode: str = "prescribed",
     hist_x: list[np.ndarray] = []
     hist_r: list[np.ndarray] = []
     best = math.inf
+    best_x, best_resid = x, np.zeros(nb)
     err = math.inf
     for _ in range(disc_rounds):
         uv, uf, defect, iters = _solve_prescribed(trunc, x, tol, max_iter, warm)
@@ -255,11 +258,14 @@ def solve_radii(trunc: Truncation, boundary_mode: str = "prescribed",
         if err <= target:
             return sol
         resid = -(np.log(reach) - np.log(reach).mean())
-        if not math.isfinite(err) or err > 10.0 * best:
+        if err < best:
+            best, best_x, best_resid = err, x, resid
+        elif not math.isfinite(err) or err > 10.0 * best:
+            # restart, damped, from the best iterate: damping the step from
+            # the bad iterate just left can stall the loop far from the root
             hist_x.clear()
             hist_r.clear()
-            resid *= 0.3
-        best = min(best, err)
+            x, resid = best_x, 0.3 * best_resid
         hist_x.append(x.copy())
         hist_r.append(resid.copy())
         if len(hist_x) > 7:
@@ -283,21 +289,29 @@ def solve_radii(trunc: Truncation, boundary_mode: str = "prescribed",
 
 def layout(trunc: Truncation, radii: RadiiSolution,
            normalize: bool = True) -> DoublePacking:
-    """Place the circles by propagating dart directions breadth-first from
-    the root.
+    """Place the circles along the truncation's cached breadth-first dart
+    tree (``Truncation.dart_tree``).
 
     Consecutive darts at a vertex differ by the kite corner of the bounded
     face between them (corners on the outer face are never crossed); a dart's
-    reverse points back.  Every re-visit of an already placed center is a
-    closing constraint; the largest mismatch is recorded and must stay below
-    10*sqrt(tol).  With ``normalize`` the packing is translated (root center
-    to 0) and scaled into the closed unit disc.
+    reverse points back.  Directions are summed down the tree level by level;
+    each vertex center is carried down the tree from the root and each face
+    center hangs off the first tree dart bordering it.  Every reached dart
+    then gives a closing constraint, for its target vertex and, where it
+    borders a bounded face, for that face; all are checked at once and the
+    largest mismatch must stay below 10*sqrt(tol).  With ``normalize`` the
+    packing is translated (root center to 0) and scaled into the closed unit
+    disc.
     """
     g = trunc.graph
     faces = trunc.faces
+    tree = trunc.dart_tree
+    bf = trunc.bounded_faces
+    if np.any(tree.vertex_dart < 0) or np.any(tree.face_dart[bf] < 0):
+        raise ConvergenceError("layout traversal could not reach every circle")
     vr = radii.vertex_radius
     fr = radii.face_radius
-    nxt, prv, origin, target = g.nxt, g.prv, g.origin, g.target
+    origin, target = g.origin, g.target
     face_of = faces.face_of
     bounded = face_of != trunc.outer_face
 
@@ -307,48 +321,31 @@ def layout(trunc: Truncation, radii: RadiiSolution,
     hyp = np.zeros(g.n_darts)
     hyp[bounded] = np.hypot(vr[origin[bounded]], fr[face_of[bounded]])
 
-    dirs = np.full(g.n_darts, np.nan)
-    zv = np.full(g.n_vertices, np.nan, dtype=complex)
+    order, parent = tree.order, tree.parent
+    levels = list(zip(tree.levels[1:-1], tree.levels[2:]))
+    turn = np.where(tree.reverse, np.pi, tree.turn_sign * corner[tree.turn_dart])
+    dirs = np.zeros(g.n_darts)
+    for a, b in levels:
+        dirs[order[a:b]] = dirs[parent[a:b]] + turn[a:b]
+
+    gap = vr[origin] + vr[target]
+    step = gap * np.exp(1j * dirs)
+    carry = np.where(tree.reverse, step[parent], 0.0)
+    at = np.zeros(g.n_darts, dtype=complex)   # origin center, carried
+    for a, b in levels:
+        at[order[a:b]] = at[parent[a:b]] + carry[a:b]
+    zv = at[tree.vertex_dart]
+
+    # the face of a dart sits in the wedge on its clockwise side
+    spoke = hyp * np.exp(1j * (dirs - half))
     zf = np.full(faces.n_faces, np.nan, dtype=complex)
-    worst = 0.0
+    fd = tree.face_dart[bf]
+    zf[bf] = zv[origin[fd]] + spoke[fd]
 
-    zv[trunc.root] = 0.0
-    first = int(g.vertex_darts(trunc.root)[0])
-    dirs[first] = 0.0
-    stack = [first]
-    while stack:
-        e = stack.pop()
-        v = int(origin[e])
-        u = int(target[e])
-        de = dirs[e]
-        z_new = zv[v] + (vr[v] + vr[u]) * np.exp(1j * de)
-        if np.isnan(zv[u].real):
-            zv[u] = z_new
-        else:
-            worst = max(worst, abs(z_new - zv[u]) / (vr[v] + vr[u]))
-        r = e ^ 1
-        if np.isnan(dirs[r]):
-            dirs[r] = de + np.pi
-            stack.append(r)
-        # the face of a dart sits in the wedge on its clockwise side
-        if bounded[e]:
-            f = int(face_of[e])
-            zc = zv[v] + hyp[e] * np.exp(1j * (de - half[e]))
-            if np.isnan(zf[f].real):
-                zf[f] = zc
-            else:
-                worst = max(worst, abs(zc - zf[f]) / hyp[e])
-            pe = int(prv[e])
-            if np.isnan(dirs[pe]):
-                dirs[pe] = de - corner[e]
-                stack.append(pe)
-        ne = int(nxt[e])
-        if bounded[ne] and np.isnan(dirs[ne]):
-            dirs[ne] = de + corner[ne]
-            stack.append(ne)
-
-    if np.any(np.isnan(zv.real)) or np.any(np.isnan(zf[trunc.bounded_faces].real)):
-        raise ConvergenceError("layout traversal could not reach every circle")
+    eb = order[bounded[order]]
+    worst = float(np.max(np.concatenate([
+        np.abs(zv[origin[order]] + step[order] - zv[target[order]]) / gap[order],
+        np.abs(zv[origin[eb]] + spoke[eb] - zf[face_of[eb]]) / hyp[eb]])))
     if worst > 10.0 * math.sqrt(radii.tol):
         raise ConvergenceError(
             f"layout closing residual {worst:.3e} exceeds tolerance; "
@@ -360,7 +357,6 @@ def layout(trunc: Truncation, radii: RadiiSolution,
         shift = zv[trunc.root]
         zv = zv - shift
         zf = zf - shift
-        bf = trunc.bounded_faces
         scale = max(float(np.max(np.abs(zv) + vr)),
                     float(np.max(np.abs(zf[bf]) + fr[bf])))
         zv /= scale
@@ -432,17 +428,27 @@ def compute_delta0(pk: DoublePacking) -> float:
     m_saus = _sausage_bound(pk)
     delta = 0.5
     for _ in range(60):
-        if delta <= m_edge * (1.0 + 1e-9) and delta <= m_saus * (1.0 - 1e-9):
+        if delta <= m_edge * (1.0 + 1e-9) and _sausages_clear(delta, m_saus):
             return delta
         delta *= 0.5
     raise ConvergenceError("no dyadic delta0 found; packing is degenerate")
 
 
+def _sausages_clear(delta: float, m_saus: float) -> bool:
+    """Whether the delta-sausages are disjoint, given ``_sausage_bound``."""
+    return delta <= m_saus * (1.0 - 1e-9)
+
+
 def geometry_report(pk: DoublePacking) -> GeometryReport:
     cv, cf = _corner_arrays(pk.trunc)
     ring = float(np.max(pk.vertex_radius[cv] / pk.face_radius[cf]))
-    delta0 = pk.delta0 if pk.delta0 is not None else compute_delta0(pk)
-    sausage_ok = delta0 <= _sausage_bound(pk) * (1.0 - 1e-9)
+    if pk.delta0 is None:
+        # compute_delta0 returns only a delta whose sausages are clear, so
+        # the all-pairs sausage test runs once per report
+        delta0, sausage_ok = compute_delta0(pk), True
+    else:
+        delta0 = pk.delta0
+        sausage_ok = _sausages_clear(delta0, _sausage_bound(pk))
     return GeometryReport(pk.max_tangency_residual(),
                           pk.max_orthogonality_residual(),
                           ring, bool(sausage_ok), delta0)

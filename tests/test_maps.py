@@ -268,6 +268,38 @@ class TestTruncation:
         rim = np.unique(t.faces.vertices(t.graph, t.outer_face))
         assert np.array_equal(rim, t.boundary)
 
+    @pytest.mark.parametrize("build", [
+        lambda: truncate(generate_tiling(7, 3, 4), 0, 3),
+        lambda: boundary_truncation(generate_grid(6, 5)),
+    ], ids=["ball3", "grid6x5"])
+    def test_dart_tree(self, build):
+        t = build()
+        g = t.graph
+        tree = t.dart_tree
+        order, parent, levels = tree.order, tree.parent, tree.levels
+        assert order[0] == g.vertex_darts(t.root)[0] and parent[0] == order[0]
+        assert np.unique(order).size == order.size == g.n_darts
+        level = np.repeat(np.arange(levels.size - 1), np.diff(levels))
+        position = np.empty(g.n_darts, dtype=np.int64)
+        position[order] = np.arange(order.size)
+        assert np.array_equal(level[position[parent[1:]]], level[1:] - 1)
+        bounded = t.faces.face_of != t.outer_face
+        child, par = order[1:], parent[1:]
+        rev, sign, turn = tree.reverse[1:], tree.turn_sign[1:], tree.turn_dart[1:]
+        assert np.array_equal(rev, child == par ^ 1) and not tree.reverse[0]
+        back = ~rev & (sign == -1)
+        assert np.array_equal(child[back], g.prv[par[back]])
+        assert np.all(bounded[par[back]]) and np.array_equal(turn[back], par[back])
+        ahead = ~rev & (sign == 1)
+        assert back.any() and ahead.any() and rev.any()
+        assert np.array_equal(child[ahead], g.nxt[par[ahead]])
+        assert np.all(bounded[child[ahead]]) and np.array_equal(turn[ahead], child[ahead])
+        assert np.array_equal(g.origin[tree.vertex_dart], np.arange(g.n_vertices))
+        bf = t.bounded_faces
+        assert np.array_equal(t.faces.face_of[tree.face_dart[bf]], bf)
+        assert tree.face_dart[t.outer_face] == -1
+        assert t.dart_tree is tree
+
     def test_grid_boundary_truncation(self):
         t = boundary_truncation(generate_grid(5, 5))
         assert t.boundary.size == 16

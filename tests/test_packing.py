@@ -1,9 +1,11 @@
 """Double circle packing solver: radii, layout, delta0, geometry reports."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from doublepack.errors import ConvergenceError
 from doublepack.maps import boundary_truncation, build_map, truncate
@@ -48,6 +50,84 @@ def flower_center_radius_oracle(p=7, r_boundary=1.0):
 
 def flower_truncation(p=7):
     return truncate(generate_tiling(p, 3, 2), root=0, radius=1)
+
+
+def delaunay_truncation(n, seed):
+    """Boundary truncation of the Delaunay triangulation of ``n`` seeded
+    uniform points in the unit disc."""
+    rng = np.random.default_rng(seed)
+    r = np.sqrt(rng.random(n))
+    t = 2 * np.pi * rng.random(n)
+    pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    indptr, nbrs = Delaunay(pts).vertex_neighbor_vertices
+    rotations = []
+    for v in range(n):
+        nb = nbrs[indptr[v]:indptr[v + 1]]
+        d = pts[nb] - pts[v]
+        rotations.append(nb[np.argsort(np.arctan2(d[:, 1], d[:, 0]))].tolist())
+    return boundary_truncation(build_map(rotations))
+
+
+def stack_layout_reference(trunc, radii):
+    """Reference layout: the dart-by-dart depth-first stack traversal that
+    preceded the cached dart tree.  Returns the normalized vertex centers,
+    vertex radii, face centers and face radii, and the closing residual."""
+    g = trunc.graph
+    faces = trunc.faces
+    vr = radii.vertex_radius
+    fr = radii.face_radius
+    nxt, prv, origin, target = g.nxt, g.prv, g.origin, g.target
+    face_of = faces.face_of
+    bounded = face_of != trunc.outer_face
+
+    corner = np.zeros(g.n_darts)
+    corner[bounded] = 2.0 * np.arctan2(fr[face_of[bounded]], vr[origin[bounded]])
+    half = 0.5 * corner
+    hyp = np.zeros(g.n_darts)
+    hyp[bounded] = np.hypot(vr[origin[bounded]], fr[face_of[bounded]])
+
+    dirs = np.full(g.n_darts, np.nan)
+    zv = np.full(g.n_vertices, np.nan, dtype=complex)
+    zf = np.full(faces.n_faces, np.nan, dtype=complex)
+    worst = 0.0
+    zv[trunc.root] = 0.0
+    first = int(g.vertex_darts(trunc.root)[0])
+    dirs[first] = 0.0
+    stack = [first]
+    while stack:
+        e = stack.pop()
+        v = int(origin[e])
+        u = int(target[e])
+        de = dirs[e]
+        z_new = zv[v] + (vr[v] + vr[u]) * np.exp(1j * de)
+        if np.isnan(zv[u].real):
+            zv[u] = z_new
+        else:
+            worst = max(worst, abs(z_new - zv[u]) / (vr[v] + vr[u]))
+        r = e ^ 1
+        if np.isnan(dirs[r]):
+            dirs[r] = de + np.pi
+            stack.append(r)
+        if bounded[e]:
+            f = int(face_of[e])
+            zc = zv[v] + hyp[e] * np.exp(1j * (de - half[e]))
+            if np.isnan(zf[f].real):
+                zf[f] = zc
+            else:
+                worst = max(worst, abs(zc - zf[f]) / hyp[e])
+            pe = int(prv[e])
+            if np.isnan(dirs[pe]):
+                dirs[pe] = de - corner[e]
+                stack.append(pe)
+        ne = int(nxt[e])
+        if bounded[ne] and np.isnan(dirs[ne]):
+            dirs[ne] = de + corner[ne]
+            stack.append(ne)
+
+    bf = trunc.bounded_faces
+    scale = max(float(np.max(np.abs(zv) + vr)),
+                float(np.max(np.abs(zf[bf]) + fr[bf])))
+    return zv / scale, vr / scale, zf / scale, fr / scale, worst
 
 
 class TestSolveRadii:
@@ -154,6 +234,65 @@ class TestLayout:
         bf = t.bounded_faces
         assert np.allclose(b.face_center[bf], lam * a.face_center[bf], atol=1e-8)
 
+    @pytest.mark.parametrize("build", [
+        lambda: truncate(generate_tiling(7, 3, 5), root=0, radius=4),
+        lambda: boundary_truncation(generate_grid(11, 11)),
+        lambda: delaunay_truncation(100, seed=5),
+    ], ids=["ball4", "grid11", "delaunay100"])
+    def test_matches_stack_traversal(self, build):
+        t = build()
+        sol = solve_radii(t, boundary_mode="disc")
+        pk = layout(t, sol)
+        zv, vr, zf, fr, worst = stack_layout_reference(t, sol)
+        bf = t.bounded_faces
+        # normalized into the unit disc, so absolute center error is
+        # relative to the disc
+        assert np.max(np.abs(pk.vertex_center - zv)) <= 1e-9
+        assert np.max(np.abs(pk.face_center[bf] - zf[bf])) <= 1e-9
+        assert np.allclose(pk.vertex_radius, vr, rtol=1e-9, atol=0)
+        assert np.allclose(pk.face_radius[bf], fr[bf], rtol=1e-9, atol=0)
+        assert pk.layout_residual <= 10 * math.sqrt(sol.tol)
+        assert worst <= 10 * math.sqrt(sol.tol)
+
+    def test_mismatched_radii_fail_closing_check(self):
+        t = truncate(generate_tiling(7, 3, 5), root=0, radius=4)
+        sol = solve_radii(t)
+        vr = sol.vertex_radius.copy()
+        vr[t.interior[len(t.interior) // 2]] *= 1.01
+        with pytest.raises(ConvergenceError, match="closing residual"):
+            layout(t, dataclasses.replace(sol, vertex_radius=vr))
+
+    def test_block_behind_outer_corner_unreachable(self):
+        # a triangle hanging off a corner of the 3x3 grid meets the grid only
+        # across outer-face corners, which the layout never turns through
+        xy = {v: (v % 3, v // 3) for v in range(9)}
+        xy[9], xy[10] = (3, 2), (2, 3)
+        edges = [(v, v + 1) for v in range(9) if v % 3 < 2]
+        edges += [(v, v + 3) for v in range(6)] + [(8, 9), (9, 10), (10, 8)]
+        nbrs = {v: [] for v in xy}
+        for a, b in edges:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        rotations = [sorted(nbrs[v], key=lambda u: math.atan2(
+            xy[u][1] - xy[v][1], xy[u][0] - xy[v][0])) for v in range(11)]
+        t = boundary_truncation(build_map(rotations))
+        with pytest.raises(ConvergenceError, match="could not reach every circle"):
+            layout(t, solve_radii(t))
+
+    @pytest.mark.parametrize("n", [7, 9, 15])
+    def test_disc_mode_small_grids(self, n):
+        # after an Anderson reset the disc loop used to damp the step from
+        # the bad iterate it had just left and stall (7x7 and 15x15)
+        t = boundary_truncation(generate_grid(n, n))
+        sol = solve_radii(t, boundary_mode="disc", tol=1e-10)
+        assert sol.defect <= sol.tol
+        pk = layout(t, sol)
+        assert pk.layout_residual <= 1e-6
+        assert pk.max_tangency_residual() <= 1e-6
+        assert pk.max_orthogonality_residual() <= 1e-6
+        reach = np.abs(pk.vertex_center[t.boundary]) + pk.vertex_radius[t.boundary]
+        assert np.max(np.abs(1.0 - reach)) <= 1e-5
+
     def test_disc_mode_boundary_tangency(self):
         t = boundary_truncation(generate_tiling(7, 3, 3))
         pk = layout(t, solve_radii(t, boundary_mode="disc", tol=1e-10))
@@ -201,6 +340,8 @@ class TestGeometryReport:
         assert rep.ring_ratio_max == pytest.approx(1.0, abs=1e-9)
         assert rep.sausage_ok
         assert rep.delta0 == compute_delta0(pk)
+        pk.delta0 = rep.delta0
+        assert geometry_report(pk) == rep
 
     def test_ring_ratio_bounded_over_family(self):
         # The max incident ratio lives in the rim layer and saturates as the
