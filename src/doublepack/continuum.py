@@ -190,9 +190,7 @@ def poisson_extend(boundary: BoundaryFunction, K_max: int) -> HarmonicDiscField:
         vals = boundary.sample(max(4 * K, 64))
     a0, a, b = _fourier_coefficients(vals, K)
     if K == 0:
-        a = np.zeros(1)
-        b = np.zeros(1)
-        return HarmonicDiscField(a0, a, b)
+        a = b = np.zeros(1)
     return HarmonicDiscField(a0, a, b)
 
 

@@ -118,6 +118,15 @@ class PlanarMap:
     def neighbor_lists(self) -> list[np.ndarray]:
         return [self.target[d] for d in self._vertex_darts]
 
+    def simple_defect(self) -> str | None:
+        """"a loop" or "a doubled edge" when the map is not simple, else None."""
+        if np.any(self.origin == self.target):
+            return "a loop"
+        ends = np.sort(np.stack([self.origin[::2], self.target[::2]], axis=1), axis=1)
+        if len(np.unique(ends, axis=0)) != self.n_edges:
+            return "a doubled edge"
+        return None
+
     # -- construction helpers ---------------------------------------------
 
     def _orbits_of_nxt(self):
@@ -374,11 +383,7 @@ def _has_cut_vertex(neighbor_lists, skip: int = -1) -> bool:
 def is_polyhedral(pmap: PlanarMap) -> bool:
     """True when the map is simple (no loops or parallel edges) and its graph
     is 3-connected."""
-    if np.any(pmap.origin == pmap.target):
-        return False
-    pairs = np.stack([np.minimum(pmap.origin, pmap.target),
-                      np.maximum(pmap.origin, pmap.target)], axis=1)
-    if len(np.unique(pairs[::2], axis=0)) != pmap.n_edges:
+    if pmap.simple_defect() is not None:
         return False
     n = pmap.n_vertices
     if n < 4 or int(pmap.degrees.min()) < 3:

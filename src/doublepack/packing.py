@@ -11,16 +11,25 @@ truncation builds once and caches (directions and centers are summed down the
 tree level by level, then every closing constraint is checked in one
 vectorized pass), and ``compute_delta0`` extracts the shrinkage level used by
 the averaging operators downstream.
+
+The shrinkage level needs the delta-sausages of non-adjacent edges to be
+disjoint.  That test does not look at every pair of edges: a k-d tree over
+the edge midpoints keeps only the pairs that could fail below a cap, and the
+bound is exact below the cap.  The cap follows the delta under test: just
+above 1/2 in ``compute_delta0``, which tries only dyadic delta <= 1/2, and
+just above a preset delta0 in ``geometry_report``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.spatial import cKDTree
 
 from .errors import ConvergenceError
 from .maps import Truncation
@@ -104,15 +113,18 @@ def _check_packable(trunc: Truncation):
     if not trunc.rim_is_boundary:
         raise ValueError("packing needs the boundary to be exactly the outer "
                          "face rim; this truncation grounds a different set")
-    if np.any(g.origin == g.target):
-        raise ValueError("map has a loop; packings need simple maps")
-    pairs = set()
-    for e in range(0, g.n_darts, 2):
-        key = (int(g.origin[e]), int(g.target[e]))
-        key = (min(key), max(key))
-        if key in pairs:
-            raise ValueError("map has a doubled edge; packings need simple maps")
-        pairs.add(key)
+    defect = g.simple_defect()
+    if defect is not None:
+        raise ValueError(f"map has {defect}; packings need simple maps")
+    outer = trunc.faces.face_of == trunc.outer_face
+    loose = np.flatnonzero(outer[::2] & outer[1::2])
+    if loose.size:
+        u, v = int(g.origin[2 * loose[0]]), int(g.target[2 * loose[0]])
+        if g.degrees[u] < g.degrees[v]:
+            u, v = v, u
+        raise ValueError(
+            f"edge ({u}, {v}) has the outer face on both sides, so no corner "
+            f"fixes its direction; vertex {v} hangs off the map there")
     bad = trunc.interior[g.degrees[trunc.interior] < 3]
     if bad.size:
         raise ValueError(
@@ -376,17 +388,39 @@ def _edge_condition_bound(pk: DoublePacking) -> float:
     return float(np.min(d / (4.0 * pk.vertex_radius[g.origin])))
 
 
-def _sausage_bound(pk: DoublePacking, chunk: int = 128) -> float:
+def _sausage_bound(pk: DoublePacking, cap: float) -> float:
     """Largest delta below which all non-adjacent edge sausages are disjoint,
     by a conservative capsule test: the segment-to-segment distance must
-    exceed delta times the sum of the larger endpoint radii."""
+    exceed delta times the sum of the larger endpoint radii.
+
+    Exact below ``cap``: the smallest pair ratio when it is below ``cap``,
+    else ``math.inf``.  A pair whose ratio is below ``cap`` has midpoints
+    closer than rho_i + rho_j <= 2 max(rho), where rho is the half length
+    plus ``cap`` times the larger endpoint radius.  So a k-d tree query at
+    twice its rho around each midpoint finds the candidates, each pair once
+    from its side with the larger rho; only disjoint candidates with
+    midpoints closer than rho_i + rho_j are tested.  Callers pass
+    ``_sausage_cap(delta)`` for the largest delta they test.
+    """
     g = pk.trunc.graph
     u = g.origin[::2]
     v = g.target[::2]
     a = pk.vertex_center[u]
     b = pk.vertex_center[v]
     rmax = np.maximum(pk.vertex_radius[u], pk.vertex_radius[v])
-    m = u.size
+    mid = 0.5 * (a + b)
+    # the margin keeps rounding from dropping a pair whose ratio is below cap
+    rho = (0.5 * np.abs(b - a) + cap * rmax) * (1.0 + 1e-6)
+    tree = cKDTree(np.column_stack([mid.real, mid.imag]))
+    hits = tree.query_ball_point(tree.data, 2.0 * rho)
+    ii = np.repeat(np.arange(u.size), [len(h) for h in hits])
+    jj = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp,
+                     count=ii.size)
+    ok = (rho[ii] > rho[jj]) | ((rho[ii] == rho[jj]) & (ii < jj))
+    ok &= (u[ii] != u[jj]) & (u[ii] != v[jj])
+    ok &= (v[ii] != u[jj]) & (v[ii] != v[jj])
+    ok &= np.abs(mid[ii] - mid[jj]) < rho[ii] + rho[jj]
+    ii, jj = ii[ok], jj[ok]
 
     def seg_point(p, sa, sb):
         ab = sb - sa
@@ -394,30 +428,21 @@ def _sausage_bound(pk: DoublePacking, chunk: int = 128) -> float:
         t = np.clip(((p - sa) * ab.conj()).real / denom, 0.0, 1.0)
         return np.abs(sa + t * ab - p)
 
-    best = math.inf
-    for i0 in range(0, m, chunk):
-        i1 = min(i0 + chunk, m)
-        ii = np.arange(i0, i1)[:, None]
-        jj = np.arange(m)[None, :]
-        ok = (jj > ii)
-        ok &= (u[ii] != u[jj]) & (u[ii] != v[jj])
-        ok &= (v[ii] != u[jj]) & (v[ii] != v[jj])
-        if not np.any(ok):
-            continue
-        ai, bi = a[ii], b[ii]
-        aj, bj = a[jj], b[jj]
-        d = np.minimum(
-            np.minimum(seg_point(ai, aj, bj), seg_point(bi, aj, bj)),
-            np.minimum(seg_point(aj, ai, bi), seg_point(bj, ai, bi)))
-        # proper crossings have distance zero
-        def cross(o, p, q):
-            return ((p - o) * (q - o).conj()).imag
-        s1 = cross(ai, bi, aj) * cross(ai, bi, bj)
-        s2 = cross(aj, bj, ai) * cross(aj, bj, bi)
-        d = np.where((s1 < 0) & (s2 < 0), 0.0, d)
-        ratio = d / (rmax[ii] + rmax[jj])
-        best = min(best, float(ratio[ok].min()))
-    return best
+    def cross(o, p, q):
+        return ((p - o) * (q - o).conj()).imag
+
+    ai, bi = a[ii], b[ii]
+    aj, bj = a[jj], b[jj]
+    d = np.minimum(
+        np.minimum(seg_point(ai, aj, bj), seg_point(bi, aj, bj)),
+        np.minimum(seg_point(aj, ai, bi), seg_point(bj, ai, bi)))
+    # proper crossings have distance zero
+    s1 = cross(ai, bi, aj) * cross(ai, bi, bj)
+    s2 = cross(aj, bj, ai) * cross(aj, bj, bi)
+    d = np.where((s1 < 0) & (s2 < 0), 0.0, d)
+    ratio = d / (rmax[ii] + rmax[jj])
+    best = float(ratio.min()) if ratio.size else math.inf
+    return best if best < cap else math.inf
 
 
 def compute_delta0(pk: DoublePacking) -> float:
@@ -425,7 +450,7 @@ def compute_delta0(pk: DoublePacking) -> float:
     (a quarter of every edge is at least delta times the origin radius) and
     disjointness of all non-adjacent edge sausages."""
     m_edge = _edge_condition_bound(pk)
-    m_saus = _sausage_bound(pk)
+    m_saus = _sausage_bound(pk, _sausage_cap(0.5))
     delta = 0.5
     for _ in range(60):
         if delta <= m_edge * (1.0 + 1e-9) and _sausages_clear(delta, m_saus):
@@ -439,16 +464,24 @@ def _sausages_clear(delta: float, m_saus: float) -> bool:
     return delta <= m_saus * (1.0 - 1e-9)
 
 
+def _sausage_cap(delta: float) -> float:
+    """A cap for ``_sausage_bound`` high enough that every bound at or above
+    it clears ``delta`` in ``_sausages_clear``, so the bound need not be
+    exact there."""
+    return delta / (1.0 - 1e-9) * (1.0 + 1e-6)
+
+
 def geometry_report(pk: DoublePacking) -> GeometryReport:
     cv, cf = _corner_arrays(pk.trunc)
     ring = float(np.max(pk.vertex_radius[cv] / pk.face_radius[cf]))
     if pk.delta0 is None:
         # compute_delta0 returns only a delta whose sausages are clear, so
-        # the all-pairs sausage test runs once per report
+        # the sausage test runs once per report
         delta0, sausage_ok = compute_delta0(pk), True
     else:
         delta0 = pk.delta0
-        sausage_ok = _sausages_clear(delta0, _sausage_bound(pk))
+        sausage_ok = _sausages_clear(
+            delta0, _sausage_bound(pk, _sausage_cap(delta0)))
     return GeometryReport(pk.max_tangency_residual(),
                           pk.max_orthogonality_residual(),
                           ring, bool(sausage_ok), delta0)

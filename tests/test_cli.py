@@ -8,6 +8,8 @@ import pytest
 
 from doublepack import cli
 from doublepack.continuum import BoundaryFunction, boundary_function_to_csv
+from doublepack.maps import map_to_json
+from doublepack.tilings import generate_tiling
 
 
 def run(tmp_path, *args):
@@ -135,6 +137,13 @@ class TestExitCodes:
     def test_missing_map_file_is_io_error(self, tmp_path):
         assert run(tmp_path, "pack", "--map",
                    str(tmp_path / "nothing.json")) == 4
+
+    def test_pendant_vertices_are_bad_input(self, tmp_path):
+        # the (4,4) ball of depth 2 has pendant vertices that no face corner
+        # places; rejected before solving, not by layout (exit 3)
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(map_to_json(generate_tiling(4, 4, 2))))
+        assert run(tmp_path, "pack", "--map", str(path)) == 2
 
     def test_unreachable_tolerance_is_convergence_error(self, tmp_path):
         assert run(tmp_path, "pack", "--tiling", "7,3", "--layers", "2",

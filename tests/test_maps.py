@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from doublepack.maps import (
     MapData,
+    PlanarMap,
     build_map,
     boundary_truncation,
     canonical_encoding,
@@ -167,6 +168,14 @@ class TestPolyhedral:
         # K4 with one edge doubled (listed twice, consistently, on both sides)
         doubled = [[1, 1, 2, 3], [0, 0, 3, 2], [0, 1, 3], [0, 2, 1]]
         assert not is_polyhedral(build_map(doubled))
+
+    def test_simple_defect(self):
+        doubled = [[1, 1, 2, 3], [0, 0, 3, 2], [0, 1, 3], [0, 2, 1]]
+        assert build_map(doubled).simple_defect() == "a doubled edge"
+        assert build_map(K4).simple_defect() is None
+        # darts 0 and 1 both leave vertex 0: a loop, beside the edge 0-1
+        loop = PlanarMap(origin=[0, 0, 0, 1], nxt=[1, 2, 0, 3])
+        assert loop.simple_defect() == "a loop"
 
     def test_matches_brute_force_on_small_suite(self):
         suite = [

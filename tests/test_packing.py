@@ -11,6 +11,9 @@ from doublepack.errors import ConvergenceError
 from doublepack.maps import boundary_truncation, build_map, truncate
 from doublepack.packing import (
     DoublePacking,
+    _sausage_bound,
+    _sausage_cap,
+    _sausages_clear,
     angle_defect,
     compute_delta0,
     geometry_report,
@@ -130,6 +133,72 @@ def stack_layout_reference(trunc, radii):
     return zv / scale, vr / scale, zf / scale, fr / scale, worst
 
 
+def brute_sausage_bound(pk, chunk=128):
+    """Reference sausage bound: the all-pairs capsule test that preceded the
+    k-d tree pruning, exact at every value."""
+    g = pk.trunc.graph
+    u = g.origin[::2]
+    v = g.target[::2]
+    a = pk.vertex_center[u]
+    b = pk.vertex_center[v]
+    rmax = np.maximum(pk.vertex_radius[u], pk.vertex_radius[v])
+    m = u.size
+
+    def seg_point(p, sa, sb):
+        ab = sb - sa
+        denom = np.maximum(np.abs(ab) ** 2, 1e-300)
+        t = np.clip(((p - sa) * ab.conj()).real / denom, 0.0, 1.0)
+        return np.abs(sa + t * ab - p)
+
+    best = math.inf
+    for i0 in range(0, m, chunk):
+        i1 = min(i0 + chunk, m)
+        ii = np.arange(i0, i1)[:, None]
+        jj = np.arange(m)[None, :]
+        ok = (jj > ii)
+        ok &= (u[ii] != u[jj]) & (u[ii] != v[jj])
+        ok &= (v[ii] != u[jj]) & (v[ii] != v[jj])
+        if not np.any(ok):
+            continue
+        ai, bi = a[ii], b[ii]
+        aj, bj = a[jj], b[jj]
+        d = np.minimum(
+            np.minimum(seg_point(ai, aj, bj), seg_point(bi, aj, bj)),
+            np.minimum(seg_point(aj, ai, bi), seg_point(bj, ai, bi)))
+        # proper crossings have distance zero
+        def cross(o, p, q):
+            return ((p - o) * (q - o).conj()).imag
+        s1 = cross(ai, bi, aj) * cross(ai, bi, bj)
+        s2 = cross(aj, bj, ai) * cross(aj, bj, bi)
+        d = np.where((s1 < 0) & (s2 < 0), 0.0, d)
+        ratio = d / (rmax[ii] + rmax[jj])
+        best = min(best, float(ratio[ok].min()))
+    return best
+
+
+def honeycomb_truncation():
+    """Boundary truncation of seven unit hexagons: one and the ring around it."""
+    centers = [0j] + [math.sqrt(3) * np.exp(1j * math.pi * (2 * k + 1) / 6)
+                      for k in range(6)]
+    ids, xy, nbrs = {}, [], []
+    for c in centers:
+        ring = []
+        for k in range(6):
+            z = c + np.exp(1j * math.pi * k / 3)
+            key = (round(z.real, 6), round(z.imag, 6))
+            if key not in ids:
+                ids[key] = len(xy)
+                xy.append(z)
+                nbrs.append(set())
+            ring.append(ids[key])
+        for k in range(6):
+            nbrs[ring[k]].add(ring[k - 1])
+            nbrs[ring[k - 1]].add(ring[k])
+    rotations = [sorted(nbrs[v], key=lambda w: np.angle(xy[w] - xy[v]))
+                 for v in range(len(xy))]
+    return boundary_truncation(build_map(rotations))
+
+
 class TestSolveRadii:
     def test_flower_matches_bisection_oracle(self):
         oracle_rc = flower_center_radius_oracle(7)
@@ -148,6 +217,14 @@ class TestSolveRadii:
     def test_triangle_not_packable(self):
         with pytest.raises(ValueError):
             boundary_truncation(build_map(TRIANGLE))
+
+    def test_pendant_vertices_rejected(self):
+        # the (4,4) ball of depth 2 has four pendant edges, (1,6), (3,7),
+        # (4,11) and (9,12), with the outer face on both sides: no corner
+        # fixes their direction, so layout could never place vertex 6
+        t = boundary_truncation(generate_tiling(4, 4, 2))
+        with pytest.raises(ValueError, match=r"edge \(1, 6\).*vertex 6 hangs"):
+            solve_radii(t)
 
     def test_interior_degree_two_rejected(self):
         # hexagon with a subdivided chord: vertex 6 is interior with degree 2,
@@ -330,6 +407,63 @@ class TestDelta0:
         t2 = boundary_truncation(bm(rots))
         pk2 = layout(t2, solve_radii(t2, tol=1e-11))
         assert compute_delta0(pk1) == compute_delta0(pk2)
+
+
+@pytest.fixture(scope="module", params=[
+    lambda: truncate(generate_tiling(7, 3, 5), root=0, radius=4),
+    lambda: boundary_truncation(generate_grid(11, 11)),
+    lambda: delaunay_truncation(100, seed=5),
+], ids=["ball4", "grid11", "delaunay100"])
+def disc_packing(request):
+    t = request.param()
+    return layout(t, solve_radii(t, boundary_mode="disc"))
+
+
+class TestSausageBound:
+    @pytest.mark.parametrize("cap", [0.1, _sausage_cap(0.5), 1.0, 2.0])
+    def test_matches_all_pairs_below_cap(self, disc_packing, cap):
+        ref = brute_sausage_bound(disc_packing)
+        got = _sausage_bound(disc_packing, cap)
+        if ref < cap:
+            assert got == ref
+        else:
+            assert got >= cap
+
+    def test_exact_at_the_cap(self, disc_packing):
+        ref = brute_sausage_bound(disc_packing)
+        assert _sausage_bound(disc_packing, ref * (1 + 1e-12)) == ref
+        assert _sausage_bound(disc_packing, ref) >= ref
+
+    def test_preset_delta0_judged_exactly_above_half(self):
+        # the 21x21 grid's bound is about 0.54: it clears 1/2 but not 1
+        t = boundary_truncation(generate_grid(21, 21))
+        pk = layout(t, solve_radii(t, boundary_mode="disc"))
+        ref = brute_sausage_bound(pk)
+        assert 0.5 < ref < 1.0
+        for delta0, ok in [(0.5, True), (1.0, False)]:
+            pk.delta0 = delta0
+            assert geometry_report(pk).sausage_ok is ok
+            assert _sausages_clear(delta0, ref) is ok
+
+    def test_no_candidate_pairs(self):
+        t = honeycomb_truncation()
+        pk = layout(t, solve_radii(t, tol=1e-12))
+        # with the vertex circles shrunk to a tenth, every two disjoint edges
+        # keep their midpoints farther apart than rho_i + rho_j, so the k-d
+        # tree query leaves no pair to test
+        pk = dataclasses.replace(pk, vertex_radius=0.1 * pk.vertex_radius)
+        g = t.graph
+        u, v = g.origin[::2], g.target[::2]
+        a, b = pk.vertex_center[u], pk.vertex_center[v]
+        rho = (0.5 * np.abs(b - a) + _sausage_cap(0.5)
+               * np.maximum(pk.vertex_radius[u], pk.vertex_radius[v]))
+        ii, jj = np.triu_indices(u.size, k=1)
+        disjoint = ((u[ii] != u[jj]) & (u[ii] != v[jj])
+                    & (v[ii] != u[jj]) & (v[ii] != v[jj]))
+        gap = np.abs(0.5 * (a[ii] + b[ii] - a[jj] - b[jj])) - rho[ii] - rho[jj]
+        assert gap[disjoint].min() > 0
+        assert _sausage_bound(pk, _sausage_cap(0.5)) == math.inf
+        assert compute_delta0(pk) == 0.5
 
 
 class TestGeometryReport:
