@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .errors import InvariantViolation
+from .linalg import refined_solve
 
 __all__ = [
     "HarmonicDiscField", "GridDiscField", "BoundaryFunction",
@@ -362,17 +362,7 @@ def grid_capacity(target, grid_h: float) -> float:
     a = sparse.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(k, k)).tocsc()
-    lu = splu(a)
-    x = lu.solve(rhs)
-    scale = float(np.linalg.norm(rhs)) or 1.0
-    for _ in range(5):
-        r = rhs - a @ x
-        if float(np.linalg.norm(r)) <= 1e-10 * scale:
-            break
-        x = x + lu.solve(r)
-    else:
-        raise InvariantViolation("grid equilibrium solve did not converge")
-    flat_phi[ii] = x
+    flat_phi[ii] = refined_solve(a, rhs, 1e-10, "grid equilibrium solve did not converge")
     phi = flat_phi.reshape(m, m)
     e = float(np.sum((phi[:, 1:] - phi[:, :-1]) ** 2))
     e += float(np.sum((phi[1:, :] - phi[:-1, :]) ** 2))

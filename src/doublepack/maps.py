@@ -190,11 +190,12 @@ class PlanarMap:
         return f"PlanarMap(n_vertices={self.n_vertices}, n_edges={self.n_edges})"
 
 
-def _bfs_distances(neighbor_lists, source) -> np.ndarray:
-    n = len(neighbor_lists)
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
+def _bfs_distances(neighbor_lists, sources) -> np.ndarray:
+    """Graph distance to the nearest of ``sources`` (one vertex or several),
+    -1 where no source is reachable."""
+    queue = deque(np.atleast_1d(sources).tolist())
+    dist = np.full(len(neighbor_lists), -1, dtype=np.int64)
+    dist[list(queue)] = 0
     while queue:
         v = queue.popleft()
         for u in neighbor_lists[v]:
@@ -340,63 +341,35 @@ def dual_map(pmap: PlanarMap, faces: FaceStructure | None = None) -> PlanarMap:
 # polyhedrality
 # ---------------------------------------------------------------------------
 
-def _has_cut_vertex(neighbor_lists, skip: int = -1) -> bool:
-    """Articulation-point test (iterative lowpoint DFS) on the graph with one
-    vertex optionally removed.  Assumes the remaining graph is connected."""
-    n = len(neighbor_lists)
-    start = 0 if skip != 0 else 1
-    num = np.full(n, -1, dtype=np.int64)
-    low = np.zeros(n, dtype=np.int64)
-    parent = np.full(n, -1, dtype=np.int64)
-    counter = 0
-    root_children = 0
-    stack = [(start, 0)]
-    num[start] = low[start] = counter = 1
-    while stack:
-        v, i = stack.pop()
-        nbrs = neighbor_lists[v]
-        if i < len(nbrs):
-            stack.append((v, i + 1))
-            u = int(nbrs[i])
-            if u == skip:
-                continue
-            if num[u] < 0:
-                counter += 1
-                num[u] = low[u] = counter
-                parent[u] = v
-                if v == start:
-                    root_children += 1
-                stack.append((u, 0))
-            elif u != parent[v]:
-                low[v] = min(low[v], num[u])
-        else:
-            p = parent[v]
-            if p >= 0:
-                low[p] = min(low[p], low[v])
-                if p != start and low[v] >= num[p]:
-                    return True
-    if root_children > 1:
-        return True
-    return False
-
-
 def is_polyhedral(pmap: PlanarMap) -> bool:
     """True when the map is simple (no loops or parallel edges) and its graph
-    is 3-connected."""
+    is 3-connected.
+
+    A simple plane map with minimum degree >= 3 is 3-connected iff every
+    face walk visits each vertex at most once and any two faces meet in
+    nothing, in one vertex or in one common edge (Mohar & Thomassen, *Graphs
+    on Surfaces*, 2001).  With visits counted, that is: any two faces share
+    at most two vertex visits, and two only when an edge separates them.  A
+    walk that visits a vertex twice shares two visits with every other face
+    at that vertex, and some such vertex has another face, so repeated
+    visits need no test of their own.
+    """
     if pmap.simple_defect() is not None:
         return False
-    n = pmap.n_vertices
-    if n < 4 or int(pmap.degrees.min()) < 3:
+    if pmap.n_vertices < 4 or int(pmap.degrees.min()) < 3:
         return False
-    nbrs = pmap.neighbor_lists
-    if _has_cut_vertex(nbrs):
+    faces = trace_faces(pmap)
+    n_faces = faces.n_faces
+    # entry (f, v) counts the visits of face walk f to vertex v
+    incidence = sp.csr_matrix((np.ones(pmap.n_darts), (faces.face_of, pmap.origin)),
+                              shape=(n_faces, pmap.n_vertices))
+    shared = sp.triu(incidence @ incidence.T, k=1).tocoo()
+    if np.any(shared.data > 2):
         return False
-    # no cut vertex, so every one-vertex deletion stays connected; a 2-cut
-    # shows up as an articulation point of some G - v
-    for v in range(n):
-        if _has_cut_vertex(nbrs, skip=v):
-            return False
-    return True
+    two = shared.data == 2
+    left, right = faces.face_of[0::2], faces.face_of[1::2]
+    across_edge = np.minimum(left, right) * n_faces + np.maximum(left, right)
+    return bool(np.all(np.isin(shared.row[two] * n_faces + shared.col[two], across_edge)))
 
 
 @dataclass(frozen=True)
@@ -547,18 +520,8 @@ class Truncation:
         return bool(np.array_equal(rim, self.boundary))
 
     def _check_interior_connected(self):
-        nbrs = self.graph.neighbor_lists
-        sub = [u[~self.is_boundary[u]] for u in nbrs]
-        seen = np.zeros(self.graph.n_vertices, dtype=bool)
-        seen[self.root] = True
-        queue = deque([self.root])
-        while queue:
-            v = queue.popleft()
-            for u in sub[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(int(u))
-        if not np.all(seen[self.interior]):
+        sub = [u[~self.is_boundary[u]] for u in self.graph.neighbor_lists]
+        if np.any(_bfs_distances(sub, self.root)[self.interior] < 0):
             raise InvariantViolation("interior of the truncation is not connected")
 
     # -- conveniences ------------------------------------------------------
@@ -673,7 +636,7 @@ def boundary_truncation(pmap: PlanarMap, root: int | None = None) -> Truncation:
         raise ValueError("map has no interior vertex inside its rim")
     if root is None:
         # deepest interior vertex: maximize distance to the rim
-        dist = _multi_source_distances(pmap.neighbor_lists, boundary)
+        dist = _bfs_distances(pmap.neighbor_lists, boundary)
         root = int(inner[np.argmax(dist[inner])])
     dist_root = _bfs_distances(pmap.neighbor_lists, root)
     radius = int(dist_root[boundary].max())
@@ -682,22 +645,6 @@ def boundary_truncation(pmap: PlanarMap, root: int | None = None) -> Truncation:
     if not trunc.rim_is_boundary:
         raise InvariantViolation("boundary does not coincide with the outer face rim")
     return trunc
-
-
-def _multi_source_distances(neighbor_lists, sources) -> np.ndarray:
-    n = len(neighbor_lists)
-    dist = np.full(n, -1, dtype=np.int64)
-    queue = deque()
-    for s in sources:
-        dist[s] = 0
-        queue.append(int(s))
-    while queue:
-        v = queue.popleft()
-        for u in neighbor_lists[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(int(u))
-    return dist
 
 
 # ---------------------------------------------------------------------------

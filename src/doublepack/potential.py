@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
-from .errors import ConvergenceError, InvariantViolation
+from .errors import ConvergenceError
+from .linalg import refined_solve
 from .maps import PlanarMap, Truncation
 
 __all__ = [
@@ -147,19 +147,9 @@ def _fixed_solve(g: PlanarMap, fixed_mask: np.ndarray, full_values: np.ndarray,
     fixed = np.flatnonzero(fixed_mask)
     a = lap[free][:, free].tocsc()
     b = -(lap[free][:, fixed] @ full[fixed])
-    lu = splu(a)
-    x = lu.solve(b)
-    scale = float(np.linalg.norm(b)) or 1.0
-    for _ in range(5):
-        r = b - a @ x
-        if float(np.linalg.norm(r)) <= tol * scale:
-            break
-        x = x + lu.solve(r)
-    else:
-        raise InvariantViolation(
-            "harmonic solve did not reach its residual tolerance; "
-            "the system should be well conditioned at this scale")
-    full[free] = x
+    full[free] = refined_solve(
+        a, b, tol, "harmonic solve did not reach its residual tolerance; "
+        "the system should be well conditioned at this scale")
     return full
 
 

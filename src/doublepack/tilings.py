@@ -1,27 +1,39 @@
 """Generators for regular tilings and lattice patches.
 
 ``generate_tiling(p, q, layers)`` returns the combinatorial graph-distance
-ball of radius ``layers`` around a root vertex of the tiling with q-gonal
-faces and interior vertex degree p.  Triangulations (q = 3) are built layer by
-layer; q >= 4 uses a geometric construction (faces grown by half-turns about
-edge midpoints, in the Euclidean plane or the hyperboloid model) followed by a
-graph-ball extraction.  Spherical parameter pairs are rejected.
+ball of radius ``layers`` around a root vertex of the regular tiling whose
+vertices have degree p and whose faces are q-gons.  One growth rule builds
+every Euclidean and hyperbolic pair: faces are attached one at a time to the
+rim of a growing disc, completing vertices in breadth-first order.
+Spherical parameter pairs are rejected.
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
-from .maps import PlanarMap, build_map, induce_submap, _bfs_distances
+from .maps import PlanarMap, build_map
 
 __all__ = ["generate_tiling", "generate_grid"]
 
-_MAX_GEOMETRIC_FACES = 300_000
-
 
 def generate_tiling(p: int, q: int, layers: int) -> PlanarMap:
+    """Ball of radius ``layers`` around vertex 0 of the tiling with vertex
+    degree p and q-gonal faces, grown face by face.
+
+    The partial tiling is always a disc.  ``nbrs[v]`` lists the neighbors of
+    ``v`` counterclockwise; for a vertex on the disc's rim the first and last
+    entries are its rim neighbors, and the outer face lies between the last
+    and the first.  Starting from one q-gon at the root, vertices are
+    completed in breadth-first order while their distance is below
+    ``layers``: each new face goes into the vertex's outer wedge, next to its
+    last neighbor.  A face absorbs the consecutive rim vertices on either
+    side that already have degree p, which become interior; with k rim
+    vertices on it, it adds q - k new vertices, or a chord when k = q.  A
+    completed vertex has its whole neighborhood, so the breadth-first
+    distances are exact, and the vertices never reached lie beyond the ball.
+
+    Each non-root rotation starts one entry before its block of neighbors
+    one step closer to the root.
+    """
     if p < 3 or q < 3:
         raise ValueError("p and q must be at least 3")
     if layers < 1:
@@ -30,229 +42,49 @@ def generate_tiling(p: int, q: int, layers: int) -> PlanarMap:
     if curvature > 1e-12:
         raise ValueError(f"({p},{q}) is spherical; only Euclidean and hyperbolic "
                          "tilings are generated")
-    if q == 3:
-        return _triangulation_ball(p, layers)
-    return _geometric_ball(p, q, layers)
 
-
-def _triangulation_ball(p: int, layers: int) -> PlanarMap:
-    """Layered construction for degree-p triangulations (p >= 6).
-
-    Ring k+1 is grown by giving each ring-k vertex its missing fan of new
-    neighbors, consecutive fans sharing exactly one vertex, so ring k is the
-    graph-distance-k sphere and every face between rings is a triangle.
-    """
-    ring = list(range(1, p + 1))
-    parents: dict[int, list[int]] = {v: [0] for v in ring}
-    children: dict[int, list[int]] = {}
-    rings = [ring]
-    n_next = p + 1
-
-    for _ in range(layers - 1):
-        m = len(ring)
-        defect = [p - 2 - len(parents[v]) for v in ring]
-        if min(defect) < 2:
-            raise ValueError("triangulation layer growth broke down (p too small?)")
-        total = sum(defect) - m
-        new = list(range(n_next, n_next + total))
-        n_next += total
-        offsets = [0]
-        for d in defect:
-            offsets.append(offsets[-1] + d - 1)
-        for i, v in enumerate(ring):
-            fan = [new[(offsets[i] + j) % total] for j in range(defect[i])]
-            children[v] = fan
-            # the first fan vertex is shared with the previous ring vertex
-            parents[fan[0]] = [ring[i - 1], v]
-            for w in fan[1:-1]:
-                parents[w] = [v]
-        ring = new
-        rings.append(ring)
-
-    # counterclockwise rotation at a ring vertex: next along the ring, then
-    # parents (reversed), previous along the ring, then children in fan order
-    rotations: list[list[int]] = [None] * n_next
-    rotations[0] = list(range(1, p + 1))
-    for r in rings:
-        m = len(r)
-        for i, v in enumerate(r):
-            rot = [r[(i + 1) % m]]
-            rot.extend(reversed(parents[v]))
-            rot.append(r[(i - 1) % m])
-            rot.extend(children.get(v, ()))
-            rotations[v] = rot
-    return build_map(rotations)
-
-
-# ---------------------------------------------------------------------------
-# geometric generator (q >= 4, and an independent oracle for q = 3)
-# ---------------------------------------------------------------------------
-
-class _Dedup:
-    """Spatial hash for point deduplication at a fixed resolution."""
-
-    def __init__(self, cell: float, tol: float):
-        self.cell = cell
-        self.tol = tol
-        self.points: list[np.ndarray] = []
-        self.grid: dict[tuple[int, int], list[int]] = {}
-
-    def _key(self, xy):
-        return (int(math.floor(xy[0] / self.cell)), int(math.floor(xy[1] / self.cell)))
-
-    def find_or_add(self, point, plane_xy, dist2) -> tuple[int, bool]:
-        kx, ky = self._key(plane_xy)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for idx in self.grid.get((kx + dx, ky + dy), ()):
-                    if dist2(self.points[idx], point) < self.tol:
-                        return idx, False
-        idx = len(self.points)
-        self.points.append(point)
-        self.grid.setdefault(self._key(plane_xy), []).append(idx)
-        return idx, True
-
-
-def _geometric_ball(p: int, q: int, layers: int) -> PlanarMap:
-    full, root = _geometric_graph(p, q, layers)
-    dist = _bfs_distances(full.neighbor_lists, root)
-    keep = (0 <= dist) & (dist <= layers)
-    sub, _ = induce_submap(full, keep)
-    return sub
-
-
-def _geometric_graph(p: int, q: int, layers: int):
-    """Face-corona BFS of the (p, q) tiling until the graph ball of radius
-    ``layers`` around the root is complete.
-
-    Faces are grown by half-turns about edge midpoints (a symmetry of every
-    edge-to-edge regular tiling); vertices are deduplicated positionally and
-    rotations read off from angles in a straight-line model (the Klein disc
-    in the hyperbolic case).  Coronas are added until every vertex within
-    distance ``layers`` of the root has reached its full degree p, which
-    freezes the induced ball.  Returns the map and the root vertex.
-    """
-    max_depth = (layers + 2) * max(p, q)
-    flat = abs(1.0 / p + 1.0 / q - 0.5) <= 1e-12
-
-    if flat:
-        circum = 0.5 / math.sin(math.pi / q)        # unit side length
-        center0 = np.zeros(2)
-        verts0 = [np.array([circum * math.cos(2 * math.pi * j / q),
-                            circum * math.sin(2 * math.pi * j / q)]) for j in range(q)]
-
-        def midpoint(a, b):
-            return 0.5 * (a + b)
-
-        def half_turn(x, m):
-            return 2.0 * m - x
-
-        def plane(x):
-            return x
-
-        def dist2(a, b):
-            d = a - b
-            return float(d @ d)
-
-        tol = 0.25 ** 2
-        cell = 0.5
-    else:
-        # center-to-vertex distance from the (pi/p, pi/q, pi/2) right triangle
-        c = math.acosh(1.0 / (math.tan(math.pi / p) * math.tan(math.pi / q)))
-        edge = 2.0 * math.acosh(math.cos(math.pi / q) / math.sin(math.pi / p))
-        center0 = np.array([0.0, 0.0, 1.0])
-        verts0 = [np.array([math.sinh(c) * math.cos(2 * math.pi * j / q),
-                            math.sinh(c) * math.sin(2 * math.pi * j / q),
-                            math.cosh(c)]) for j in range(q)]
-
-        def mink(a, b):
-            return a[0] * b[0] + a[1] * b[1] - a[2] * b[2]
-
-        def midpoint(a, b):
-            s = a + b
-            return s / math.sqrt(-mink(s, s))
-
-        def half_turn(x, m):
-            return -x - 2.0 * mink(x, m) * m
-
-        def plane(x):   # Klein-model projection: geodesics become straight
-            return x[:2] / x[2]
-
-        def dist2(a, b):  # cosh(d) - 1, monotone in hyperbolic distance
-            return -mink(a, b) - 1.0
-
-        tol = math.cosh(0.25 * min(edge, 2 * c)) - 1.0
-        # Klein coordinates of distinct vertices collapse toward the unit
-        # circle, so the hash resolution must sit between coordinate noise
-        # and the smallest separations reachable within the face budget.
-        cell = 1e-6
-
-    vdedup = _Dedup(cell, tol)
-    fdedup = _Dedup(cell, tol)
-    face_vertices: list[list[int]] = []
-    nbr_sets: list[set[int]] = []
-
-    def add_face(center, verts):
-        _, new = fdedup.find_or_add(center, plane(center), dist2)
-        if not new:
-            return None
-        vids = []
-        for v in verts:
-            idx, fresh = vdedup.find_or_add(v, plane(v), dist2)
-            if fresh:
-                nbr_sets.append(set())
-            vids.append(idx)
-        face_vertices.append(vids)
-        for j in range(len(vids)):
-            a, b = vids[j], vids[(j + 1) % len(vids)]
-            nbr_sets[a].add(b)
-            nbr_sets[b].add(a)
-        return center, verts
-
-    def ball_complete() -> bool:
-        # Once every vertex within distance `layers` of the root has its full
-        # flower of p neighbors, no later face can touch the ball: distances,
-        # edges, and rotations inside it are all frozen.
-        dist = {0: 0}
-        queue = [0]
-        for v in queue:
-            if len(nbr_sets[v]) < p:
-                return False
-            if dist[v] == layers:
-                continue
-            for u in nbr_sets[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        return True
-
-    frontier = [add_face(center0, verts0)]
-    for _ in range(max_depth):
-        nxt_frontier = []
-        for center, verts in frontier:
-            for j in range(len(verts)):
-                m = midpoint(verts[j], verts[(j + 1) % len(verts)])
-                added = add_face(half_turn(center, m), [half_turn(v, m) for v in verts])
-                if added is not None:
-                    nxt_frontier.append(added)
-            if len(face_vertices) > _MAX_GEOMETRIC_FACES:
-                raise ValueError("tiling generation exceeded its face budget")
-        frontier = nxt_frontier
-        if ball_complete():
+    nbrs = [[1, q - 1]] + [[(j + 1) % q, j - 1] for j in range(1, q)]
+    interior = [False] * q
+    dist = [0] + [-1] * (q - 1)
+    order = [0]
+    for v in order:
+        if dist[v] == layers:
             break
-    else:
-        raise ValueError(f"({p},{q}) ball of radius {layers} did not stabilize "
-                         f"within {max_depth} face coronas")
+        while not interior[v]:
+            # rim vertices of the new face, in the outer face's direction
+            rim = [nbrs[v][-1], v]
+            while len(nbrs[rim[0]]) == p:
+                rim.insert(0, nbrs[rim[0]][-1])
+            while len(nbrs[rim[-1]]) == p:
+                rim.append(nbrs[rim[-1]][0])
+            for x in rim[1:-1]:
+                interior[x] = True
+            # the face closes from rim[-1] through its new vertices to rim[0]
+            walk = [rim[-1], *range(len(nbrs), len(nbrs) + q - len(rim)), rim[0]]
+            nbrs.extend([a, b] for a, b in zip(walk, walk[2:]))
+            interior.extend([False] * (len(walk) - 2))
+            nbrs[walk[0]].append(walk[1])
+            nbrs[walk[-1]].insert(0, walk[-2])
+        dist.extend([-1] * (len(nbrs) - len(dist)))
+        for u in nbrs[v]:
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                order.append(u)
 
-    n = len(vdedup.points)
-    plane_pts = [plane(pt) for pt in vdedup.points]
+    kept = sorted(order)
+    new_id = [-1] * len(nbrs)
+    for i, v in enumerate(kept):
+        new_id[v] = i
     rotations = []
-    for v in range(n):
-        pv = plane_pts[v]
-        nbrs = sorted(nbr_sets[v])
-        ang = [math.atan2(plane_pts[u][1] - pv[1], plane_pts[u][0] - pv[0]) for u in nbrs]
-        rotations.append([u for _, u in sorted(zip(ang, nbrs))])
-    return build_map(rotations), 0
+    for v in kept:
+        nb = nbrs[v]
+        if v:
+            up = dist[v] - 1
+            i = next((j for j, u in enumerate(nb)
+                      if dist[u] == up and dist[nb[j - 1]] != up), 1)
+            nb = nb[i - 1:] + nb[:i - 1]
+        rotations.append([new_id[u] for u in nb if dist[u] >= 0])
+    return build_map(rotations)
 
 
 # ---------------------------------------------------------------------------

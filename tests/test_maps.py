@@ -1,12 +1,14 @@
 """Combinatorial map layer: construction, faces, duals, polyhedrality,
 tilings, truncations, serialization."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
 from doublepack.maps import (
     MapData,
@@ -16,6 +18,7 @@ from doublepack.maps import (
     canonical_encoding,
     dual_map,
     euler_characteristic,
+    induce_submap,
     is_polyhedral,
     load_map_json,
     map_data,
@@ -23,6 +26,7 @@ from doublepack.maps import (
     trace_faces,
     truncate,
 )
+from doublepack.maps import _bfs_distances
 from doublepack.tilings import generate_grid, generate_tiling
 
 TRIANGLE = [[1, 2], [2, 0], [0, 1]]
@@ -62,6 +66,84 @@ def brute_force_polyhedral(pmap):
             if len(seen) < n - 2:
                 return False
     return True
+
+
+def random_delaunay_map(n, n_cut, seed):
+    """Delaunay triangulation of ``n`` seeded points in the unit square with
+    ``n_cut`` seeded edges deleted, or None when the deletions disconnect it."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    indptr, nbrs = Delaunay(pts).vertex_neighbor_vertices
+    rotations = []
+    for v in range(n):
+        nb = nbrs[indptr[v]:indptr[v + 1]]
+        d = pts[nb] - pts[v]
+        rotations.append(nb[np.argsort(np.arctan2(d[:, 1], d[:, 0]))].tolist())
+    edges = [(u, v) for u in range(n) for v in rotations[u] if u < v]
+    for i in rng.choice(len(edges), size=n_cut, replace=False):
+        u, v = edges[i]
+        rotations[u].remove(v)
+        rotations[v].remove(u)
+    if np.any(_bfs_distances(rotations, 0) < 0):
+        return None
+    return build_map(rotations)
+
+
+def cyclic_rotations(pmap):
+    """Rotation lists, each turned to start at its smallest neighbor."""
+    out = []
+    for rot in map_to_json(pmap)["rotations"]:
+        i = rot.index(min(rot))
+        out.append(rot[i:] + rot[:i])
+    return out
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of repr(canonical_encoding(...)) of the {p,q} balls built by the
+# geometric construction that the combinatorial growth replaced (half-turns
+# in the hyperboloid model, vertices deduplicated by position)
+GEOMETRIC_BALL_DIGESTS = {
+    (4, 4, 2): "ac574b67d229741ca1df833a5191ea6f2f6131bcab4cad15eea39ba858cb958e",
+    (4, 4, 3): "7e9fe68d18f7221c63c6744d0aad8246a33a5c8cb2b0aa99feb9aa3f5d09dc7e",
+    (5, 4, 2): "0c9ab00bc99a240f189365842a2bc0be7dc420c31f7507c10092b1e40e1c3aa8",
+    (5, 4, 3): "0be0f1144f010ccd61929c51d5f648be135adef241dd3eff68e1cd16ea6657f0",
+    (4, 5, 2): "1ba1348d6bf84ecc1241d11ae287ce28e7b52afef2161b5589b9a627bd70053f",
+    (4, 5, 3): "e8a0d9086c99e4a9a1b0b78d66aa38ee79cefada9fed7742c57fbc3adc6e91ca",
+    (3, 6, 2): "674545bd754ceb8f2e2dbb93c36abb510fb2eb5acbfb29823966250f327c5299",
+    (3, 6, 3): "f2fefcb637c5b71cdebf5b2376b0b2b0bd84a0803206cafdf9905419462f8e71",
+    (3, 7, 2): "674545bd754ceb8f2e2dbb93c36abb510fb2eb5acbfb29823966250f327c5299",
+    (3, 7, 3): "4d769d9076d087ff8c6e7266cad412a3e5e7eaf872ff2d5c2186c9ffea86fd51",
+    (3, 8, 2): "674545bd754ceb8f2e2dbb93c36abb510fb2eb5acbfb29823966250f327c5299",
+    (3, 8, 3): "46913962473f99c6edec7ddc648b6cd1e3c6ae289d434a793f00f72869771f9d",
+    (6, 4, 2): "cf6a6027846c805df82398fcc26ca4d89c897a95c07713fe2521dc80cce5883e",
+    (6, 4, 3): "591fc53b9468b36337b91aac501a02edda675a15c815782a9fd4b00713ea4982",
+    (4, 6, 2): "aea58d4baacc33c1e5d6614475eb0d395c21792ada27daa821607728d46c6528",
+    (4, 6, 3): "cf30d130be52a512d71dab23ed7fc597a0aebcc6aecc952ba991c2cdabfa0335",
+    (5, 5, 2): "a537756226749c777b7fdf820c420693add83588115e4df59371b1207c2ab0c8",
+    (5, 5, 3): "f69798dc5aa1c092e8c424ba31a874a0722415059de12535a3409db910a75cb8",
+    (3, 12, 2): "674545bd754ceb8f2e2dbb93c36abb510fb2eb5acbfb29823966250f327c5299",
+    (3, 12, 3): "46913962473f99c6edec7ddc648b6cd1e3c6ae289d434a793f00f72869771f9d",
+}
+
+# sha256 of json.dumps(map_to_json(...)) of the degree-p triangulation balls
+# built ring by ring before the combinatorial growth, keyed by (p, layers)
+TRIANGULATION_JSON_DIGESTS = {
+    (6, 1): "3076b4f43da078d1fd73dcdefa2e3c073dda7f8525e300dc188d49b816e8880f",
+    (6, 2): "02f39e023eeeb6d4b643ed788f44e490a5a037a96b65ee437304f70587ae3e25",
+    (6, 3): "453405fdb077f938737f6b6ea014e07cc7f99ef3c7058674ca471c3a5802e8c2",
+    (6, 4): "5d07a68ba56ee7ba72d6c35259781d1ed73413fa13faade61e1a0f7697b6988d",
+    (7, 1): "b4d38610e6a6c455327d5fe82b3902df9bad29c77aa7eee50257c9083813c8ac",
+    (7, 2): "2741ec98d382c27564acd5d3e9f6fb379bc1769b667306597e7dcb046f046e5a",
+    (7, 3): "7be8d64069a53e6df523193bc25c216181e06da45a41a3aa10285abd3e20d7f4",
+    (7, 4): "c8b6f0fef5e1031c72f6f8211b1c1c7c1020c5ebd709f7d2fb1b6fc33b32e806",
+    (8, 1): "6478971302cbfd1111321ac93b96a26a7f452982ba2e8047c003e1e633a4319c",
+    (8, 2): "c5b5007f711304ef307d02e6001eb78381e0c26f5569bd8a963b888e20821203",
+    (8, 3): "4c861752157c08deecc26bcee605653f3e4859a9bc5bc91a9c84e83f9af6fccb",
+    (8, 4): "7ba5c080f1d16a528352900800b9a83d51d6caa6b5bb4e8e0f13ede7149a8719",
+}
 
 
 class TestBuildMap:
@@ -190,10 +272,24 @@ class TestPolyhedral:
             build_map([[1, 3, 2], [2, 4, 0], [0, 5, 1],
                        [4, 5, 0], [5, 3, 1], [3, 4, 2]]),      # triangular prism
             dual_map(build_map(CUBE)),                          # octahedron
+            build_map([[1, 2, 3, 4, 5, 6], [0, 3, 2], [0, 1, 3], [0, 2, 1],
+                       [0, 6, 5], [0, 4, 6], [0, 5, 4]]),       # two K4 sharing 0
         ]
         for m in suite:
             assert m.n_vertices <= 12
             assert is_polyhedral(m) == brute_force_polyhedral(m), m
+
+    def test_matches_brute_force_on_random_maps(self):
+        # Delaunay triangulations of 5-11 points with 0-3 edges deleted
+        verdicts = []
+        for seed in range(600):
+            m = random_delaunay_map(5 + seed % 7, seed % 4, seed)
+            if m is None:
+                continue
+            verdicts.append(is_polyhedral(m))
+            assert verdicts[-1] == brute_force_polyhedral(m), seed
+        assert len(verdicts) >= 500
+        assert 100 <= sum(verdicts) <= len(verdicts) - 100
 
 
 class TestTilings:
@@ -205,21 +301,45 @@ class TestTilings:
 
     def test_triangular_lattice_interior_degrees(self):
         m = generate_tiling(6, 3, 3)
-        from doublepack.maps import _bfs_distances
-
         dist = _bfs_distances(m.neighbor_lists, 0)
         assert np.all(m.degrees[dist <= 2] == 6)
 
-    def test_hyperbolic_ball_matches_independent_generator(self):
-        # layered growth vs geometric (half-turn corona) regeneration
-        from doublepack.tilings import _geometric_ball, _triangulation_ball
+    def test_matches_geometric_construction(self):
+        wrong = [key for key, digest in GEOMETRIC_BALL_DIGESTS.items()
+                 if sha256(repr(canonical_encoding(generate_tiling(*key)))) != digest]
+        assert wrong == []
 
-        a = _triangulation_ball(7, 3)
-        b = _geometric_ball(7, 3, 3)
-        assert canonical_encoding(a) == canonical_encoding(b)
-        big = _triangulation_ball(7, 4)
-        assert big.n_vertices == 232
-        assert big.n_vertices == _geometric_ball(7, 3, 4).n_vertices
+    def test_triangulations_match_ring_growth(self):
+        wrong = [key for key, digest in TRIANGULATION_JSON_DIGESTS.items()
+                 if sha256(json.dumps(map_to_json(generate_tiling(key[0], 3, key[1]))))
+                 != digest]
+        assert wrong == []
+        assert generate_tiling(7, 3, 4).n_vertices == 232
+
+    def test_deep_ball_of_squares(self):
+        # the geometric construction ran out of its face budget here
+        m = generate_tiling(6, 4, 5)
+        assert (m.n_vertices, m.n_edges) == (1711, 2166)
+        assert euler_characteristic(m) == 2
+
+    @pytest.mark.parametrize("p,q", [(6, 3), (7, 3), (8, 3), (4, 4), (5, 4), (6, 4),
+                                     (8, 4), (4, 5), (5, 5), (3, 6), (4, 6), (3, 7),
+                                     (3, 8), (4, 8), (3, 12)])
+    def test_ball_structure(self, p, q):
+        smaller = None
+        for layers in range(1, 6):
+            m = generate_tiling(p, q, layers)
+            f = trace_faces(m)
+            dist = _bfs_distances(m.neighbor_lists, 0)
+            assert dist.max() == layers
+            assert np.all(m.degrees[dist < layers] == p)
+            assert np.all(np.sort(f.degrees)[:-1] == q)
+            assert euler_characteristic(m, f) == 2
+            if smaller is not None:
+                # the smaller ball is this one's induced ball, ids included
+                sub, _ = induce_submap(m, dist < layers)
+                assert cyclic_rotations(sub) == cyclic_rotations(smaller)
+            smaller = m
 
     def test_quad_tilings(self):
         m = generate_tiling(4, 4, 3)
@@ -261,9 +381,14 @@ class TestTruncation:
         with pytest.raises(ValueError):
             truncate(generate_tiling(6, 3, 2), root=0, radius=5)
 
-    def test_interior_is_smaller_ball(self):
-        from doublepack.maps import _bfs_distances
+    def test_distances_from_several_sources(self):
+        m = generate_grid(5, 4)
+        corners = [0, 4, 15, 19]
+        each = [_bfs_distances(m.neighbor_lists, c) for c in corners]
+        assert np.array_equal(_bfs_distances(m.neighbor_lists, corners),
+                              np.min(each, axis=0))
 
+    def test_interior_is_smaller_ball(self):
         parent = generate_tiling(7, 3, 6)
         t = truncate(parent, root=0, radius=3)
         dist = _bfs_distances(parent.neighbor_lists, 0)

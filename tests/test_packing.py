@@ -219,11 +219,11 @@ class TestSolveRadii:
             boundary_truncation(build_map(TRIANGLE))
 
     def test_pendant_vertices_rejected(self):
-        # the (4,4) ball of depth 2 has four pendant edges, (1,6), (3,7),
-        # (4,11) and (9,12), with the outer face on both sides: no corner
-        # fixes their direction, so layout could never place vertex 6
+        # the (4,4) ball of depth 2 has four pendant edges, (1,9), (3,10),
+        # (4,11) and (6,12), with the outer face on both sides: no corner
+        # fixes their direction, so layout could never place vertex 9
         t = boundary_truncation(generate_tiling(4, 4, 2))
-        with pytest.raises(ValueError, match=r"edge \(1, 6\).*vertex 6 hangs"):
+        with pytest.raises(ValueError, match=r"edge \(1, 9\).*vertex 9 hangs"):
             solve_radii(t)
 
     def test_interior_degree_two_rejected(self):
