@@ -492,32 +492,28 @@ class Truncation:
 
         self.dist_from_root = _bfs_distances(graph.neighbor_lists, self.root)
         self.faces = trace_faces(graph)
-        try:
-            self.outer_face = self._find_outer_face()
-        except InvariantViolation:
-            self.outer_face = None
+        self.outer_face = self._find_outer_face()
         self._check_interior_connected()
 
-    def _find_outer_face(self) -> int:
-        deg = self.faces.degrees
-        order = np.argsort(deg)[::-1]
-        if deg.size > 1 and deg[order[0]] == deg[order[1]]:
-            # fall back: the face carrying only boundary vertices
-            cands = [f for f in range(self.faces.n_faces)
-                     if np.all(self.is_boundary[self.faces.vertices(self.graph, f)])]
-            if len(cands) != 1:
-                raise InvariantViolation("outer face is ambiguous for this truncation")
-            return cands[0]
-        return int(order[0])
+    def _find_outer_face(self) -> int | None:
+        """The one face whose rim is exactly the boundary, or None when no
+        face or more than one has that rim."""
+        n = self.graph.n_vertices
+        origin, face_of = self.graph.origin, self.faces.face_of
+        n_faces = self.faces.n_faces
+        off_rim = np.bincount(face_of[~self.is_boundary[origin]], minlength=n_faces)
+        darts = np.flatnonzero(off_rim[face_of] == 0)
+        visited = np.unique(face_of[darts] * n + origin[darts])
+        rims = np.flatnonzero(np.bincount(visited // n, minlength=n_faces)
+                              == self.boundary.size)
+        return int(rims[0]) if rims.size == 1 else None
 
     @property
     def rim_is_boundary(self) -> bool:
-        """True when the boundary is exactly the outer face rim (required for
-        packing; potential theory accepts arbitrary grounding sets)."""
-        if self.outer_face is None:
-            return False
-        rim = np.unique(self.faces.vertices(self.graph, self.outer_face))
-        return bool(np.array_equal(rim, self.boundary))
+        """True when one face has exactly the boundary as its rim: the outer
+        face (required for packing; potential theory accepts arbitrary
+        grounding sets)."""
+        return self.outer_face is not None
 
     def _check_interior_connected(self):
         sub = [u[~self.is_boundary[u]] for u in self.graph.neighbor_lists]
@@ -533,8 +529,7 @@ class Truncation:
     @cached_property
     def bounded_faces(self) -> np.ndarray:
         self._require_outer_face()
-        return np.array([f for f in range(self.faces.n_faces) if f != self.outer_face],
-                        dtype=np.int64)
+        return np.delete(np.arange(self.faces.n_faces), self.outer_face)
 
     @cached_property
     def corner_darts(self) -> np.ndarray:

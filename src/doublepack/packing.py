@@ -2,15 +2,15 @@
 tangent along edges and orthogonal at incidences.
 
 The radii are characterized by angle-sum equations: around every interior
-vertex the kite corners 2*arctan(r(f)/r(v)) of the incident faces sum to a
-full turn, and dually around every bounded face.  ``solve_radii`` finds the
-radii (a damped fixed-point warm-up followed by Newton steps on log radii,
-whose Jacobian is a vertex-face Laplacian grounded at the boundary),
-``layout`` places the circles along a breadth-first dart tree that each
-truncation builds once and caches (directions and centers are summed down the
-tree level by level, then every closing constraint is checked in one
-vectorized pass), and ``compute_delta0`` extracts the shrinkage level used by
-the averaging operators downstream.
+vertex the kite corners of the incident faces sum to a full turn, and dually
+around every bounded face.  ``solve_radii`` solves them by Newton's method
+with the boundary radii prescribed, or for the maximal packing of the disc:
+hyperbolic radii with horocycles on the boundary, whose Euclidean radii one
+walk of the truncation's cached dart tree reads off, then the prescribed
+solve.  ``layout`` places the circles along the same tree, level by level,
+and checks every closing constraint in one vectorized pass;
+``compute_delta0`` extracts the shrinkage level used by the averaging
+operators downstream.
 
 The shrinkage level needs the delta-sausages of non-adjacent edges to be
 disjoint.  That test does not look at every pair of edges: a k-d tree over
@@ -86,10 +86,7 @@ class DoublePacking:
         return float(np.max(np.abs(d - s) / s))
 
     def max_orthogonality_residual(self) -> float:
-        t = self.trunc
-        e = t.corner_darts
-        cv = t.graph.origin[e]
-        cf = t.faces.face_of[e]
+        cv, cf = _corner_arrays(self.trunc)
         d = np.abs(self.vertex_center[cv] - self.face_center[cf])
         h = np.hypot(self.vertex_radius[cv], self.face_radius[cf])
         return float(np.max(np.abs(d - h) / h))
@@ -137,162 +134,178 @@ def _corner_arrays(trunc: Truncation):
     return trunc.graph.origin[e], trunc.faces.face_of[e]
 
 
+def _angle_residual(trunc: Truncation, at_v, at_f) -> np.ndarray:
+    """Interior vertex and bounded face angle sums minus a full turn, from
+    the corner angles at the vertex and at the face of every corner."""
+    cv, cf = _corner_arrays(trunc)
+    a_v = np.bincount(cv, weights=at_v, minlength=trunc.graph.n_vertices)
+    a_f = np.bincount(cf, weights=at_f, minlength=trunc.faces.n_faces)
+    return np.concatenate([a_v[trunc.interior], a_f[trunc.bounded_faces]]) - _TWO_PI
+
+
 def angle_defect(trunc: Truncation, vertex_radius, face_radius) -> float:
     """Largest deviation of an interior vertex or bounded face angle sum
     from a full turn."""
     cv, cf = _corner_arrays(trunc)
     theta = 2.0 * np.arctan2(np.asarray(face_radius)[cf],
                              np.asarray(vertex_radius)[cv])
-    a_v = np.bincount(cv, weights=theta, minlength=trunc.graph.n_vertices)
-    a_f = np.bincount(cf, weights=np.pi - theta, minlength=trunc.faces.n_faces)
-    dv = np.max(np.abs(a_v[trunc.interior] - _TWO_PI))
-    df = np.max(np.abs(a_f[trunc.bounded_faces] - _TWO_PI))
-    return float(max(dv, df))
+    return float(np.max(np.abs(_angle_residual(trunc, theta, np.pi - theta))))
 
 
-def _solve_prescribed(trunc, boundary_log_radii, tol, max_iter, warm=None):
-    """Newton iteration on log radii; returns (uv, uf, defect, iterations)."""
-    g = trunc.graph
-    n = g.n_vertices
-    nf_all = trunc.faces.n_faces
+def _euclidean_corners(xv, xf):
+    """Kite corners 2 atan(r_f / r_v) at the vertex and at the face, and the
+    Jacobian weights (both sech(x_f - x_v)), in log radii x = log r."""
+    d = np.clip(xf - xv, -40.0, 40.0)
+    theta = 2.0 * np.arctan(np.exp(d))
+    w = 1.0 / np.cosh(d)
+    return theta, np.pi - theta, w, w
+
+
+def _hyperbolic_corners(xv, xf):
+    """Hyperbolic kite corners in x = log tanh(r/2) <= 0, from the right
+    triangle with legs r_v and r_f: 2 atan(tanh r_f / sinh r_v), which is
+    2 atan(sinh(-x_v) / cosh x_f), at the vertex and dually at the face, and
+    the Jacobian weights 2 cosh x_v cosh x_f / D and 2 sinh x_v sinh x_f / D
+    with D = cosh^2 x_f + sinh^2 x_v."""
+    sv, ch_v = np.sinh(xv), np.cosh(xv)
+    sf, ch_f = np.sinh(xf), np.cosh(xf)
+    d = ch_f * ch_f + sv * sv
+    return (2.0 * np.arctan2(-sv, ch_f), 2.0 * np.arctan2(-sf, ch_v),
+            2.0 * ch_v * ch_f / d, 2.0 * sv * sf / d)
+
+
+def _solve_prescribed(trunc, boundary_x, tol, max_iter, hyperbolic=False):
+    """Newton iteration on the angle sums with the boundary unknowns fixed
+    to ``boundary_x``; returns (xv, xf, defect, iterations).
+
+    Euclidean unknowns are log radii, starting from 0; hyperbolic ones are
+    x = log tanh(r/2), starting from log tanh(1/2), and x = 0 is a
+    horocycle.  In both geometries the Jacobian is minus a symmetric,
+    diagonally dominant vertex-face Laplacian grounded at the boundary.
+    """
+    n = trunc.graph.n_vertices
     cv, cf = _corner_arrays(trunc)
-    interior = trunc.interior
-    bf = trunc.bounded_faces
-    ni, nf = interior.size, bf.size
+    interior, bf = trunc.interior, trunc.bounded_faces
+    ni, nun = interior.size, interior.size + bf.size
+    corners = _hyperbolic_corners if hyperbolic else _euclidean_corners
 
-    vidx = np.full(n, -1, dtype=np.int64)
-    vidx[interior] = np.arange(ni)
-    fidx = np.full(nf_all, -1, dtype=np.int64)
-    fidx[bf] = ni + np.arange(nf)
-    av = vidx[cv]          # -1 at boundary-vertex corners
-    af = fidx[cf]
+    # unknown index of each corner's vertex (-1 on the boundary) and face
+    idx = np.full(n + trunc.faces.n_faces, -1, dtype=np.int64)
+    idx[interior] = np.arange(ni)
+    idx[n + bf] = np.arange(ni, nun)
+    av, af = idx[cv], idx[n + cf]
     free_v = av >= 0
-
-    uv = np.zeros(n)
-    uv[trunc.boundary] = boundary_log_radii
-    uf = np.zeros(nf_all)
-    if warm is not None:
-        uv[interior], uf[bf] = warm
-
-    def sums(d):
-        theta = 2.0 * np.arctan(np.exp(np.clip(d, -40.0, 40.0)))
-        a_v = np.bincount(cv, weights=theta, minlength=n)
-        a_f = np.bincount(cf, weights=np.pi - theta, minlength=nf_all)
-        return a_v, a_f
-
-    if warm is None:
-        for _ in range(8):
-            a_v, a_f = sums(uf[cf] - uv[cv])
-            uv[interior] += 0.5 * np.log(a_v[interior] / _TWO_PI)
-            uf[bf] += 0.5 * np.log(a_f[bf] / _TWO_PI)
-
     rows = np.concatenate([af, av[free_v], av[free_v], af[free_v]])
     cols = np.concatenate([af, av[free_v], af[free_v], av[free_v]])
-    nun = ni + nf
+
+    start = math.log(math.tanh(0.5)) if hyperbolic else 0.0
+    xv = np.full(n, start)
+    xv[trunc.boundary] = boundary_x
+    xf = np.full(trunc.faces.n_faces, start)
     for it in range(max_iter):
-        d = uf[cf] - uv[cv]
-        a_v, a_f = sums(d)
-        resid = np.concatenate([a_v[interior] - _TWO_PI, a_f[bf] - _TWO_PI])
-        defect = float(np.max(np.abs(resid))) if resid.size else 0.0
+        at_v, at_f, own, other = corners(xv[cv], xf[cf])
+        resid = _angle_residual(trunc, at_v, at_f)
+        defect = float(np.max(np.abs(resid)))
         if defect <= tol:
-            return uv, uf, defect, it
-        w = 1.0 / np.cosh(np.clip(d, -40.0, 40.0))
-        data = np.concatenate([w, w[free_v], -w[free_v], -w[free_v]])
+            return xv, xf, defect, it
+        data = np.concatenate([own, own[free_v], -other[free_v], -other[free_v]])
         lap = sp.coo_matrix((data, (rows, cols)), shape=(nun, nun)).tocsc()
-        step = np.clip(spla.spsolve(lap, resid), -2.0, 2.0)
-        uv[interior] += step[:ni]
-        uf[bf] += step[ni:]
+        step = spla.spsolve(lap, resid)
+        if hyperbolic:
+            # keep x < 0: no unknown moves more than halfway to 0
+            x = np.concatenate([xv[interior], xf[bf]])
+            step /= max(1.0, float(np.max(-2.0 * step / x)))
+        else:
+            step = np.clip(step, -2.0, 2.0)
+        xv[interior] += step[:ni]
+        xf[bf] += step[ni:]
     raise ConvergenceError(
         f"radius iteration stalled at defect {defect:.3e} after {max_iter} steps")
 
 
+def _horocycle_radii(trunc, xv, xf) -> np.ndarray:
+    """Euclidean radii of the boundary horocycles of the hyperbolic packing
+    ``(xv, xf)`` in the unit disc, with the root circle centered at 0.
+
+    Each tree dart gets a disc automorphism (a, b): z -> (a z + b) /
+    (conj(b) z + conj(a)), |a|^2 - |b|^2 = 1, taking 0 to the tangency point
+    of its edge and +1 toward its target.  The root dart's is (1, t) /
+    sqrt(1 - t^2), t = tanh(r_root / 2); a child composes its parent's with
+    (i, 0) for a reverse, or for a turn of sign s across face g with a
+    reverse and then the rotation about the center of g by its kite corner:
+    (cosh x_g + i s cosh x_v, i s) / sqrt(D), D as in ``_hyperbolic_corners``.
+    Turns never rotate about a horocycle's ideal center.  In the frame of
+    its vertex's first dart a horocycle is the circle |z + 1/2| = 1/2.
+    """
+    tree = trunc.dart_tree
+    order, parent = tree.order, tree.parent
+    x_v = xv[trunc.graph.origin[tree.turn_dart]]
+    ch_g = np.cosh(xf[trunc.faces.face_of[tree.turn_dart]])
+    norm = np.sqrt(ch_g * ch_g + np.sinh(x_v) ** 2)
+    s = tree.turn_sign
+    step_a = np.where(tree.reverse, 1j, (ch_g + 1j * s * np.cosh(x_v)) / norm)
+    step_b = np.where(tree.reverse, 0j, 1j * s / norm)
+
+    a = np.zeros(trunc.graph.n_darts, dtype=complex)
+    b = np.zeros_like(a)
+    t = math.exp(xv[trunc.root])
+    a[order[0]] = 1.0 / math.sqrt(1.0 - t * t)
+    b[order[0]] = t * a[order[0]]
+    for lo, hi in zip(tree.levels[1:-1], tree.levels[2:]):
+        pa, pb = a[parent[lo:hi]], b[parent[lo:hi]]
+        sa, sb = step_a[lo:hi], step_b[lo:hi]
+        a[order[lo:hi]] = pa * sa + pb * sb.conj()
+        b[order[lo:hi]] = pa * sb + pb * sa.conj()
+    e = tree.vertex_dart[trunc.boundary]
+    return 0.5 / (a[e] * (a[e] - b[e]).conj()).real
+
+
+def _check_reached(trunc: Truncation):
+    tree = trunc.dart_tree
+    if np.any(tree.vertex_dart < 0) or np.any(tree.face_dart[trunc.bounded_faces] < 0):
+        raise ConvergenceError("layout traversal could not reach every circle")
+
+
 def solve_radii(trunc: Truncation, boundary_mode: str = "prescribed",
                 boundary_radii=None, tol: float = 1e-10,
-                max_iter: int = 80, disc_rounds: int = 400) -> RadiiSolution:
+                max_iter: int = 80) -> RadiiSolution:
     """Solve the angle-sum equations for all interior vertex and bounded face
     radii.
 
     ``boundary_mode`` is either "prescribed" (boundary vertex radii fixed to
-    ``boundary_radii``, default all ones) or "disc" (boundary radii iterated
-    until, after layout, every boundary circle reaches the enclosing circle:
-    the packing fills the unit disc with internally tangent rim circles,
-    to within sqrt(tol)).
+    ``boundary_radii``, default all ones) or "disc": the maximal packing,
+    which fills the unit disc around the root circle at 0 with every
+    boundary circle internally tangent to the unit circle.  Disc mode solves
+    for the hyperbolic radii with horocycles on the boundary, reads the
+    horocycles' Euclidean radii off one walk of the dart tree, and solves
+    the prescribed problem with them; ``iterations`` counts both solves.
     """
     _check_packable(trunc)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    nb = trunc.boundary.size
-    if boundary_radii is None:
-        rb = np.ones(nb)
-    else:
-        rb = np.broadcast_to(np.asarray(boundary_radii, dtype=float), (nb,)).copy()
+    if boundary_mode == "prescribed":
+        rb = 1.0 if boundary_radii is None else boundary_radii
+        rb = np.broadcast_to(np.asarray(rb, dtype=float), trunc.boundary.shape).copy()
         if np.any(rb <= 0):
             raise ValueError("boundary radii must be positive")
-
-    if boundary_mode == "prescribed":
-        uv, uf, defect, iters = _solve_prescribed(trunc, np.log(rb), tol, max_iter)
-        vr = np.exp(uv)
-        vr[trunc.boundary] = rb
-        fr = np.exp(uf)
-        fr[trunc.outer_face] = np.nan
-        return RadiiSolution(vr, fr, defect, iters, "prescribed", tol)
-
-    if boundary_mode != "disc":
+        iters = 0
+    elif boundary_mode == "disc":
+        if boundary_radii is not None:
+            raise ValueError("disc mode fixes the boundary radii itself; "
+                             "boundary_radii applies to prescribed mode only")
+        _check_reached(trunc)
+        xv, xf, _, iters = _solve_prescribed(trunc, 0.0, tol, max_iter,
+                                             hyperbolic=True)
+        rb = _horocycle_radii(trunc, xv, xf)
+    else:
         raise ValueError(f"unknown boundary mode {boundary_mode!r}")
 
-    # Iterate boundary log radii until every boundary circle's reach from the
-    # root agrees: the layout then fits a common enclosing circle, which the
-    # normalization maps onto the unit circle.  The fixed-point map is slow on
-    # its own (smooth low-frequency radius patterns barely move the relative
-    # reaches), so the iteration is Anderson-accelerated.
-    target = math.sqrt(tol)
-    x = np.log(rb)
-    warm = None
-    total_iters = 0
-    hist_x: list[np.ndarray] = []
-    hist_r: list[np.ndarray] = []
-    best = math.inf
-    best_x, best_resid = x, np.zeros(nb)
-    err = math.inf
-    for _ in range(disc_rounds):
-        uv, uf, defect, iters = _solve_prescribed(trunc, x, tol, max_iter, warm)
-        total_iters += iters
-        warm = (uv[trunc.interior].copy(), uf[trunc.bounded_faces].copy())
-        vr = np.exp(uv)
-        vr[trunc.boundary] = np.exp(x)
-        fr = np.exp(uf)
-        fr[trunc.outer_face] = np.nan
-        sol = RadiiSolution(vr, fr, defect, total_iters, "disc", tol)
-        pk = layout(trunc, sol, normalize=False)
-        reach = (np.abs(pk.vertex_center[trunc.boundary])
-                 + pk.vertex_radius[trunc.boundary])
-        err = float(np.max(np.abs(1.0 - reach / reach.max())))
-        if err <= target:
-            return sol
-        resid = -(np.log(reach) - np.log(reach).mean())
-        if err < best:
-            best, best_x, best_resid = err, x, resid
-        elif not math.isfinite(err) or err > 10.0 * best:
-            # restart, damped, from the best iterate: damping the step from
-            # the bad iterate just left can stall the loop far from the root
-            hist_x.clear()
-            hist_r.clear()
-            x, resid = best_x, 0.3 * best_resid
-        hist_x.append(x.copy())
-        hist_r.append(resid.copy())
-        if len(hist_x) > 7:
-            hist_x.pop(0)
-            hist_r.pop(0)
-        if len(hist_x) > 1:
-            d_r = np.diff(np.array(hist_r), axis=0).T
-            d_x = np.diff(np.array(hist_x), axis=0).T
-            gamma, *_ = np.linalg.lstsq(d_r, resid, rcond=None)
-            x = x + resid - (d_x + d_r) @ gamma
-        else:
-            x = x + resid
-    raise ConvergenceError(
-        f"disc normalization stalled at reach error {err:.3e} "
-        f"(target {target:.1e}) after {disc_rounds} rounds")
+    uv, uf, defect, n_euclid = _solve_prescribed(trunc, np.log(rb), tol, max_iter)
+    vr = np.exp(uv)
+    vr[trunc.boundary] = rb
+    fr = np.exp(uf)
+    fr[trunc.outer_face] = np.nan
+    return RadiiSolution(vr, fr, defect, iters + n_euclid, boundary_mode, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +324,17 @@ def layout(trunc: Truncation, radii: RadiiSolution,
     center hangs off the first tree dart bordering it.  Every reached dart
     then gives a closing constraint, for its target vertex and, where it
     borders a bounded face, for that face; all are checked at once and the
-    largest mismatch must stay below 10*sqrt(tol).  With ``normalize`` the
-    packing is translated (root center to 0) and scaled into the closed unit
-    disc.
+    largest mismatch must stay below 10*sqrt(tol).  The tree starts at the
+    root's first dart, so the root center is 0; ``normalize`` scales the
+    packing into the closed unit disc.
     """
+    _check_reached(trunc)
     g = trunc.graph
-    faces = trunc.faces
     tree = trunc.dart_tree
     bf = trunc.bounded_faces
-    if np.any(tree.vertex_dart < 0) or np.any(tree.face_dart[bf] < 0):
-        raise ConvergenceError("layout traversal could not reach every circle")
-    vr = radii.vertex_radius
-    fr = radii.face_radius
+    vr, fr = radii.vertex_radius, radii.face_radius
     origin, target = g.origin, g.target
-    face_of = faces.face_of
+    face_of = trunc.faces.face_of
     bounded = face_of != trunc.outer_face
 
     corner = np.zeros(g.n_darts)
@@ -350,7 +360,7 @@ def layout(trunc: Truncation, radii: RadiiSolution,
 
     # the face of a dart sits in the wedge on its clockwise side
     spoke = hyp * np.exp(1j * (dirs - half))
-    zf = np.full(faces.n_faces, np.nan, dtype=complex)
+    zf = np.full(trunc.faces.n_faces, np.nan, dtype=complex)
     fd = tree.face_dart[bf]
     zf[bf] = zv[origin[fd]] + spoke[fd]
 
@@ -363,19 +373,12 @@ def layout(trunc: Truncation, radii: RadiiSolution,
             f"layout closing residual {worst:.3e} exceeds tolerance; "
             "the radii do not fit together")
 
-    vr = vr.copy()
-    fr = fr.copy()
+    scale = 1.0
     if normalize:
-        shift = zv[trunc.root]
-        zv = zv - shift
-        zf = zf - shift
         scale = max(float(np.max(np.abs(zv) + vr)),
                     float(np.max(np.abs(zf[bf]) + fr[bf])))
-        zv /= scale
-        zf /= scale
-        vr /= scale
-        fr /= scale
-    return DoublePacking(trunc, zv, vr, zf, fr, float(worst))
+    return DoublePacking(trunc, zv / scale, vr / scale, zf / scale, fr / scale,
+                         worst)
 
 
 # ---------------------------------------------------------------------------
@@ -488,17 +491,14 @@ def geometry_report(pk: DoublePacking) -> GeometryReport:
 
 
 def packing_to_json(pk: DoublePacking) -> dict:
-    circles = []
-    for v in range(pk.trunc.n_vertices):
-        circles.append({"id": int(v), "kind": "vertex",
-                        "radius": float(pk.vertex_radius[v]),
-                        "center": [float(pk.vertex_center[v].real),
-                                   float(pk.vertex_center[v].imag)]})
-    for f in pk.trunc.bounded_faces:
-        circles.append({"id": int(f), "kind": "face",
-                        "radius": float(pk.face_radius[f]),
-                        "center": [float(pk.face_center[f].real),
-                                   float(pk.face_center[f].imag)]})
+    def circle(i, kind, z, r):
+        return {"id": int(i), "kind": kind, "radius": float(r),
+                "center": [float(z.real), float(z.imag)]}
+
+    bf = pk.trunc.bounded_faces
+    circles = ([circle(v, "vertex", z, r) for v, (z, r) in
+                enumerate(zip(pk.vertex_center, pk.vertex_radius))]
+               + [circle(f, "face", pk.face_center[f], pk.face_radius[f]) for f in bf])
     doc = {"circles": circles, "layout_residual": pk.layout_residual}
     if pk.delta0 is not None:
         doc["delta0"] = pk.delta0

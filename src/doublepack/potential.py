@@ -39,13 +39,7 @@ class VertexFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.trunc.n_vertices,):
-            raise ValueError(
-                f"expected one value per vertex ({self.trunc.n_vertices}), "
-                f"got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("vertex function has non-finite values")
+        vals = _coerce(self.values, self.trunc.n_vertices, what="vertex function")
         object.__setattr__(self, "values", vals)
 
     def __array__(self, dtype=None, copy=None):

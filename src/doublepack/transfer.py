@@ -20,7 +20,8 @@ from .continuum import (BoundaryFunction, GridDiscField, HarmonicDiscField,
                         energy_continuous, grid_capacity, poisson_extend)
 from .maps import Truncation
 from .packing import DoublePacking, compute_delta0
-from .potential import VertexFunction, capacity, energy, royden_project
+from .potential import (VertexFunction, _coerce, capacity, energy,
+                        royden_project)
 
 __all__ = [
     "AffineExtension",
@@ -44,15 +45,20 @@ __all__ = [
 # edge must be accepted from both sides
 _BARY_TOL = 1e-9
 
+# Harnack ratios at or below this are rounding noise (see harnack_fit)
+_RATIO_FLOOR = 1e-9
+
 
 def _vertex_values(trunc: Truncation, phi) -> np.ndarray:
-    vals = np.asarray(phi, dtype=float)
-    if vals.shape != (trunc.n_vertices,):
-        raise ValueError("expected one value per vertex of the truncation, "
-                         f"got shape {vals.shape}")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("vertex values must be finite")
-    return vals
+    return _coerce(phi, trunc.n_vertices, what="vertex function")
+
+
+def _evaluate(field, z) -> np.ndarray:
+    if isinstance(field, HarmonicDiscField):
+        return field.evaluate(z)
+    if callable(field):
+        return np.asarray(field(z), dtype=float)
+    raise TypeError(f"cannot evaluate field of type {type(field).__name__}")
 
 
 def _bary(tri: np.ndarray, pts) -> np.ndarray:
@@ -200,13 +206,7 @@ def disc_average(packing: DoublePacking, field, v: int, delta: float | None = No
     r = 0.5 * rho * (x + 1.0)
     wr = 0.5 * rho * w
     theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-    z = center + r[:, None] * np.exp(1j * theta)[None, :]
-    if isinstance(field, HarmonicDiscField):
-        vals = field.evaluate(z)
-    elif callable(field):
-        vals = np.asarray(field(z), dtype=float)
-    else:
-        raise TypeError(f"cannot evaluate field of type {type(field).__name__}")
+    vals = _evaluate(field, center + r[:, None] * np.exp(1j * theta)[None, :])
     integral = float(np.sum(vals * (r * wr)[:, None])) * (2.0 * np.pi / n_theta)
     return integral / (np.pi * rho * rho)
 
@@ -220,13 +220,7 @@ def disc_operator(trunc: Truncation, packing: DoublePacking, field) -> VertexFun
     """Pull a disc field back through the embedding and keep the harmonic
     part (boundary values are retained exactly)."""
     _check_same_map(trunc, packing)
-    z = packing.vertex_center
-    if isinstance(field, HarmonicDiscField):
-        pulled = field.evaluate(z)
-    elif callable(field):
-        pulled = np.asarray(field(z), dtype=float)
-    else:
-        raise TypeError(f"cannot evaluate field of type {type(field).__name__}")
+    pulled = _evaluate(field, packing.vertex_center)
     if not np.all(np.isfinite(pulled)):
         raise ValueError("field is not finite at every vertex center")
     return royden_project(trunc, pulled).harmonic_part
@@ -277,11 +271,15 @@ def cont_operator(trunc: Truncation, packing: DoublePacking, h,
     """
     _check_same_map(trunc, packing)
     vals = _vertex_values(trunc, h)
-    eps_trace, k_max, n_theta = _resolve_trace_params(
-        trunc, packing, eps_trace, k_max, n_theta)
-    rho = 1.0 - eps_trace
+    params = _resolve_trace_params(trunc, packing, eps_trace, k_max, n_theta)
+    return _trace_field(extend_affine(packing, vals), *params)
 
-    ext = extend_affine(packing, vals)
+
+def _trace_field(ext: AffineExtension, eps_trace: float, k_max: int,
+                 n_theta: int) -> HarmonicDiscField:
+    """The harmonic disc field of ``cont_operator`` from a built extension
+    and resolved trace parameters."""
+    rho = 1.0 - eps_trace
     theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     try:
         trace = ext.evaluate(rho * np.exp(1j * theta))
@@ -314,16 +312,18 @@ def roundtrip(trunc: Truncation, packing: DoublePacking, h,
     gap compares h with the field itself on the outermost interior layer,
     where the two are expected to agree best.
     """
+    _check_same_map(trunc, packing)
     vals = _vertex_values(trunc, h)
     eps_trace, k_max, n_theta = _resolve_trace_params(
         trunc, packing, eps_trace, k_max, n_theta)
-    H = cont_operator(trunc, packing, vals, eps_trace, k_max, n_theta)
+    ext = extend_affine(packing, vals)
+    H = _trace_field(ext, eps_trace, k_max, n_theta)
     back = disc_operator(trunc, packing, H).values
 
     e_h = energy(trunc.graph, vals)
     if e_h > 0.0:
         residual = math.sqrt(energy(trunc.graph, vals - back) / e_h)
-        ratio_a = energy_of_extension(packing, vals) / e_h
+        ratio_a = energy_of_extension(packing, ext) / e_h
     else:
         residual = 0.0
         ratio_a = float("nan")
@@ -395,7 +395,8 @@ def continuity_bound_check(packing: DoublePacking, phi, delta: float,
 class HarnackFit:
     """Least-squares exponent for the oscillation decay of harmonic functions
     at short scaled distances.  ``pairs`` holds (scaled distance, ratio) rows;
-    ``fitted`` is False when every ratio vanished (constant samples)."""
+    ``fitted`` is False when fewer than two ratios clear the noise floor
+    (constant samples, for one)."""
 
     beta_hat: float
     C_hat: float
@@ -407,6 +408,12 @@ class HarnackFit:
 def harnack_fit(trunc: Truncation, packing: DoublePacking, h_samples,
                 alpha: float, seed: int = 0, n_balls: int = 40,
                 pairs_per_ball: int = 60) -> HarnackFit:
+    """Fit ratio ~ C * (scaled distance)^beta over vertex pairs in random
+    interior balls, a ratio being a sample's difference over its oscillation
+    in the ball.  Ratios at or below 1e-9 are left out: the samples come from
+    solves good to about 1e-10, so such a ratio is zero up to rounding, and
+    its logarithm (about -36 for 1e-16) would set the slope by itself.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     sample_vals = [_vertex_values(trunc, h) for h in h_samples]
@@ -453,7 +460,7 @@ def harnack_fit(trunc: Truncation, packing: DoublePacking, h_samples,
         raise ValueError("too few admissible vertex pairs inside the sample "
                          "balls for a fit")
     pairs = np.column_stack([x, y])
-    pos = (x > 0.0) & (y > 0.0)
+    pos = (x > 0.0) & (y > _RATIO_FLOOR)
     if int(pos.sum()) < 2:
         return HarnackFit(0.0, 0.0, False, pairs, float(alpha))
     slope, intercept = np.polyfit(np.log(x[pos]), np.log(y[pos]), 1)

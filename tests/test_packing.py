@@ -8,7 +8,7 @@ import pytest
 from scipy.spatial import Delaunay
 
 from doublepack.errors import ConvergenceError
-from doublepack.maps import boundary_truncation, build_map, truncate
+from doublepack.maps import Truncation, boundary_truncation, build_map, truncate
 from doublepack.packing import (
     DoublePacking,
     _sausage_bound,
@@ -199,6 +199,57 @@ def honeycomb_truncation():
     return boundary_truncation(build_map(rotations))
 
 
+def rotations_from_drawing(xy, edges):
+    """Rotation system of a straight-line drawing: neighbors sorted
+    counterclockwise by angle."""
+    nbrs = {v: [] for v in xy}
+    for a, b in edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return [sorted(nbrs[v], key=lambda u: np.angle(xy[u] - xy[v]))
+            for v in range(len(xy))]
+
+
+def corner_block_truncation():
+    """The 3x3 grid with a triangle hanging off its corner 8: the triangle
+    meets the grid only across outer-face corners, which the layout never
+    turns through."""
+    xy = {v: complex(v % 3, v // 3) for v in range(9)}
+    xy[9], xy[10] = 3 + 2j, 2 + 3j
+    edges = [(v, v + 1) for v in range(9) if v % 3 < 2]
+    edges += [(v, v + 3) for v in range(6)] + [(8, 9), (9, 10), (10, 8)]
+    return boundary_truncation(build_map(rotations_from_drawing(xy, edges)))
+
+
+def triangle_around_hexagon():
+    """Outer triangle 0, 1, 2 around the hexagon 3-8, joined by the edges
+    0-3, 0-8, 1-4, 1-5, 2-6 and 2-7: a polyhedral map whose largest face,
+    the hexagon, is bounded."""
+    angle = {0: 90, 1: 210, 2: 330, 3: 120, 4: 180, 5: 240, 6: 300, 7: 0, 8: 60}
+    xy = {v: (2 if v < 3 else 1) * np.exp(1j * math.radians(a))
+          for v, a in angle.items()}
+    edges = [(0, 1), (1, 2), (2, 0), (0, 3), (0, 8), (1, 4), (1, 5), (2, 6), (2, 7)]
+    edges += [(3 + k, 3 + (k + 1) % 6) for k in range(6)]
+    return build_map(rotations_from_drawing(xy, edges))
+
+
+def assert_fills_unit_disc(t, sol):
+    """Disc-mode radii lay out, unscaled, in the unit disc around the root
+    at 0, every boundary circle touching the unit circle, all to 1e-9.  The
+    maximal packing is unique up to disc automorphisms, so this pins the
+    radii completely."""
+    assert sol.defect <= 1e-9
+    raw = layout(t, sol, normalize=False)
+    assert abs(raw.vertex_center[t.root]) <= 1e-12
+    reach = np.abs(raw.vertex_center[t.boundary]) + raw.vertex_radius[t.boundary]
+    assert np.max(np.abs(1.0 - reach)) <= 1e-9
+    pk = layout(t, sol)
+    assert np.max(np.abs(pk.vertex_center - raw.vertex_center)) <= 1e-9
+    assert pk.layout_residual <= 1e-9
+    assert pk.max_tangency_residual() <= 1e-9
+    assert pk.max_orthogonality_residual() <= 1e-9
+
+
 class TestSolveRadii:
     def test_flower_matches_bisection_oracle(self):
         oracle_rc = flower_center_radius_oracle(7)
@@ -217,6 +268,27 @@ class TestSolveRadii:
     def test_triangle_not_packable(self):
         with pytest.raises(ValueError):
             boundary_truncation(build_map(TRIANGLE))
+
+    def test_outer_face_found_from_boundary(self):
+        # the largest face is the bounded hexagon; the outer face is the one
+        # face whose rim is the boundary
+        t = Truncation(triangle_around_hexagon(), [0, 1, 2], root=3, radius=1)
+        assert sorted(t.faces.vertices(t.graph, t.outer_face)) == [0, 1, 2]
+        assert t.rim_is_boundary
+        for mode in ("prescribed", "disc"):
+            sol = solve_radii(t, boundary_mode=mode, tol=1e-14)
+            assert sol.defect <= 1e-14
+            pk = layout(t, sol)
+            assert pk.max_tangency_residual() <= 1e-13
+            assert pk.max_orthogonality_residual() <= 1e-13
+
+    def test_no_face_with_the_boundary_rim(self):
+        # grounding the hexagon's far side leaves no face with that rim
+        t = Truncation(triangle_around_hexagon(), [0, 1, 2, 4], root=3, radius=1)
+        assert t.outer_face is None
+        assert not t.rim_is_boundary
+        with pytest.raises(ValueError, match="outer face rim"):
+            solve_radii(t)
 
     def test_pendant_vertices_rejected(self):
         # the (4,4) ball of depth 2 has four pendant edges, (1,9), (3,10),
@@ -340,41 +412,46 @@ class TestLayout:
             layout(t, dataclasses.replace(sol, vertex_radius=vr))
 
     def test_block_behind_outer_corner_unreachable(self):
-        # a triangle hanging off a corner of the 3x3 grid meets the grid only
-        # across outer-face corners, which the layout never turns through
-        xy = {v: (v % 3, v // 3) for v in range(9)}
-        xy[9], xy[10] = (3, 2), (2, 3)
-        edges = [(v, v + 1) for v in range(9) if v % 3 < 2]
-        edges += [(v, v + 3) for v in range(6)] + [(8, 9), (9, 10), (10, 8)]
-        nbrs = {v: [] for v in xy}
-        for a, b in edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        rotations = [sorted(nbrs[v], key=lambda u: math.atan2(
-            xy[u][1] - xy[v][1], xy[u][0] - xy[v][0])) for v in range(11)]
-        t = boundary_truncation(build_map(rotations))
+        t = corner_block_truncation()
         with pytest.raises(ConvergenceError, match="could not reach every circle"):
             layout(t, solve_radii(t))
 
     @pytest.mark.parametrize("n", [7, 9, 15])
     def test_disc_mode_small_grids(self, n):
-        # after an Anderson reset the disc loop used to damp the step from
-        # the bad iterate it had just left and stall (7x7 and 15x15)
         t = boundary_truncation(generate_grid(n, n))
-        sol = solve_radii(t, boundary_mode="disc", tol=1e-10)
-        assert sol.defect <= sol.tol
-        pk = layout(t, sol)
-        assert pk.layout_residual <= 1e-6
-        assert pk.max_tangency_residual() <= 1e-6
-        assert pk.max_orthogonality_residual() <= 1e-6
-        reach = np.abs(pk.vertex_center[t.boundary]) + pk.vertex_radius[t.boundary]
-        assert np.max(np.abs(1.0 - reach)) <= 1e-5
+        assert_fills_unit_disc(t, solve_radii(t, boundary_mode="disc", tol=1e-10))
 
     def test_disc_mode_boundary_tangency(self):
         t = boundary_truncation(generate_tiling(7, 3, 3))
         pk = layout(t, solve_radii(t, boundary_mode="disc", tol=1e-10))
         reach = np.abs(pk.vertex_center[t.boundary]) + pk.vertex_radius[t.boundary]
-        assert np.max(np.abs(1.0 - reach)) <= 1e-5
+        assert np.max(np.abs(1.0 - reach)) <= 1e-9
+
+
+class TestDiscMode:
+    @pytest.mark.parametrize("build", [
+        lambda: truncate(generate_tiling(7, 3, 4), root=0, radius=3),
+        lambda: truncate(generate_tiling(7, 3, 5), root=0, radius=4),
+        lambda: truncate(generate_tiling(7, 3, 6), root=0, radius=5),
+        lambda: delaunay_truncation(100, seed=5),
+    ], ids=["ball3", "ball4", "ball5", "delaunay100"])
+    def test_fills_the_unit_disc(self, build):
+        t = build()
+        assert_fills_unit_disc(t, solve_radii(t, boundary_mode="disc"))
+
+    def test_boundary_radii_rejected(self):
+        t = flower_truncation(7)
+        with pytest.raises(ValueError, match="boundary_radii"):
+            solve_radii(t, boundary_mode="disc", boundary_radii=1.0)
+
+    def test_unreachable_circles(self):
+        with pytest.raises(ConvergenceError, match="could not reach every circle"):
+            solve_radii(corner_block_truncation(), boundary_mode="disc")
+
+    def test_newton_budget(self):
+        t = truncate(generate_tiling(7, 3, 5), root=0, radius=4)
+        with pytest.raises(ConvergenceError, match="after 2 steps"):
+            solve_radii(t, boundary_mode="disc", max_iter=2)
 
 
 class TestDelta0:

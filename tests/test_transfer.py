@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from doublepack import transfer
 from doublepack.continuum import HarmonicDiscField, sample_grid_field
 from doublepack.maps import boundary_truncation, truncate
 from doublepack.packing import layout, solve_radii
@@ -274,6 +275,26 @@ class TestRoundtrip:
                                 "roundtrip_residual", "asymptotic_gap", "params"}
         assert payload["params"]["eps_trace"] > 0
 
+    def test_one_extension_per_roundtrip(self, hyp_disc_pk, monkeypatch):
+        pk = hyp_disc_pk
+        t = pk.trunc
+        h = solve_dirichlet(t, np.cos(2 * np.angle(pk.vertex_center[t.boundary])))
+        built = []
+
+        def counting_extend_affine(packing, phi):
+            built.append(phi)
+            return extend_affine(packing, phi)
+
+        monkeypatch.setattr(transfer, "extend_affine", counting_extend_affine)
+        rep = roundtrip(t, pk, h)
+        assert len(built) == 1
+        # the same numbers as composing the public operators
+        H = cont_operator(t, pk, h)
+        back = disc_operator(t, pk, H).values
+        e_h = energy(t.graph, h)
+        assert rep.roundtrip_residual == math.sqrt(energy(t.graph, h - back) / e_h)
+        assert rep.energy_ratio_A == energy_of_extension(pk, h) / e_h
+
 
 class TestCapacityComparison:
     def test_empty_target(self, grid_disc_pk):
@@ -335,6 +356,17 @@ class TestHarnackFit:
         assert fit.fitted
         assert fit.beta_hat > 0
         assert len(fit.pairs) >= 10
+
+    def test_rounding_noise_leaves_the_fit(self, hyp_disc_pk):
+        # some sampled ratios are zero up to rounding (about 1e-16); their
+        # logarithms must not set the slope
+        pk = hyp_disc_pk
+        h = disc_operator(pk.trunc, pk, RE_Z).values
+        noise = np.random.default_rng(1).standard_normal(h.size)
+        fit = harnack_fit(pk.trunc, pk, [h], alpha=0.5)
+        noisy = harnack_fit(pk.trunc, pk, [h * (1.0 + 1e-15 * noise)], alpha=0.5)
+        assert fit.fitted and noisy.fitted
+        assert noisy.beta_hat == pytest.approx(fit.beta_hat, rel=1e-9)
 
     def test_deterministic(self, hyp_disc_pk):
         pk = hyp_disc_pk
