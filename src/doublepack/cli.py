@@ -96,6 +96,14 @@ def _write_json(path: Path, doc: dict) -> Path:
     return path
 
 
+def _write_csv(path: Path, header, rows) -> Path:
+    """A header line and one line per row, floats in ``repr`` form."""
+    cell = lambda v: repr(float(v)) if isinstance(v, float) else str(v)
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 # ---------------------------------------------------------------------------
 # map sources
 # ---------------------------------------------------------------------------
@@ -106,9 +114,7 @@ def _parse_pair(text: str, sep: str, what: str) -> tuple[int, int]:
         nums = [int(p) for p in parts]
     except ValueError:
         nums = []
-    if len(nums) == 1 and sep == "x":
-        nums = nums * 2
-    if len(nums) == 1 and sep == ":":
+    if len(nums) == 1 and sep in ("x", ":"):
         nums = nums * 2
     if len(nums) != 2:
         raise ConfigError(f"cannot parse {what} {text!r}")
@@ -176,11 +182,8 @@ def _cmd_douglas(cfg: RunConfig, out: Path):
         e = energy_continuous(poisson_extend(bf, k))
         rows.append({"k": k, "douglas": float(d), "energy": float(e),
                      "ratio": float(d / e)})
-    csv = out / "douglas.csv"
-    lines = ["k,douglas,energy,ratio"]
-    lines += [f"{r['k']},{r['douglas']!r},{r['energy']!r},{r['ratio']!r}"
-              for r in rows]
-    csv.write_text("\n".join(lines) + "\n")
+    cols = ["k", "douglas", "energy", "ratio"]
+    csv = _write_csv(out / "douglas.csv", cols, [[r[c] for c in cols] for r in rows])
     doc = {"rows": rows, "config": _config_dict(cfg)}
     return [csv, _write_json(out / "douglas.json", doc)]
 
@@ -228,13 +231,9 @@ def _cmd_roundtrip(cfg: RunConfig, out: Path):
         row["radius"] = r
         row["n_vertices"] = trunc.n_vertices
         rows.append(row)
-    csv = out / "roundtrip.csv"
-    lines = ["radius,n_vertices,roundtrip_residual,asymptotic_gap,"
-             "energy_ratio_A,energy_ratio_R"]
-    lines += [f"{r['radius']},{r['n_vertices']},{r['roundtrip_residual']!r},"
-              f"{r['asymptotic_gap']!r},{r['energy_ratio_A']!r},"
-              f"{r['energy_ratio_R']!r}" for r in rows]
-    csv.write_text("\n".join(lines) + "\n")
+    cols = ["radius", "n_vertices", "roundtrip_residual", "asymptotic_gap",
+            "energy_ratio_A", "energy_ratio_R"]
+    csv = _write_csv(out / "roundtrip.csv", cols, [[r[c] for c in cols] for r in rows])
     doc = {"sweep": rows, "config": _config_dict(cfg)}
     return [csv, _write_json(out / "roundtrip.json", doc)]
 
@@ -265,11 +264,8 @@ def _cmd_evaluate(cfg: RunConfig, out: Path):
     if pts.shape[1] != 2:
         raise ConfigError("points file must have rows of x,y")
     vals = field.evaluate(pts[:, 0] + 1j * pts[:, 1])
-    csv = out / "evaluate.csv"
-    lines = ["x,y,value"]
-    lines += [f"{float(x)!r},{float(y)!r},{float(v)!r}"
-              for (x, y), v in zip(pts, vals)]
-    csv.write_text("\n".join(lines) + "\n")
+    csv = _write_csv(out / "evaluate.csv", ["x", "y", "value"],
+                     zip(pts[:, 0], pts[:, 1], vals))
     doc = {"n_points": int(len(vals)), "k_max": int(cfg.k_max or 16),
            "config": _config_dict(cfg)}
     return [csv, _write_json(out / "evaluate.json", doc)]

@@ -1,16 +1,14 @@
 """Double circle packings: one circle per vertex, one per bounded face,
 tangent along edges and orthogonal at incidences.
 
-The radii are characterized by angle-sum equations: around every interior
-vertex the kite corners of the incident faces sum to a full turn, and dually
-around every bounded face.  ``solve_radii`` solves them by Newton's method
-with the boundary radii prescribed, or for the maximal packing of the disc:
-hyperbolic radii with horocycles on the boundary, whose Euclidean radii one
-walk of the truncation's cached dart tree reads off, then the prescribed
-solve.  ``layout`` places the circles along the same tree, level by level,
-and checks every closing constraint in one vectorized pass;
-``compute_delta0`` extracts the shrinkage level used by the averaging
-operators downstream.
+The radii solve angle-sum equations: around every interior vertex the kite
+corners of the incident faces sum to a full turn, and dually around every
+bounded face.  ``solve_radii`` runs Newton's method on them with the
+boundary radii prescribed, or, for the maximal packing of the disc, in
+hyperbolic radii with horocycles on the boundary; one walk of the cached
+dart tree then reads off every Euclidean radius.  ``layout`` places the
+circles along the same tree and checks every closing constraint in one
+vectorized pass; ``compute_delta0`` extracts the shrinkage level.
 
 The shrinkage level needs the delta-sausages of non-adjacent edges to be
 disjoint.  That test does not look at every pair of edges: a k-d tree over
@@ -35,15 +33,8 @@ from .errors import ConvergenceError
 from .maps import Truncation
 
 __all__ = [
-    "RadiiSolution",
-    "DoublePacking",
-    "GeometryReport",
-    "solve_radii",
-    "layout",
-    "angle_defect",
-    "compute_delta0",
-    "geometry_report",
-    "packing_to_json",
+    "RadiiSolution", "DoublePacking", "GeometryReport", "solve_radii", "layout",
+    "angle_defect", "compute_delta0", "geometry_report", "packing_to_json",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -51,10 +42,8 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class RadiiSolution:
-    """Radii satisfying the angle-sum equations on a truncation.
-
-    ``face_radius`` is NaN at the outer face, which carries no circle.
-    """
+    """Radii satisfying the angle-sum equations on a truncation, and their
+    angle defect; ``face_radius`` is NaN at the outer face."""
 
     vertex_radius: np.ndarray
     face_radius: np.ndarray
@@ -176,12 +165,14 @@ def _hyperbolic_corners(xv, xf):
 
 def _solve_prescribed(trunc, boundary_x, tol, max_iter, hyperbolic=False):
     """Newton iteration on the angle sums with the boundary unknowns fixed
-    to ``boundary_x``; returns (xv, xf, defect, iterations).
+    to ``boundary_x``; returns (vertex radii, face radii, defect, iterations).
 
     Euclidean unknowns are log radii, starting from 0; hyperbolic ones are
     x = log tanh(r/2), starting from log tanh(1/2), and x = 0 is a
     horocycle.  In both geometries the Jacobian is minus a symmetric,
-    diagonally dominant vertex-face Laplacian grounded at the boundary.
+    diagonally dominant vertex-face Laplacian grounded at the boundary.  A
+    hyperbolic step from a residual within ``tol`` is followed by the walk
+    of ``_disc_radii``, whose Euclidean defect must be within ``tol`` too.
     """
     n = trunc.graph.n_vertices
     cv, cf = _corner_arrays(trunc)
@@ -206,8 +197,8 @@ def _solve_prescribed(trunc, boundary_x, tol, max_iter, hyperbolic=False):
         at_v, at_f, own, other = corners(xv[cv], xf[cf])
         resid = _angle_residual(trunc, at_v, at_f)
         defect = float(np.max(np.abs(resid)))
-        if defect <= tol:
-            return xv, xf, defect, it
+        if defect <= tol and not hyperbolic:
+            return np.exp(xv), np.exp(xf), defect, it
         data = np.concatenate([own, own[free_v], -other[free_v], -other[free_v]])
         lap = sp.coo_matrix((data, (rows, cols)), shape=(nun, nun)).tocsc()
         step = spla.spsolve(lap, resid)
@@ -219,13 +210,20 @@ def _solve_prescribed(trunc, boundary_x, tol, max_iter, hyperbolic=False):
             step = np.clip(step, -2.0, 2.0)
         xv[interior] += step[:ni]
         xf[bf] += step[ni:]
+        if defect <= tol:
+            # this step from within tol lands near the rounding floor; walked
+            # radii with a defect just under tol can close up to 300 times worse
+            vr, fr = _disc_radii(trunc, xv, xf)
+            defect = angle_defect(trunc, vr, fr)
+            if defect <= tol:
+                return vr, fr, defect, it + 1
     raise ConvergenceError(
         f"radius iteration stalled at defect {defect:.3e} after {max_iter} steps")
 
 
-def _horocycle_radii(trunc, xv, xf) -> np.ndarray:
-    """Euclidean radii of the boundary horocycles of the hyperbolic packing
-    ``(xv, xf)`` in the unit disc, with the root circle centered at 0.
+def _disc_radii(trunc, xv, xf):
+    """Euclidean radii of the hyperbolic packing ``(xv, xf)`` in the unit
+    disc, with the root circle centered at 0 (NaN at the outer face).
 
     Each tree dart gets a disc automorphism (a, b): z -> (a z + b) /
     (conj(b) z + conj(a)), |a|^2 - |b|^2 = 1, taking 0 to the tangency point
@@ -234,8 +232,10 @@ def _horocycle_radii(trunc, xv, xf) -> np.ndarray:
     (i, 0) for a reverse, or for a turn of sign s across face g with a
     reverse and then the rotation about the center of g by its kite corner:
     (cosh x_g + i s cosh x_v, i s) / sqrt(D), D as in ``_hyperbolic_corners``.
-    Turns never rotate about a horocycle's ideal center.  In the frame of
-    its vertex's first dart a horocycle is the circle |z + 1/2| = 1/2.
+    Turns never rotate about a horocycle's ideal center.  In its first tree
+    dart's frame a circle has radius rho = 1 / (2 cosh x) and center rho u,
+    u = -1 for a vertex and -i for a face, and (a, b) maps it to radius
+    rho / (|a|^2 + 2 rho Re(a conj(b) u)): 0.5 / Re(a conj(a - b)) if x = 0.
     """
     tree = trunc.dart_tree
     order, parent = tree.order, tree.parent
@@ -256,8 +256,13 @@ def _horocycle_radii(trunc, xv, xf) -> np.ndarray:
         sa, sb = step_a[lo:hi], step_b[lo:hi]
         a[order[lo:hi]] = pa * sa + pb * sb.conj()
         b[order[lo:hi]] = pa * sb + pb * sa.conj()
-    e = tree.vertex_dart[trunc.boundary]
-    return 0.5 / (a[e] * (a[e] - b[e]).conj()).real
+    ab = a * b.conj()
+    bf = trunc.bounded_faces
+    ev, ef = tree.vertex_dart, tree.face_dart[bf]
+    rho_v, rho_f = 0.5 / np.cosh(xv), 0.5 / np.cosh(xf[bf])
+    fr = np.full(trunc.faces.n_faces, np.nan)
+    fr[bf] = rho_f / (np.abs(a[ef]) ** 2 + 2.0 * rho_f * ab[ef].imag)
+    return rho_v / (np.abs(a[ev]) ** 2 - 2.0 * rho_v * ab[ev].real), fr
 
 
 def _check_reached(trunc: Truncation):
@@ -275,10 +280,9 @@ def solve_radii(trunc: Truncation, boundary_mode: str = "prescribed",
     ``boundary_mode`` is either "prescribed" (boundary vertex radii fixed to
     ``boundary_radii``, default all ones) or "disc": the maximal packing,
     which fills the unit disc around the root circle at 0 with every
-    boundary circle internally tangent to the unit circle.  Disc mode solves
-    for the hyperbolic radii with horocycles on the boundary, reads the
-    horocycles' Euclidean radii off one walk of the dart tree, and solves
-    the prescribed problem with them; ``iterations`` counts both solves.
+    boundary circle internally tangent to the unit circle, solved in
+    hyperbolic radii (``iterations`` counts those steps) and read off one
+    walk of the dart tree.  ``defect`` is the returned radii's angle defect.
     """
     _check_packable(trunc)
     if tol <= 0:
@@ -288,24 +292,19 @@ def solve_radii(trunc: Truncation, boundary_mode: str = "prescribed",
         rb = np.broadcast_to(np.asarray(rb, dtype=float), trunc.boundary.shape).copy()
         if np.any(rb <= 0):
             raise ValueError("boundary radii must be positive")
-        iters = 0
+        vr, fr, defect, iters = _solve_prescribed(trunc, np.log(rb), tol, max_iter)
+        vr[trunc.boundary] = rb
+        fr[trunc.outer_face] = np.nan
     elif boundary_mode == "disc":
         if boundary_radii is not None:
             raise ValueError("disc mode fixes the boundary radii itself; "
                              "boundary_radii applies to prescribed mode only")
         _check_reached(trunc)
-        xv, xf, _, iters = _solve_prescribed(trunc, 0.0, tol, max_iter,
-                                             hyperbolic=True)
-        rb = _horocycle_radii(trunc, xv, xf)
+        vr, fr, defect, iters = _solve_prescribed(trunc, 0.0, tol, max_iter,
+                                                  hyperbolic=True)
     else:
         raise ValueError(f"unknown boundary mode {boundary_mode!r}")
-
-    uv, uf, defect, n_euclid = _solve_prescribed(trunc, np.log(rb), tol, max_iter)
-    vr = np.exp(uv)
-    vr[trunc.boundary] = rb
-    fr = np.exp(uf)
-    fr[trunc.outer_face] = np.nan
-    return RadiiSolution(vr, fr, defect, iters + n_euclid, boundary_mode, tol)
+    return RadiiSolution(vr, fr, defect, iters, boundary_mode, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,9 @@ __all__ = [
 # edge must be accepted from both sides
 _BARY_TOL = 1e-9
 
-# Harnack ratios at or below this are rounding noise (see harnack_fit)
+# Harnack ratios at or below the floor are rounding noise (see harnack_fit)
 _RATIO_FLOOR = 1e-9
+_MIN_LOG_SPAN = math.log(1.5)
 
 
 def _vertex_values(trunc: Truncation, phi) -> np.ndarray:
@@ -396,7 +397,7 @@ class HarnackFit:
     """Least-squares exponent for the oscillation decay of harmonic functions
     at short scaled distances.  ``pairs`` holds (scaled distance, ratio) rows;
     ``fitted`` is False when fewer than two ratios clear the noise floor
-    (constant samples, for one)."""
+    (constant samples, for one) or their distances span less than a factor 1.5."""
 
     beta_hat: float
     C_hat: float
@@ -412,7 +413,10 @@ def harnack_fit(trunc: Truncation, packing: DoublePacking, h_samples,
     interior balls, a ratio being a sample's difference over its oscillation
     in the ball.  Ratios at or below 1e-9 are left out: the samples come from
     solves good to about 1e-10, so such a ratio is zero up to rounding, and
-    its logarithm (about -36 for 1e-16) would set the slope by itself.
+    its logarithm (about -36 for 1e-16) would set the slope by itself.  Nor
+    is there a fit unless the kept scaled distances span a factor of 1.5
+    (``_MIN_LOG_SPAN``): one narrow band fixes no slope, and fits through
+    one gave exponents from -0.52 to 0.41 for the same fields.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
@@ -461,7 +465,7 @@ def harnack_fit(trunc: Truncation, packing: DoublePacking, h_samples,
                          "balls for a fit")
     pairs = np.column_stack([x, y])
     pos = (x > 0.0) & (y > _RATIO_FLOOR)
-    if int(pos.sum()) < 2:
+    if int(pos.sum()) < 2 or math.log(x[pos].max() / x[pos].min()) < _MIN_LOG_SPAN:
         return HarnackFit(0.0, 0.0, False, pairs, float(alpha))
     slope, intercept = np.polyfit(np.log(x[pos]), np.log(y[pos]), 1)
     return HarnackFit(float(slope), float(math.exp(intercept)), True, pairs,

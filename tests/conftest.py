@@ -1,9 +1,26 @@
-"""Shared pytest wiring.
+"""Shared pytest wiring and test helpers.
 
-The only hook here prints a one-line verdict per deliverable check from
+``delaunay_rotations`` turns seeded points into the rotation lists of their
+Delaunay triangulation; the map and packing tests each sample their own
+points.  The one hook prints a one-line verdict per deliverable check from
 test_acceptance.py at the end of the run, so the terminal (and any tee'd log)
 ends with a compact scoreboard.
 """
+
+import numpy as np
+from scipy.spatial import Delaunay
+
+
+def delaunay_rotations(pts):
+    """Rotation lists (neighbors by increasing angle) of the Delaunay
+    triangulation of the points ``pts``, one row of (x, y) per vertex."""
+    indptr, nbrs = Delaunay(pts).vertex_neighbor_vertices
+    rotations = []
+    for v in range(len(pts)):
+        nb = nbrs[indptr[v]:indptr[v + 1]]
+        d = pts[nb] - pts[v]
+        rotations.append(nb[np.argsort(np.arctan2(d[:, 1], d[:, 0]))].tolist())
+    return rotations
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import Delaunay
 
 from doublepack.maps import (
     MapData,
@@ -28,6 +27,8 @@ from doublepack.maps import (
 )
 from doublepack.maps import _bfs_distances
 from doublepack.tilings import generate_grid, generate_tiling
+
+from conftest import delaunay_rotations
 
 TRIANGLE = [[1, 2], [2, 0], [0, 1]]
 K4 = [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]]
@@ -72,13 +73,7 @@ def random_delaunay_map(n, n_cut, seed):
     """Delaunay triangulation of ``n`` seeded points in the unit square with
     ``n_cut`` seeded edges deleted, or None when the deletions disconnect it."""
     rng = np.random.default_rng(seed)
-    pts = rng.random((n, 2))
-    indptr, nbrs = Delaunay(pts).vertex_neighbor_vertices
-    rotations = []
-    for v in range(n):
-        nb = nbrs[indptr[v]:indptr[v + 1]]
-        d = pts[nb] - pts[v]
-        rotations.append(nb[np.argsort(np.arctan2(d[:, 1], d[:, 0]))].tolist())
+    rotations = delaunay_rotations(rng.random((n, 2)))
     edges = [(u, v) for u in range(n) for v in rotations[u] if u < v]
     for i in rng.choice(len(edges), size=n_cut, replace=False):
         u, v = edges[i]

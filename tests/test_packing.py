@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import Delaunay
 
+from doublepack import packing
 from doublepack.errors import ConvergenceError
 from doublepack.maps import Truncation, boundary_truncation, build_map, truncate
 from doublepack.packing import (
@@ -22,6 +22,8 @@ from doublepack.packing import (
     solve_radii,
 )
 from doublepack.tilings import generate_grid, generate_tiling
+
+from conftest import delaunay_rotations
 
 TRIANGLE = [[1, 2], [2, 0], [0, 1]]
 
@@ -62,13 +64,7 @@ def delaunay_truncation(n, seed):
     r = np.sqrt(rng.random(n))
     t = 2 * np.pi * rng.random(n)
     pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
-    indptr, nbrs = Delaunay(pts).vertex_neighbor_vertices
-    rotations = []
-    for v in range(n):
-        nb = nbrs[indptr[v]:indptr[v + 1]]
-        d = pts[nb] - pts[v]
-        rotations.append(nb[np.argsort(np.arctan2(d[:, 1], d[:, 0]))].tolist())
-    return boundary_truncation(build_map(rotations))
+    return boundary_truncation(build_map(delaunay_rotations(pts)))
 
 
 def stack_layout_reference(trunc, radii):
@@ -452,6 +448,46 @@ class TestDiscMode:
         t = truncate(generate_tiling(7, 3, 5), root=0, radius=4)
         with pytest.raises(ConvergenceError, match="after 2 steps"):
             solve_radii(t, boundary_mode="disc", max_iter=2)
+
+    def test_defect_is_that_of_the_returned_radii(self):
+        # walked at the first iterate whose hyperbolic residual is within
+        # tol, the radii here miss tol (defect 1.4e-8); the reported defect
+        # must be that of the radii returned
+        t = boundary_truncation(generate_grid(31, 31))
+        sol = solve_radii(t, boundary_mode="disc", tol=1e-8)
+        assert sol.defect <= 1e-8
+        assert sol.defect == angle_defect(t, sol.vertex_radius, sol.face_radius)
+
+    def test_walked_defect_stops_the_iteration(self, monkeypatch):
+        # a walked defect above tol keeps the hyperbolic steps going, one
+        # per walk, until a walk meets tol
+        t = truncate(generate_tiling(7, 3, 5), root=0, radius=4)
+        base = solve_radii(t, boundary_mode="disc")
+        walks = []
+
+        def rejecting_twice(trunc, vr, fr):
+            walks.append(1)
+            return 1.0 if len(walks) <= 2 else angle_defect(trunc, vr, fr)
+
+        monkeypatch.setattr(packing, "angle_defect", rejecting_twice)
+        sol = solve_radii(t, boundary_mode="disc")
+        assert len(walks) == 3
+        assert sol.iterations == base.iterations + 2
+        assert sol.defect <= sol.tol
+        assert np.allclose(sol.vertex_radius, base.vertex_radius, rtol=1e-12, atol=0)
+
+    def test_hyperbolic_steps_only(self):
+        # iterations counts hyperbolic Newton steps only (7 here)
+        t = truncate(generate_tiling(7, 3, 7), root=0, radius=6)
+        sol = solve_radii(t, boundary_mode="disc")
+        assert sol.iterations <= 8
+        assert_fills_unit_disc(t, sol)
+
+    def test_tight_tolerance(self):
+        t = boundary_truncation(generate_grid(21, 21))
+        sol = solve_radii(t, boundary_mode="disc", tol=1e-13)
+        assert sol.defect <= 1e-13
+        assert_fills_unit_disc(t, sol)
 
 
 class TestDelta0:

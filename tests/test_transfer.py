@@ -54,6 +54,19 @@ def hyp_disc_pk():
     return pack(truncate(generate_tiling(7, 3, 5), 0, 3), "disc")
 
 
+@pytest.fixture(scope="module")
+def ball5_cli_samples():
+    """(7,3) ball of radius 5 packed to fill the unit disc, and six harmonic
+    samples drawn as the ``harnack`` command draws them for seed 0."""
+    t = truncate(generate_tiling(7, 3, 6), 0, 5)
+    pk = pack(t, "disc")
+    rng = np.random.default_rng(0)
+    weights = 1.0 / (1.0 + np.arange(3))
+    fields = [HarmonicDiscField(0.0, rng.normal(size=3) * weights,
+                                rng.normal(size=3) * weights) for _ in range(6)]
+    return pk, [disc_operator(t, pk, f).values for f in fields]
+
+
 def interior_probes(pk, rng, count):
     """Random points inside vertex circles of interior vertices: safely in
     the carrier."""
@@ -367,6 +380,26 @@ class TestHarnackFit:
         noisy = harnack_fit(pk.trunc, pk, [h * (1.0 + 1e-15 * noise)], alpha=0.5)
         assert fit.fitted and noisy.fitted
         assert noisy.beta_hat == pytest.approx(fit.beta_hat, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [635, 864, 982, 1160, 1439])
+    def test_one_distance_band_is_not_a_fit(self, ball5_cli_samples, seed):
+        # with the CLI sampling these fit seeds keep pairs whose scaled
+        # distances span only 0.15 in log; a slope through them came out
+        # between -0.52 and 0.41
+        pk, samples = ball5_cli_samples
+        fit = harnack_fit(pk.trunc, pk, samples, alpha=0.5, seed=seed,
+                          n_balls=40, pairs_per_ball=60)
+        assert not fit.fitted
+        x, y = fit.pairs.T
+        kept = x[y > 1e-9]
+        assert math.log(kept.max() / kept.min()) < 0.16
+
+    def test_spread_pairs_fit(self, ball5_cli_samples):
+        pk, samples = ball5_cli_samples
+        fit = harnack_fit(pk.trunc, pk, samples, alpha=0.5, seed=0,
+                          n_balls=40, pairs_per_ball=60)
+        assert fit.fitted
+        assert fit.beta_hat > 0
 
     def test_deterministic(self, hyp_disc_pk):
         pk = hyp_disc_pk
