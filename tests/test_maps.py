@@ -176,6 +176,64 @@ class TestBuildMap:
         for v, rot in enumerate(K4):
             assert m.target[m.vertex_darts(v)].tolist() == rot
 
+    def test_out_of_range_neighbor_rejected(self):
+        with pytest.raises(ValueError, match="vertex 0 lists out-of-range neighbor 5"):
+            build_map([[1, 5], [0]])
+
+    def test_odd_loop_count_rejected(self):
+        with pytest.raises(ValueError, match="odd loop count at vertex 0"):
+            build_map([[0, 1], [0]])
+
+    def test_vertex_without_darts_rejected(self):
+        with pytest.raises(ValueError, match="vertex 2 has no darts"):
+            build_map([[1], [0], []])
+
+
+class TestPlanarMapInput:
+    def test_rotation_not_a_permutation(self):
+        with pytest.raises(ValueError, match="not a permutation of the darts"):
+            PlanarMap(origin=[0, 0, 1, 1], nxt=[1, 1, 3, 2])
+
+    def test_odd_dart_count(self):
+        with pytest.raises(ValueError, match="equal, even length"):
+            PlanarMap(origin=[0, 0, 0], nxt=[1, 2, 0])
+
+    def test_asymmetric_conductance(self):
+        with pytest.raises(ValueError, match="differs between the two darts"):
+            PlanarMap(origin=[0, 1], nxt=[0, 1], conductance=[1.0, 2.0])
+
+
+def numbering_digest(pmap):
+    """sha256 of the map's JSON together with its face numbering."""
+    doc = {"map": map_to_json(pmap), "face_of": trace_faces(pmap).face_of.tolist()}
+    return sha256(json.dumps(doc))
+
+
+# numbering_digest of maps whose vertex, dart and face ids downstream
+# artifacts depend on; the tilings are otherwise pinned only up to relabeling
+NUMBERED_MAPS = {
+    "tiling544": lambda: generate_tiling(5, 4, 4),
+    "tiling454": lambda: generate_tiling(4, 5, 4),
+    "tiling643": lambda: generate_tiling(6, 4, 3),
+    "ball5": lambda: truncate(generate_tiling(7, 3, 6), 0, 5).graph,
+    "dual733": lambda: dual_map(generate_tiling(7, 3, 3)),
+    "delaunay100": lambda: boundary_truncation(build_map(
+        delaunay_rotations(np.random.default_rng(0).random((100, 2))))).graph,
+}
+NUMBERING_DIGESTS = {
+    "tiling544": "dcbb5309dd0a9e8dd230a64d59beae8161088d8ff1bfb1030ce0456d34ae39ea",
+    "tiling454": "646e0503e7e1544f0c80d72858f763637dea20630be2ce16c179610146ea4a84",
+    "tiling643": "8bab5bb823bb3dd25eb34c0a13534888543b8f275edf48ff97e95f0ff9dea981",
+    "ball5": "bb3a639547556b7811f491e19efcc1e989daff2eed1ed0162c7607782bfa4977",
+    "dual733": "e67a3f849d92cd82ecaf5757ecdac10af88972a3eb7a2c12190195910c0c0141",
+    "delaunay100": "bed03ea6629e2eea46c98f948f9912601b506ba3f9197b72cf0d354213b3a638",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBERING_DIGESTS))
+def test_numbering_is_pinned(name):
+    assert numbering_digest(NUMBERED_MAPS[name]()) == NUMBERING_DIGESTS[name]
+
 
 class TestFacesAndDual:
     def test_k4_faces(self):
