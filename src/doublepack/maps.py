@@ -1,23 +1,31 @@
 """Finite planar maps as rotation systems.
 
 A map is stored on *darts* (oriented edges).  Darts come in pairs: dart ``e``
-and its reversal ``e ^ 1`` are the two orientations of one edge.  For every
-dart we store its origin vertex and the next dart counterclockwise around that
-origin; faces are the orbits of ``e -> next(rev(e))`` and lie to the left of
-their darts.  Conductances are positive, symmetric edge weights (default 1).
+and its reversal ``e ^ 1`` are the two orientations of one edge.  The
+rotation system is stored once, in compressed-sparse-row (CSR) form:
+``rotation`` lists every dart grouped by origin vertex, each group
+counterclockwise from that vertex's first dart, and vertex ``v``'s group is
+``rotation[offsets[v]:offsets[v + 1]]``.  In the permutation form of Lando &
+Zvonkin (*Graphs on Surfaces and Their Applications*, 2004, ch. 1) the groups
+are the cycles of sigma (``nxt``, the next dart counterclockwise), alpha is
+``e -> e ^ 1``, and the faces are the cycles of ``e -> nxt[e ^ 1]``; they lie
+to the left of their darts.  One pointer-doubling routine, ``_cycles``, lists
+the faces in the same CSR layout, which is also the rotation system of the
+dual.  Conductances are positive, symmetric edge weights (default 1).
 Instances should be treated as immutable once constructed.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict, deque
+import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 
 from .errors import InvariantViolation
 
@@ -46,35 +54,56 @@ class PlanarMap:
 
     Parameters
     ----------
-    origin:
-        Integer array, origin vertex of each dart.  Dart ``e`` reverses to
+    rotation:
+        Integer array listing every dart once, grouped by origin vertex:
+        the darts leaving ``v`` are ``rotation[offsets[v]:offsets[v + 1]]``,
+        counterclockwise from ``v``'s first dart.  Dart ``e`` reverses to
         ``e ^ 1``, so darts ``2i`` and ``2i + 1`` form edge ``i``.
-    nxt:
-        Integer array, the next dart counterclockwise around ``origin[e]``.
+    offsets:
+        Integer array of ``n_vertices + 1`` group boundaries, rising from 0
+        to the dart count; every vertex has at least one dart.
     conductance:
         Positive weight per dart, equal on the two darts of an edge.
-    vertex_darts:
-        Optional list of per-vertex dart arrays in rotation order; derived
-        from ``nxt`` when omitted.
+
+    ``origin``, ``nxt`` (the next dart counterclockwise around the origin),
+    ``prv``, ``degrees`` and ``neighbor_lists`` are derived from the CSR.
     """
 
-    def __init__(self, origin, nxt, conductance=None, vertex_darts=None, validate=True):
-        self.origin = np.asarray(origin, dtype=np.int64)
-        self.nxt = np.asarray(nxt, dtype=np.int64)
-        m = self.origin.size
+    def __init__(self, rotation, offsets, conductance=None):
+        self.rotation = np.asarray(rotation, dtype=np.int64)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        m = self.rotation.size
         if conductance is None:
             self.conductance = np.ones(m)
         else:
             self.conductance = np.asarray(conductance, dtype=float)
-        if m % 2 or self.nxt.size != m or self.conductance.size != m:
+        if m % 2 or self.conductance.size != m:
             raise ValueError("dart arrays must have equal, even length")
-        self.n_vertices = int(self.origin.max()) + 1 if m else 0
-        if vertex_darts is not None:
-            self._vertex_darts = [np.asarray(d, dtype=np.int64) for d in vertex_darts]
-        else:
-            self._vertex_darts = self._orbits_of_nxt()
-        if validate:
-            self._validate()
+        if m == 0:
+            raise ValueError("empty map")
+        if not np.array_equal(np.sort(self.rotation), np.arange(m)):
+            raise ValueError("nxt is not a permutation of the darts")
+        self.degrees = np.diff(self.offsets)
+        if self.offsets.size < 2 or self.offsets[0] != 0 or self.offsets[-1] != m \
+                or np.any(self.degrees < 0):
+            raise ValueError("offsets must rise from 0 to the dart count")
+        if np.any(self.degrees == 0):
+            v = int(np.argmin(self.degrees))
+            raise ValueError(f"vertex {v} has no darts (map must be connected)")
+        self.n_vertices = self.degrees.size
+        self.origin = np.empty(m, dtype=np.int64)
+        self.origin[self.rotation] = np.repeat(np.arange(self.n_vertices), self.degrees)
+        # position of the next dart in the rotation, wrapping within each group
+        after = np.arange(1, m + 1)
+        after[self.offsets[1:] - 1] = self.offsets[:-1]
+        self.nxt = np.empty(m, dtype=np.int64)
+        self.nxt[self.rotation] = self.rotation[after]
+        if np.any(self.conductance <= 0) or not np.all(np.isfinite(self.conductance)):
+            raise ValueError("non-positive conductance")
+        if np.any(self.conductance[0::2] != self.conductance[1::2]):
+            raise ValueError("conductance differs between the two darts of an edge")
+        if connected_components(self.adjacency, return_labels=False) > 1:
+            raise ValueError("map is not connected")
 
     # -- basic structure ---------------------------------------------------
 
@@ -86,26 +115,23 @@ class PlanarMap:
     def n_edges(self) -> int:
         return self.origin.size // 2
 
-    @staticmethod
-    def rev(e):
-        """Reversal involution on darts (vectorizes over arrays)."""
-        return e ^ 1
-
     @cached_property
     def target(self) -> np.ndarray:
         """Terminal vertex of each dart."""
         return self.origin[np.arange(self.n_darts) ^ 1]
 
     @cached_property
-    def degrees(self) -> np.ndarray:
-        return np.bincount(self.origin, minlength=self.n_vertices)
+    def adjacency(self) -> sp.csr_matrix:
+        """Vertex adjacency matrix (parallel darts summed), for csgraph."""
+        return sp.csr_matrix((np.ones(self.n_darts), (self.origin, self.target)),
+                             shape=(self.n_vertices, self.n_vertices))
 
     def vertex_darts(self, v: int) -> np.ndarray:
         """Darts leaving ``v`` in counterclockwise rotation order."""
-        return self._vertex_darts[v]
+        return self.rotation[self.offsets[v]:self.offsets[v + 1]]
 
     def neighbors(self, v: int) -> np.ndarray:
-        return self.target[self._vertex_darts[v]]
+        return self.target[self.vertex_darts(v)]
 
     @cached_property
     def prv(self) -> np.ndarray:
@@ -116,7 +142,7 @@ class PlanarMap:
 
     @cached_property
     def neighbor_lists(self) -> list[np.ndarray]:
-        return [self.target[d] for d in self._vertex_darts]
+        return np.split(self.target[self.rotation], self.offsets[1:-1])
 
     def simple_defect(self) -> str | None:
         """"a loop" or "a doubled edge" when the map is not simple, else None."""
@@ -126,47 +152,6 @@ class PlanarMap:
         if len(np.unique(ends, axis=0)) != self.n_edges:
             return "a doubled edge"
         return None
-
-    # -- construction helpers ---------------------------------------------
-
-    def _orbits_of_nxt(self):
-        seen = np.zeros(self.n_darts, dtype=bool)
-        per_vertex = [None] * self.n_vertices
-        for e0 in range(self.n_darts):
-            if seen[e0]:
-                continue
-            orbit = []
-            e = e0
-            while not seen[e]:
-                seen[e] = True
-                orbit.append(e)
-                e = int(self.nxt[e])
-            v = int(self.origin[e0])
-            if per_vertex[v] is not None:
-                raise ValueError(f"rotation at vertex {v} splits into several cycles")
-            per_vertex[v] = np.array(orbit, dtype=np.int64)
-        for v, orbit in enumerate(per_vertex):
-            if orbit is None:
-                raise ValueError(f"vertex {v} has no darts (map must be connected)")
-        return per_vertex
-
-    def _validate(self):
-        m = self.n_darts
-        if m == 0:
-            raise ValueError("empty map")
-        if sorted(self.nxt.tolist()) != list(range(m)):
-            raise ValueError("nxt is not a permutation of the darts")
-        if np.any(self.origin[self.nxt] != self.origin):
-            raise ValueError("nxt moves darts between vertices")
-        if np.any(self.conductance <= 0) or not np.all(np.isfinite(self.conductance)):
-            raise ValueError("non-positive conductance")
-        if np.any(self.conductance != self.conductance[np.arange(m) ^ 1]):
-            raise ValueError("conductance differs between the two darts of an edge")
-        for v, darts in enumerate(self._vertex_darts):
-            if np.any(self.origin[darts] != v):
-                raise ValueError("vertex_darts inconsistent with origin")
-        if np.any(_bfs_distances(self.neighbor_lists, 0) < 0):
-            raise ValueError("map is not connected")
 
     # -- conveniences ------------------------------------------------------
 
@@ -183,26 +168,18 @@ class PlanarMap:
         c = np.asarray(conductance, dtype=float)
         if c.size == self.n_edges:
             c = np.repeat(c, 2)
-        return PlanarMap(self.origin, self.nxt, c,
-                         vertex_darts=self._vertex_darts, validate=True)
+        return PlanarMap(self.rotation, self.offsets, c)
 
     def __repr__(self):
         return f"PlanarMap(n_vertices={self.n_vertices}, n_edges={self.n_edges})"
 
 
-def _bfs_distances(neighbor_lists, sources) -> np.ndarray:
+def _bfs_distances(pmap: PlanarMap, sources) -> np.ndarray:
     """Graph distance to the nearest of ``sources`` (one vertex or several),
     -1 where no source is reachable."""
-    queue = deque(np.atleast_1d(sources).tolist())
-    dist = np.full(len(neighbor_lists), -1, dtype=np.int64)
-    dist[list(queue)] = 0
-    while queue:
-        v = queue.popleft()
-        for u in neighbor_lists[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(int(u))
-    return dist
+    dist = dijkstra(pmap.adjacency, indices=np.atleast_1d(sources),
+                    unweighted=True, min_only=True)
+    return np.where(np.isfinite(dist), dist, -1).astype(np.int64)
 
 
 def build_map(rotations, conductances=None) -> PlanarMap:
@@ -210,117 +187,161 @@ def build_map(rotations, conductances=None) -> PlanarMap:
 
     ``rotations[v]`` lists the neighbors of ``v`` counterclockwise.  Parallel
     edges are paired by occurrence: the k-th appearance of ``u`` in
-    ``rotations[v]`` matches the k-th appearance of ``v`` in ``rotations[u]``.
-    ``conductances`` may be ``None`` (all 1), a scalar, or an iterable of
-    ``(u, v, c)`` triples; unlisted edges default to 1.
+    ``rotations[v]`` matches the k-th appearance of ``v`` in ``rotations[u]``,
+    and the occurrences of ``v`` in its own list pair off in turn as loops.
+    Edge ``k`` is the k-th edge by the position of its first half-edge in the
+    concatenated lists, which holds dart ``2k``.  ``conductances`` may be
+    ``None`` (all 1), a scalar, or an iterable of ``(u, v, c)`` triples;
+    unlisted edges default to 1.
     """
     n = len(rotations)
     if n == 0:
         raise ValueError("empty map")
-    flat = []                     # (v, u) per provisional dart
-    occ: dict[tuple[int, int], list[int]] = defaultdict(list)
+    entries, lengths = [], []
     for v, nbrs in enumerate(rotations):
-        for u in nbrs:
-            u = int(u)
-            if not 0 <= u < n:
-                raise ValueError(f"vertex {v} lists out-of-range neighbor {u}")
-            occ[(v, u)].append(len(flat))
-            flat.append((v, u))
-    if not flat:
+        if not isinstance(nbrs, (list, tuple, np.ndarray)):
+            raise ValueError(f"rotation of vertex {v} is not a list")
+        entries.extend(nbrs)
+        lengths.append(len(nbrs))
+    if not entries:
         raise ValueError("map has no edges")
+    m = len(entries)
+    src = np.repeat(np.arange(n), lengths)     # origin of each half-edge
+    try:
+        dst = np.fromiter(map(operator.index, entries), np.int64, m)
+    except (TypeError, OverflowError):
+        dst = None
+    if dst is None or np.any((dst < 0) | (dst >= n)):
+        i, u = next((i, u) for i, u in enumerate(entries)
+                    if not (isinstance(u, numbers.Integral) and 0 <= u < n))
+        kind = "out-of-range" if isinstance(u, numbers.Integral) else "non-integer"
+        raise ValueError(f"vertex {src[i]} lists {kind} neighbor {u}")
 
-    rev = np.full(len(flat), -1, dtype=np.int64)
-    for (v, u), ids in occ.items():
-        if v == u:
-            if len(ids) % 2:
-                raise ValueError(f"dangling half-edge: odd loop count at vertex {v}")
-            for a, b in zip(ids[0::2], ids[1::2]):
-                rev[a], rev[b] = b, a
-        elif v < u:
-            partner = occ.get((u, v), [])
-            if len(partner) != len(ids):
-                raise ValueError(f"dangling half-edge between {v} and {u}")
-            for a, b in zip(ids, partner):
-                rev[a], rev[b] = b, a
-    if np.any(rev < 0):
-        v, u = flat[int(np.flatnonzero(rev < 0)[0])]
-        raise ValueError(f"dangling half-edge between {v} and {u}")
-
-    # Renumber so an edge's darts are 2k and 2k + 1.
-    new_id = np.full(len(flat), -1, dtype=np.int64)
-    k = 0
-    for e in range(len(flat)):
-        if new_id[e] < 0:
-            new_id[e] = 2 * k
-            new_id[rev[e]] = 2 * k + 1
-            k += 1
-    m = 2 * k
-    origin = np.empty(m, dtype=np.int64)
-    nxt = np.empty(m, dtype=np.int64)
-    vertex_darts = []
-    pos = 0
-    for v, nbrs in enumerate(rotations):
-        ids = new_id[pos:pos + len(nbrs)]
-        pos += len(nbrs)
-        if len(ids) == 0:
-            raise ValueError(f"vertex {v} has no darts (map must be connected)")
-        origin[ids] = v
-        nxt[ids] = np.roll(ids, -1)
-        vertex_darts.append(ids.copy())
+    # occurrence rank of each half-edge among those from src to dst; the
+    # sorts are stable, so ties keep the order of the concatenated lists
+    pair = src * n + dst
+    by_pair = np.argsort(pair, kind="stable")
+    rank = np.empty(m, dtype=np.int64)
+    rank[by_pair] = np.arange(m) - np.searchsorted(pair[by_pair], pair[by_pair])
+    loop = src == dst
+    rank[loop] //= 2
+    # the two half-edges of an edge share (lo, hi, rank) and no others do
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    order = np.lexsort((rank, hi, lo))
+    key = np.stack([lo, hi, rank])[:, order]
+    same = np.all(key[:, 1:] == key[:, :-1], axis=0)
+    alone = order[~(np.r_[False, same] | np.r_[same, False])]
+    if alone.size:
+        e = int(alone.min())
+        if loop[e]:
+            raise ValueError(f"dangling half-edge: odd loop count at vertex {src[e]}")
+        raise ValueError(f"dangling half-edge between {src[e]} and {dst[e]}")
+    # edge k holds the k-th first half-edge; its darts are 2k and 2k + 1
+    pairs = order.reshape(-1, 2)
+    dart = np.empty(m, dtype=np.int64)
+    dart[pairs[np.argsort(pairs[:, 0])].ravel()] = np.arange(m)
 
     cond = np.ones(m)
     if conductances is not None:
         if np.isscalar(conductances):
             cond[:] = float(conductances)
         else:
-            triples = list(conductances)
-            lookup = {}
-            for u, v, c in triples:
-                lookup[(int(u), int(v))] = float(c)
-                lookup[(int(v), int(u))] = float(c)
-            targets = origin[np.arange(m) ^ 1]
-            for e in range(m):
-                c = lookup.get((int(origin[e]), int(targets[e])))
-                if c is not None:
-                    cond[e] = c
-    return PlanarMap(origin, nxt, cond, vertex_darts=vertex_darts)
+            cond[dart] = _listed_conductances(list(conductances), src, dst, n)
+    return PlanarMap(dart, np.r_[0, np.cumsum(lengths)], cond)
+
+
+def _is_triple(entry) -> bool:
+    try:
+        u, v, c = map(float, entry)
+        return u.is_integer() and v.is_integer()
+    except (TypeError, ValueError):
+        return False
+
+
+def _listed_conductances(entries, src, dst, n) -> np.ndarray:
+    """Conductance of each half-edge ``src -> dst`` from ``(u, v, c)``
+    entries, 1 where no entry names its edge; a later entry overrides an
+    earlier one."""
+    try:
+        table = np.array(entries, dtype=float).reshape(len(entries), 3)
+    except (TypeError, ValueError):
+        table = None
+    if table is None or np.any(table[:, :2] != np.round(table[:, :2])):
+        i = next(i for i, entry in enumerate(entries) if not _is_triple(entry))
+        raise ValueError(f"conductance entry {i} ({entries[i]!r}) is not a (u, v, c) triple")
+    ends = np.sort(table[:, :2], axis=1)
+    keys = ends[:, 0] * n + ends[:, 1]
+    half_keys = np.minimum(src, dst) * n + np.maximum(src, dst)
+    stray = np.flatnonzero((ends[:, 0] < 0) | (ends[:, 1] >= n) | ~np.isin(keys, half_keys))
+    if stray.size:
+        raise ValueError(f"conductance entry {stray[0]} ({entries[stray[0]]!r}) "
+                         "names no edge of the map")
+    listed, last = np.unique(keys[::-1], return_index=True)
+    out = np.ones(src.size)
+    hit = np.isin(half_keys, listed)
+    out[hit] = table[::-1, 2][last][np.searchsorted(listed, half_keys[hit])]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # faces and duals
 # ---------------------------------------------------------------------------
 
+def _cycles(perm: np.ndarray):
+    """Cycles of the permutation ``perm`` in CSR form ``(order, offsets,
+    cycle_of)``: cycle ``k`` is ``order[offsets[k]:offsets[k + 1]]``.  Cycles
+    are numbered by their smallest element, and each is listed from there
+    along ``perm``.
+
+    Pointer doubling: after a round with ``jump = perm^span``, ``low[e]`` is
+    the smallest element among the first ``span`` of the orbit of ``e`` and
+    ``ahead[e]`` the steps from ``e`` to it.  Once a round lowers no entry,
+    windows of that length tile each cycle with equal minima, so every
+    ``low`` is its cycle's minimum.
+    """
+    m = perm.size
+    low, ahead, jump, span = np.arange(m), np.zeros(m, dtype=np.int64), perm, 1
+    while True:
+        later = low[jump]
+        lower = later < low
+        if not lower.any():
+            break
+        low = np.where(lower, later, low)
+        ahead = np.where(lower, ahead[jump] + span, ahead)
+        jump, span = jump[jump], 2 * span
+    cycle_of = np.searchsorted(np.flatnonzero(low == np.arange(m)), low)
+    sizes = np.bincount(cycle_of)
+    offsets = np.r_[0, np.cumsum(sizes)]
+    order = np.empty(m, dtype=np.int64)
+    order[offsets[cycle_of] + (sizes[cycle_of] - ahead) % sizes[cycle_of]] = np.arange(m)
+    return order, offsets, cycle_of
+
+
 @dataclass(frozen=True)
 class FaceStructure:
-    """Faces of a map: orbits of ``e -> next(rev(e))``, each to the left of
-    its darts."""
+    """Faces of a map: the cycles of ``e -> nxt[e ^ 1]``, each to the left of
+    its darts, in the CSR layout of a rotation system.
 
-    n_faces: int
+    Face ``f`` is the orbit ``order[offsets[f]:offsets[f + 1]]``.  Faces are
+    numbered by their smallest dart, and each orbit starts there.
+    """
+
+    order: np.ndarray            # every dart, grouped by face in orbit order
+    offsets: np.ndarray          # n_faces + 1 orbit boundaries
     face_of: np.ndarray          # face index per dart
     degrees: np.ndarray          # darts per face
-    darts: tuple                 # orbit per face, in traversal order
+
+    @property
+    def n_faces(self) -> int:
+        return self.degrees.size
 
     def vertices(self, pmap: PlanarMap, f: int) -> np.ndarray:
-        return pmap.origin[np.asarray(self.darts[f])]
+        return pmap.origin[self.order[self.offsets[f]:self.offsets[f + 1]]]
 
 
 def trace_faces(pmap: PlanarMap) -> FaceStructure:
-    perm = pmap.nxt[np.arange(pmap.n_darts) ^ 1]
-    face_of = np.full(pmap.n_darts, -1, dtype=np.int64)
-    orbits = []
-    for e0 in range(pmap.n_darts):
-        if face_of[e0] >= 0:
-            continue
-        f = len(orbits)
-        orbit = []
-        e = e0
-        while face_of[e] < 0:
-            face_of[e] = f
-            orbit.append(e)
-            e = int(perm[e])
-        orbits.append(np.array(orbit, dtype=np.int64))
-    degrees = np.array([len(o) for o in orbits], dtype=np.int64)
-    return FaceStructure(len(orbits), face_of, degrees, tuple(orbits))
+    order, offsets, face_of = _cycles(pmap.nxt[np.arange(pmap.n_darts) ^ 1])
+    return FaceStructure(order, offsets, face_of, np.diff(offsets))
 
 
 def euler_characteristic(pmap: PlanarMap, faces: FaceStructure | None = None) -> int:
@@ -330,11 +351,10 @@ def euler_characteristic(pmap: PlanarMap, faces: FaceStructure | None = None) ->
 
 def dual_map(pmap: PlanarMap, faces: FaceStructure | None = None) -> PlanarMap:
     """Dual map: one vertex per face, dart ``e`` running from the face left of
-    ``e`` to the face right of ``e``.  Conductances become reciprocals."""
+    ``e`` to the face right of ``e``.  The face orbits are the dual rotation
+    system, and conductances become reciprocals."""
     faces = trace_faces(pmap) if faces is None else faces
-    origin = faces.face_of.copy()
-    nxt = pmap.nxt[np.arange(pmap.n_darts) ^ 1]
-    return PlanarMap(origin, nxt, 1.0 / pmap.conductance)
+    return PlanarMap(faces.order, faces.offsets, 1.0 / pmap.conductance)
 
 
 # ---------------------------------------------------------------------------
@@ -404,35 +424,18 @@ def induce_submap(pmap: PlanarMap, keep: np.ndarray):
     """
     keep = np.asarray(keep, dtype=bool)
     parent_vertices = np.flatnonzero(keep)
-    new_vertex = np.full(pmap.n_vertices, -1, dtype=np.int64)
-    new_vertex[parent_vertices] = np.arange(parent_vertices.size)
-
     dart_kept = keep[pmap.origin] & keep[pmap.target]
-    old_ids = np.flatnonzero(dart_kept)
-    if old_ids.size == 0:
+    if not dart_kept.any():
         raise ValueError("induced submap has no edges")
-    # keep an edge's darts adjacent so rev stays e ^ 1
-    new_dart = np.full(pmap.n_darts, -1, dtype=np.int64)
-    evens = old_ids[old_ids % 2 == 0]
-    new_dart[evens] = 2 * np.arange(evens.size)
-    new_dart[evens ^ 1] = 2 * np.arange(evens.size) + 1
-    m = 2 * evens.size
-
-    origin = np.empty(m, dtype=np.int64)
-    nxt = np.empty(m, dtype=np.int64)
-    cond = np.empty(m)
-    vertex_darts = []
-    for v in parent_vertices:
-        darts = pmap.vertex_darts(int(v))
-        darts = darts[dart_kept[darts]]
-        if darts.size == 0:
-            raise ValueError(f"vertex {int(v)} would be isolated in the submap")
-        ids = new_dart[darts]
-        origin[ids] = new_vertex[int(v)]
-        nxt[ids] = np.roll(ids, -1)
-        cond[ids] = pmap.conductance[darts]
-        vertex_darts.append(ids)
-    sub = PlanarMap(origin, nxt, cond, vertex_darts=vertex_darts)
+    # kept darts keep their order, so an edge's darts stay 2k and 2k + 1
+    new_dart = np.cumsum(dart_kept) - 1
+    darts = pmap.rotation[dart_kept[pmap.rotation]]
+    degrees = np.bincount(pmap.origin[darts], minlength=pmap.n_vertices)[parent_vertices]
+    if np.any(degrees == 0):
+        v = int(parent_vertices[np.argmin(degrees)])
+        raise ValueError(f"vertex {v} would be isolated in the submap")
+    sub = PlanarMap(new_dart[darts], np.r_[0, np.cumsum(degrees)],
+                    pmap.conductance[dart_kept])
     return sub, parent_vertices
 
 
@@ -490,7 +493,7 @@ class Truncation:
         if self.is_boundary[self.root]:
             raise ValueError("root must be an interior vertex")
 
-        self.dist_from_root = _bfs_distances(graph.neighbor_lists, self.root)
+        self.dist_from_root = _bfs_distances(graph, self.root)
         self.faces = trace_faces(graph)
         self.outer_face = self._find_outer_face()
         self._check_interior_connected()
@@ -516,8 +519,8 @@ class Truncation:
         return self.outer_face is not None
 
     def _check_interior_connected(self):
-        sub = [u[~self.is_boundary[u]] for u in self.graph.neighbor_lists]
-        if np.any(_bfs_distances(sub, self.root)[self.interior] < 0):
+        inner = self.graph.adjacency[self.interior][:, self.interior]
+        if connected_components(inner, return_labels=False) > 1:
             raise InvariantViolation("interior of the truncation is not connected")
 
     # -- conveniences ------------------------------------------------------
@@ -565,15 +568,9 @@ class Truncation:
         parent = pred[order].astype(np.int64)
         parent[0] = first
 
-        # children are queued in the order their parents are dequeued, so
-        # parent positions never decrease along ``order`` and each level is
-        # the run of entries whose parents lie in the level before
-        position = np.empty(m, dtype=np.int64)
-        position[order] = np.arange(order.size)
-        parent_position = position[parent[1:]]
-        levels = [0, 1]
-        while levels[-1] < order.size:
-            levels.append(1 + int(np.searchsorted(parent_position, levels[-1])))
+        # breadth-first order lists the darts by depth, one level after another
+        depth = dijkstra(adj, indices=first, unweighted=True)[order]
+        levels = np.searchsorted(depth, np.arange(depth[-1] + 2))
 
         reverse = order == (parent ^ 1)
         back = ~reverse & bounded[parent] & (order == g.prv[parent])
@@ -588,7 +585,7 @@ class Truncation:
         on_face = order[bounded[order]]
         f, i = np.unique(face_of[on_face], return_index=True)
         face_dart[f] = on_face[i]
-        return DartTree(order, parent, np.array(levels), reverse, turn_sign,
+        return DartTree(order, parent, levels, reverse, turn_sign,
                         turn_dart, vertex_dart, face_dart)
 
     def _require_outer_face(self):
@@ -605,7 +602,7 @@ def truncate(pmap: PlanarMap, root: int, radius: int) -> Truncation:
     boundary the radius-sphere; discarded vertices are dropped entirely."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
-    dist = _bfs_distances(pmap.neighbor_lists, root)
+    dist = _bfs_distances(pmap, root)
     if not np.any(dist == radius):
         raise ValueError(f"radius {radius} exceeds the map's reach from the root "
                          "(boundary sphere is empty)")
@@ -631,9 +628,9 @@ def boundary_truncation(pmap: PlanarMap, root: int | None = None) -> Truncation:
         raise ValueError("map has no interior vertex inside its rim")
     if root is None:
         # deepest interior vertex: maximize distance to the rim
-        dist = _bfs_distances(pmap.neighbor_lists, boundary)
+        dist = _bfs_distances(pmap, boundary)
         root = int(inner[np.argmax(dist[inner])])
-    dist_root = _bfs_distances(pmap.neighbor_lists, root)
+    dist_root = _bfs_distances(pmap, root)
     radius = int(dist_root[boundary].max())
     trunc = Truncation(pmap, boundary, root, radius, parent=pmap,
                        parent_vertices=np.arange(pmap.n_vertices))
@@ -647,15 +644,12 @@ def boundary_truncation(pmap: PlanarMap, root: int | None = None) -> Truncation:
 # ---------------------------------------------------------------------------
 
 def map_to_json(pmap: PlanarMap) -> dict:
-    rotations = [pmap.target[pmap.vertex_darts(v)].tolist()
-                 for v in range(pmap.n_vertices)]
-    payload = {"vertices": pmap.n_vertices, "rotations": rotations}
+    payload = {"vertices": pmap.n_vertices,
+               "rotations": [nbrs.tolist() for nbrs in pmap.neighbor_lists]}
     if not np.all(pmap.conductance == 1.0):
-        edges = []
-        for e in range(0, pmap.n_darts, 2):
-            edges.append([int(pmap.origin[e]), int(pmap.target[e]),
-                          float(pmap.conductance[e])])
-        payload["conductances"] = edges
+        edges = zip(pmap.origin[::2].tolist(), pmap.target[::2].tolist(),
+                    pmap.conductance[::2].tolist())
+        payload["conductances"] = [list(edge) for edge in edges]
     return payload
 
 
@@ -673,7 +667,7 @@ def load_map_json(source) -> PlanarMap:
         rotations = data["rotations"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"map JSON must contain 'vertices' and 'rotations': {exc}")
-    if len(rotations) != n:
+    if not isinstance(rotations, list) or len(rotations) != n:
         raise ValueError("rotation list length does not match vertex count")
     return build_map(rotations, data.get("conductances"))
 

@@ -193,12 +193,16 @@ def _solve_prescribed(trunc, boundary_x, tol, max_iter, hyperbolic=False):
     xv = np.full(n, start)
     xv[trunc.boundary] = boundary_x
     xf = np.full(trunc.faces.n_faces, start)
-    for it in range(max_iter):
+    # a Euclidean iterate is checked after the last step too; a hyperbolic
+    # one is checked by the walk after the step from within tol
+    for it in range(max_iter + (not hyperbolic)):
         at_v, at_f, own, other = corners(xv[cv], xf[cf])
         resid = _angle_residual(trunc, at_v, at_f)
         defect = float(np.max(np.abs(resid)))
         if defect <= tol and not hyperbolic:
             return np.exp(xv), np.exp(xf), defect, it
+        if it == max_iter:
+            break
         data = np.concatenate([own, own[free_v], -other[free_v], -other[free_v]])
         lap = sp.coo_matrix((data, (rows, cols)), shape=(nun, nun)).tocsc()
         step = spla.spsolve(lap, resid)

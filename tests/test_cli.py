@@ -145,6 +145,17 @@ class TestExitCodes:
         path.write_text(json.dumps(map_to_json(generate_tiling(4, 4, 2))))
         assert run(tmp_path, "pack", "--map", str(path)) == 2
 
+    @pytest.mark.parametrize("payload", [
+        {"vertices": 2, "rotations": [1, [0]]},
+        {"vertices": 3, "rotations": [[1, 2], [2, 0], [0, 1.5]]},
+        {"vertices": 3, "rotations": [[1, 2], [2, 0], [0, 1]], "conductances": [[0, 1]]},
+    ], ids=["rotation-not-a-list", "non-integer-neighbor", "short-conductance"])
+    def test_malformed_map_file_is_bad_input(self, tmp_path, payload, capsys):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(payload))
+        assert run(tmp_path, "pack", "--map", str(path)) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unreachable_tolerance_is_convergence_error(self, tmp_path):
         assert run(tmp_path, "pack", "--tiling", "7,3", "--layers", "2",
                    "--pack-tol", "1e-30") == 3

@@ -3,6 +3,7 @@ tilings, truncations, serialization."""
 
 import hashlib
 import json
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -79,9 +80,81 @@ def random_delaunay_map(n, n_cut, seed):
         u, v = edges[i]
         rotations[u].remove(v)
         rotations[v].remove(u)
-    if np.any(_bfs_distances(rotations, 0) < 0):
+    try:
+        return build_map(rotations)
+    except ValueError as exc:
+        if "connected" not in str(exc):
+            raise
         return None
-    return build_map(rotations)
+
+
+def delaunay_multigraph(n, n_double, n_loops, seed):
+    """Rotation lists of the Delaunay triangulation of ``n`` seeded points
+    with ``n_double`` edges doubled (each copy placed beside the original at
+    both ends) and ``n_loops`` loops added, their two half-edges inserted at
+    seeded places in one rotation."""
+    rng = np.random.default_rng(seed)
+    rotations = delaunay_rotations(rng.random((n, 2)))
+    edges = [(u, v) for u in range(n) for v in rotations[u] if u < v]
+    for i in rng.choice(len(edges), size=n_double, replace=False):
+        u, v = edges[i]
+        for a, b in ((u, v), (v, u)):
+            rotations[a].insert(rotations[a].index(b) + int(rng.integers(2)), b)
+    for v in rng.choice(n, size=n_loops).tolist():
+        for _ in range(2):
+            rotations[v].insert(int(rng.integers(len(rotations[v]) + 1)), v)
+    return rotations
+
+
+def build_map_reference(rotations):
+    """Loop reference for build_map's numbering: half-edges paired by
+    occurrence through a dict of lists, then renumbered in order of first
+    half-edge.  Returns the CSR rotation and the origin and nxt arrays."""
+    flat, occ = [], defaultdict(list)
+    for v, nbrs in enumerate(rotations):
+        for u in nbrs:
+            occ[(v, u)].append(len(flat))
+            flat.append((v, u))
+    rev = np.full(len(flat), -1)
+    for (v, u), ids in occ.items():
+        if v == u:
+            for a, b in zip(ids[0::2], ids[1::2]):
+                rev[a], rev[b] = b, a
+        elif v < u:
+            for a, b in zip(ids, occ[(u, v)]):
+                rev[a], rev[b] = b, a
+    new_id = np.full(len(flat), -1, dtype=np.int64)
+    k = 0
+    for e in range(len(flat)):
+        if new_id[e] < 0:
+            new_id[e], new_id[rev[e]] = 2 * k, 2 * k + 1
+            k += 1
+    origin = np.empty(len(flat), dtype=np.int64)
+    nxt = np.empty(len(flat), dtype=np.int64)
+    pos = 0
+    for v, nbrs in enumerate(rotations):
+        ids = new_id[pos:pos + len(nbrs)]
+        pos += len(nbrs)
+        origin[ids] = v
+        nxt[ids] = np.roll(ids, -1)
+    return new_id, origin, nxt
+
+
+def trace_faces_reference(nxt):
+    """Loop reference for trace_faces: each orbit of e -> nxt[e ^ 1] walked
+    from its smallest dart.  Returns face_of and the orbits."""
+    perm = nxt[np.arange(nxt.size) ^ 1]
+    face_of = np.full(nxt.size, -1, dtype=np.int64)
+    orbits = []
+    for e0 in range(nxt.size):
+        orbit, e = [], e0
+        while face_of[e] < 0:
+            face_of[e] = len(orbits)
+            orbit.append(e)
+            e = perm[e]
+        if orbit:
+            orbits.append(orbit)
+    return face_of, orbits
 
 
 def cyclic_rotations(pmap):
@@ -188,19 +261,48 @@ class TestBuildMap:
         with pytest.raises(ValueError, match="vertex 2 has no darts"):
             build_map([[1], [0], []])
 
+    def test_non_integer_neighbor_rejected(self):
+        with pytest.raises(ValueError, match="vertex 0 lists non-integer neighbor 3.6"):
+            build_map([[1, 2, 3.6], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+
+    def test_rotation_not_a_list_rejected(self):
+        with pytest.raises(ValueError, match="rotation of vertex 0 is not a list"):
+            build_map([1, [0]])
+
+    @pytest.mark.parametrize("entry", [[0, 1], [0, 1, "x"], [0.5, 1, 2.0], 7])
+    def test_malformed_conductance_rejected(self, entry):
+        triples = [(1, 2, 3.0), entry]
+        with pytest.raises(ValueError, match=r"conductance entry 1 .* not a \(u, v, c\) triple"):
+            build_map(TRIANGLE, conductances=triples)
+
+    @pytest.mark.parametrize("entry", [(0, 7, 2.0), (-1, 2, 2.0), (0, 0, 2.0)])
+    def test_conductance_of_no_edge_rejected(self, entry):
+        with pytest.raises(ValueError, match=r"conductance entry 1 .* names no edge of the map"):
+            build_map(TRIANGLE, conductances=[(1, 2, 3.0), entry])
+
+    def test_later_conductance_entry_wins(self):
+        m = build_map(TRIANGLE, conductances=[(0, 1, 2.0), (2, 0, 3.0), (1, 0, 5.0)])
+        c = dict(zip(zip(m.origin.tolist(), m.target.tolist()), m.conductance))
+        assert (c[0, 1], c[1, 0], c[0, 2], c[1, 2]) == (5.0, 5.0, 3.0, 1.0)
+
 
 class TestPlanarMapInput:
     def test_rotation_not_a_permutation(self):
         with pytest.raises(ValueError, match="not a permutation of the darts"):
-            PlanarMap(origin=[0, 0, 1, 1], nxt=[1, 1, 3, 2])
+            PlanarMap(rotation=[1, 1, 3, 2], offsets=[0, 2, 4])
+
+    @pytest.mark.parametrize("offsets", [[0, 1], [1, 2], [0, 3, 2], [0]])
+    def test_offsets_must_cover_the_darts(self, offsets):
+        with pytest.raises(ValueError, match="offsets must rise from 0 to the dart count"):
+            PlanarMap(rotation=[0, 1], offsets=offsets)
 
     def test_odd_dart_count(self):
         with pytest.raises(ValueError, match="equal, even length"):
-            PlanarMap(origin=[0, 0, 0], nxt=[1, 2, 0])
+            PlanarMap(rotation=[0, 1, 2], offsets=[0, 3])
 
     def test_asymmetric_conductance(self):
         with pytest.raises(ValueError, match="differs between the two darts"):
-            PlanarMap(origin=[0, 1], nxt=[0, 1], conductance=[1.0, 2.0])
+            PlanarMap(rotation=[0, 1], offsets=[0, 1, 2], conductance=[1.0, 2.0])
 
 
 def numbering_digest(pmap):
@@ -309,7 +411,7 @@ class TestPolyhedral:
         assert build_map(doubled).simple_defect() == "a doubled edge"
         assert build_map(K4).simple_defect() is None
         # darts 0 and 1 both leave vertex 0: a loop, beside the edge 0-1
-        loop = PlanarMap(origin=[0, 0, 0, 1], nxt=[1, 2, 0, 3])
+        loop = PlanarMap(rotation=[0, 1, 2, 3], offsets=[0, 3, 4])
         assert loop.simple_defect() == "a loop"
 
     def test_matches_brute_force_on_small_suite(self):
@@ -354,7 +456,7 @@ class TestTilings:
 
     def test_triangular_lattice_interior_degrees(self):
         m = generate_tiling(6, 3, 3)
-        dist = _bfs_distances(m.neighbor_lists, 0)
+        dist = _bfs_distances(m, 0)
         assert np.all(m.degrees[dist <= 2] == 6)
 
     def test_matches_geometric_construction(self):
@@ -383,7 +485,7 @@ class TestTilings:
         for layers in range(1, 6):
             m = generate_tiling(p, q, layers)
             f = trace_faces(m)
-            dist = _bfs_distances(m.neighbor_lists, 0)
+            dist = _bfs_distances(m, 0)
             assert dist.max() == layers
             assert np.all(m.degrees[dist < layers] == p)
             assert np.all(np.sort(f.degrees)[:-1] == q)
@@ -437,14 +539,14 @@ class TestTruncation:
     def test_distances_from_several_sources(self):
         m = generate_grid(5, 4)
         corners = [0, 4, 15, 19]
-        each = [_bfs_distances(m.neighbor_lists, c) for c in corners]
-        assert np.array_equal(_bfs_distances(m.neighbor_lists, corners),
+        each = [_bfs_distances(m, c) for c in corners]
+        assert np.array_equal(_bfs_distances(m, corners),
                               np.min(each, axis=0))
 
     def test_interior_is_smaller_ball(self):
         parent = generate_tiling(7, 3, 6)
         t = truncate(parent, root=0, radius=3)
-        dist = _bfs_distances(parent.neighbor_lists, 0)
+        dist = _bfs_distances(parent, 0)
         ball2 = np.flatnonzero(dist <= 2)
         assert np.array_equal(np.sort(t.parent_vertices[t.interior]), ball2)
         assert np.array_equal(t.parent_vertices[t.is_boundary],
@@ -515,6 +617,23 @@ class TestSerialization:
         d = map_data(m)
         assert d == MapData(4, 12, 1.0, 1.0)
         assert map_data(m, skip_face=int(np.argmax(trace_faces(m).degrees))).max_codegree == 4
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 30), n_double=st.integers(0, 4), n_loops=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_multigraph_matches_loop_reference(n, n_double, n_loops, seed):
+    rotations = delaunay_multigraph(n, n_double, n_loops, seed)
+    m = build_map(rotations)
+    rotation, origin, nxt = build_map_reference(rotations)
+    assert np.array_equal(m.rotation, rotation)
+    assert np.array_equal(m.origin, origin)
+    assert np.array_equal(m.nxt, nxt)
+    faces = trace_faces(m)
+    face_of, orbits = trace_faces_reference(nxt)
+    assert np.array_equal(faces.face_of, face_of)
+    assert np.array_equal(faces.order, np.concatenate(orbits))
+    assert np.array_equal(faces.degrees, [len(orbit) for orbit in orbits])
 
 
 @settings(max_examples=20, deadline=None)

@@ -314,6 +314,18 @@ class TestSolveRadii:
         assert np.allclose(sol.vertex_radius[t.boundary], values)
         assert angle_defect(t, sol.vertex_radius, sol.face_radius) <= 1e-11
 
+    def test_last_step_is_checked(self):
+        # the iterate after the last allowed step counts: a budget of exactly
+        # the steps the default solve takes packs, one step less raises and
+        # quotes the defect of the iterate it stopped at
+        t = truncate(generate_tiling(7, 3, 5), root=0, radius=4)
+        steps = solve_radii(t).iterations
+        sol = solve_radii(t, max_iter=steps)
+        assert sol.iterations == steps and sol.defect <= 1e-10
+        with pytest.raises(ConvergenceError, match=f"after {steps - 1} steps") as err:
+            solve_radii(t, max_iter=steps - 1)
+        assert float(str(err.value).split("defect ")[1].split()[0]) > 1e-10
+
     def test_scaling_boundary_scales_solution(self):
         t = boundary_truncation(generate_tiling(7, 3, 3))
         a = solve_radii(t, tol=1e-12)
