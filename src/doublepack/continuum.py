@@ -2,9 +2,11 @@
 
 Harmonic functions are carried as truncated boundary Fourier series, which
 makes evaluation, gradients, and energies exact; Cartesian grid fields serve
-the two jobs Fourier cannot: non-harmonic equilibrium potentials (capacity)
-and energy checks of sampled data.  The boundary Douglas energy is a double
-quadrature over the circle whose diagonal uses the difference-quotient limit.
+the two jobs Fourier cannot: non-harmonic equilibrium potentials (capacity,
+by a multigrid-preconditioned lattice solve) and energy checks of sampled
+data.  The boundary Douglas energy is a double quadrature over the circle,
+summed through the FFT autocorrelation of the samples, whose diagonal uses
+the difference-quotient limit.
 """
 
 import csv
@@ -16,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InvariantViolation
-from .linalg import refined_solve
+from .linalg import lattice_solve
 
 __all__ = [
     "HarmonicDiscField", "GridDiscField", "BoundaryFunction",
@@ -231,18 +233,24 @@ def douglas_energy(boundary: BoundaryFunction, n_theta: int) -> float:
     integral of ||grad h||^2 (the Douglas integral without the half-energy
     convention: on cos k theta it gives k pi).
 
-    The integrand extends continuously to the diagonal with value
-    phi'(theta)^2, estimated by the symmetric difference quotient.
+    The off-diagonal sum over sample pairs at circular distance d needs only
+    sum_j (phi_j - phi_{j+d})^2 = 2 c_0 - 2 c_d, where c is the circular
+    autocorrelation of the samples, taken by FFT (O(n log n)); the mean is
+    removed first, which leaves every gap as it is.  The integrand extends
+    continuously to the diagonal with value phi'(theta)^2, estimated by the
+    symmetric difference quotient.
     """
     n = int(n_theta)
     if n < 64 or n % 2:
         raise ValueError("n_theta must be even and at least 64")
     vals = boundary.sample(n)
     w = 2 * np.pi / n
-    off = 0.0
-    for d in range(1, n):
-        gap = vals - np.roll(vals, -d)
-        off += float(np.dot(gap, gap)) / (4 * math.sin(math.pi * d / n) ** 2)
+    # shifting by a sample makes a constant input exactly zero
+    spec = np.fft.rfft(vals - vals[0])
+    spec[0] = 0.0
+    c = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, n)
+    d = np.arange(1, n)
+    off = float(np.dot(2 * c[0] - 2 * c[1:], 0.25 / np.sin(np.pi * d / n) ** 2))
     deriv = (np.roll(vals, -1) - np.roll(vals, 1)) / (2 * w)
     diag = float(np.dot(deriv, deriv))
     return w * w / (2 * np.pi) * (off + diag)
@@ -311,6 +319,10 @@ def grid_capacity(target, grid_h: float) -> float:
     """Capacity between a union of closed discs and the unit circle, from the
     5-point equilibrium potential on a Cartesian grid.
 
+    The potential is 1 on the target nodes and 0 off the open disc; the free
+    nodes are solved to a residual of 1e-10 relative by ``lattice_solve``,
+    conjugate gradients with a geometric multigrid V-cycle as the
+    preconditioner, and the capacity is the lattice Dirichlet energy.
     Targets get a one-cell margin (the continuum definition asks for an open
     neighbourhood); the estimate refines as ``grid_h`` decreases.
     """
@@ -361,8 +373,9 @@ def grid_capacity(target, grid_h: float) -> float:
     data.append(np.full(k, 4.0))
     a = sparse.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(k, k)).tocsc()
-    flat_phi[ii] = refined_solve(a, rhs, 1e-10, "grid equilibrium solve did not converge")
+        shape=(k, k)).tocsr()
+    flat_phi[ii] = lattice_solve(a, unknown, rhs, 1e-10,
+                                 "grid equilibrium solve did not converge")
     phi = flat_phi.reshape(m, m)
     e = float(np.sum((phi[:, 1:] - phi[:, :-1]) ** 2))
     e += float(np.sum((phi[1:, :] - phi[:-1, :]) ** 2))

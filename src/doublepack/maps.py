@@ -49,6 +49,13 @@ __all__ = [
 ]
 
 
+def _integer_array(values, name: str) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be an integer array, not {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 class PlanarMap:
     """Rotation-system encoding of a finite connected planar map.
 
@@ -70,8 +77,8 @@ class PlanarMap:
     """
 
     def __init__(self, rotation, offsets, conductance=None):
-        self.rotation = np.asarray(rotation, dtype=np.int64)
-        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.rotation = _integer_array(rotation, "rotation")
+        self.offsets = _integer_array(offsets, "offsets")
         m = self.rotation.size
         if conductance is None:
             self.conductance = np.ones(m)

@@ -193,9 +193,10 @@ def _solve_prescribed(trunc, boundary_x, tol, max_iter, hyperbolic=False):
     xv = np.full(n, start)
     xv[trunc.boundary] = boundary_x
     xf = np.full(trunc.faces.n_faces, start)
-    # a Euclidean iterate is checked after the last step too; a hyperbolic
-    # one is checked by the walk after the step from within tol
-    for it in range(max_iter + (not hyperbolic)):
+    # the iterate after the last step is checked too, so a failure quotes
+    # its defect; a hyperbolic one packs only through the walk after a step
+    # from within tol
+    for it in range(max_iter + 1):
         at_v, at_f, own, other = corners(xv[cv], xf[cf])
         resid = _angle_residual(trunc, at_v, at_f)
         defect = float(np.max(np.abs(resid)))

@@ -1,11 +1,15 @@
 """Unit-disc Dirichlet machinery: Fourier harmonic fields, Poisson extension,
 Douglas boundary energy, disc inner products, and grid capacity."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
+from doublepack import continuum, linalg
 from doublepack.continuum import (
     BoundaryFunction,
     GridDiscField,
@@ -20,6 +24,7 @@ from doublepack.continuum import (
     poisson_extend,
     sample_grid_field,
 )
+from doublepack.errors import InvariantViolation
 
 ANNULUS_CAPACITY_QUARTER = 2 * math.pi / math.log(4)  # ground at |z|=1, target 1/4
 
@@ -129,10 +134,41 @@ class TestEnergyContinuous:
         assert np.isfinite(grid.values[n // 2, n // 2])
 
 
+def douglas_pairwise_reference(boundary, n):
+    """The Douglas sum as a loop over circular distances d, one rolled copy
+    of the samples per d: O(n^2)."""
+    vals = boundary.sample(n)
+    w = 2 * np.pi / n
+    off = 0.0
+    for d in range(1, n):
+        gap = vals - np.roll(vals, -d)
+        off += float(np.dot(gap, gap)) / (4 * math.sin(math.pi * d / n) ** 2)
+    deriv = (np.roll(vals, -1) - np.roll(vals, 1)) / (2 * w)
+    return w * w / (2 * np.pi) * (off + float(np.dot(deriv, deriv)))
+
+
 class TestDouglasEnergy:
     def test_constant_zero(self):
         assert douglas_energy(BoundaryFunction(func=lambda t: 0 * t + 1.0), 256) == \
             pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [100, 256, 1000])
+    @pytest.mark.parametrize("value", [1.0, 1 / 3, -2.5e10])
+    def test_constant_is_exactly_zero(self, n, value):
+        assert douglas_energy(BoundaryFunction(func=lambda t: 0 * t + value), n) == 0.0
+
+    @pytest.mark.parametrize("n", [256, 1000, 2048, 8192])
+    def test_matches_pairwise_reference(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.normal(size=(2, 20))
+        ks = np.arange(1, 21)
+        cases = [BoundaryFunction(func=lambda t: np.cos(3 * t)),
+                 BoundaryFunction(func=lambda t: 3.0 + np.cos(np.outer(t, ks)) @ a
+                                  + np.sin(np.outer(t, ks)) @ b),
+                 BoundaryFunction(samples=rng.normal(size=n) + 7.0)]
+        for bf in cases:
+            assert douglas_energy(bf, n) == pytest.approx(
+                douglas_pairwise_reference(bf, n), rel=1e-12)
 
     def test_single_cosines_give_k_pi(self):
         for k in range(1, 6):
@@ -218,6 +254,102 @@ class TestGridCapacity:
     def test_boundary_contact_rejected(self):
         with pytest.raises(ValueError, match="boundary"):
             grid_capacity([(0.9, 0.2)], 1 / 64)
+
+
+def _thirty_small_discs():
+    rng = np.random.default_rng(5)
+    discs = []
+    while len(discs) < 30:
+        c = complex(*rng.uniform(-0.75, 0.75, 2))
+        if abs(c) < 0.8:
+            discs.append((c, float(rng.uniform(0.005, 0.03))))
+    return discs
+
+
+CAPACITY_TARGETS = {
+    "centred": [(0j, 0.25)],
+    "three": [(0.3 + 0.1j, 0.1), (-0.4 + 0.2j, 0.15), (0.1 - 0.5j, 0.05)],
+    "point": [(0.2 - 0.1j, 0.0)],
+    "rim": [(0.8 + 0j, 0.1)],
+    "thirty": _thirty_small_discs(),
+}
+
+
+def masked_laplacian(free):
+    """5-point Laplacian on the free nodes of a square mask, row-major, with
+    zero Dirichlet values off the mask."""
+    n = free.shape[0]
+    t = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+    lap = (sparse.kron(sparse.eye(n), t) + sparse.kron(t, sparse.eye(n))).tocsr()
+    idx = np.flatnonzero(free.ravel())
+    return lap[idx][:, idx]
+
+
+def direct_lattice_solve(a, free, b, tol, failure):
+    return splu(a.tocsc()).solve(b)
+
+
+def disc_mask(n):
+    c = np.arange(n) - (n - 1) / 2
+    return c[None, :] ** 2 + c[:, None] ** 2 < (n / 2 - 1) ** 2
+
+
+class TestLatticeSolve:
+    @pytest.mark.parametrize("h", [1 / 64, 0.01, 1 / 128])
+    @pytest.mark.parametrize("name", sorted(CAPACITY_TARGETS))
+    def test_matches_direct_solve(self, name, h, monkeypatch):
+        # h = 0.01 gives sides 201 -> 101 -> 51 -> 26: an even coarse side
+        target = CAPACITY_TARGETS[name]
+        multigrid = grid_capacity(target, h)
+        monkeypatch.setattr(continuum, "lattice_solve", direct_lattice_solve)
+        direct = grid_capacity(target, h)
+        assert multigrid == pytest.approx(direct, rel=1e-10)
+
+    def test_thin_strip_between_target_and_rim(self, monkeypatch):
+        # a coarse level that also kept nodes reaching this strip only through
+        # free fine neighbours would have a singular coarsest operator here
+        target = [(-0.045977359416088714 + 0.7300180617325412j, 0.16359222821521746)]
+        multigrid = grid_capacity(target, 1 / 22)
+        monkeypatch.setattr(continuum, "lattice_solve", direct_lattice_solve)
+        assert multigrid == pytest.approx(grid_capacity(target, 1 / 22), rel=1e-10)
+
+    @pytest.mark.parametrize("h", [1 / 64, 1 / 128, 1 / 256])
+    def test_steps_do_not_grow_with_resolution(self, h, monkeypatch):
+        vcycle = linalg._vcycle
+        steps = []
+
+        def counting(levels, k, r):
+            steps[-1] += k == 0
+            return vcycle(levels, k, r)
+
+        monkeypatch.setattr(linalg, "_vcycle", counting)
+        for target in CAPACITY_TARGETS.values():
+            steps.append(0)
+            grid_capacity(target, h)
+        assert 1 <= min(steps) and max(steps) <= 20
+
+    @pytest.mark.parametrize("side", [33, 64, 101])
+    def test_solution_matches_direct(self, side):
+        free = disc_mask(side)
+        a = masked_laplacian(free)
+        b = np.random.default_rng(side).normal(size=a.shape[0])
+        x = linalg.lattice_solve(a, free, b, 1e-12, "no convergence")
+        assert np.linalg.norm(b - a @ x) <= 1e-12 * np.linalg.norm(b)
+        direct = splu(a.tocsc()).solve(b)
+        assert np.allclose(x, direct, rtol=0, atol=1e-9 * np.abs(direct).max())
+
+    def test_unreachable_tolerance_raises(self):
+        free = disc_mask(65)
+        a = masked_laplacian(free)
+        with pytest.raises(InvariantViolation, match="grid solve gave up"):
+            linalg.lattice_solve(a, free, np.ones(a.shape[0]), 0.0, "grid solve gave up")
+
+    def test_leaves_no_reference_cycles(self):
+        # the hierarchy must be freed by reference counting alone: a cycle
+        # would hold every level until the cyclic collector runs
+        gc.collect()
+        grid_capacity(CAPACITY_TARGETS["three"], 1 / 64)
+        assert gc.collect() == 0
 
 
 class TestOscillationBound:

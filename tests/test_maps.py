@@ -296,6 +296,15 @@ class TestPlanarMapInput:
         with pytest.raises(ValueError, match="offsets must rise from 0 to the dart count"):
             PlanarMap(rotation=[0, 1], offsets=offsets)
 
+    @pytest.mark.parametrize("rotation, offsets, name", [
+        ([0.7, 1.2], [0, 1, 2], "rotation"),
+        ([0, 1], [0.0, 1.0, 2.0], "offsets"),
+        (np.array([True, False]), [0, 1, 2], "rotation"),
+    ])
+    def test_non_integer_arrays_rejected(self, rotation, offsets, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer array"):
+            PlanarMap(rotation=rotation, offsets=offsets)
+
     def test_odd_dart_count(self):
         with pytest.raises(ValueError, match="equal, even length"):
             PlanarMap(rotation=[0, 1, 2], offsets=[0, 3])

@@ -326,6 +326,26 @@ class TestSolveRadii:
             solve_radii(t, max_iter=steps - 1)
         assert float(str(err.value).split("defect ")[1].split()[0]) > 1e-10
 
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_disc_failure_quotes_last_iterate(self, max_iter, monkeypatch):
+        # a disc solve that runs out of steps quotes the defect of the iterate
+        # it stops at: one residual per iterate, the start included
+        t = truncate(generate_tiling(7, 3, 5), root=0, radius=4)
+        seen = []
+        residual = packing._angle_residual
+
+        def record(*args):
+            resid = residual(*args)
+            seen.append(float(np.max(np.abs(resid))))
+            return resid
+
+        monkeypatch.setattr(packing, "_angle_residual", record)
+        with pytest.raises(ConvergenceError, match=f"after {max_iter} steps") as err:
+            solve_radii(t, boundary_mode="disc", max_iter=max_iter)
+        assert len(seen) == max_iter + 1
+        assert seen == sorted(seen, reverse=True)
+        assert f"defect {seen[-1]:.3e} " in str(err.value)
+
     def test_scaling_boundary_scales_solution(self):
         t = boundary_truncation(generate_tiling(7, 3, 3))
         a = solve_radii(t, tol=1e-12)
