@@ -27,7 +27,7 @@ from .errors import ConfigError, ConvergenceError, InvariantViolation
 from .maps import boundary_truncation, load_map_json, truncate
 from .packing import geometry_report, layout, packing_to_json, solve_radii
 from .potential import capacity, capacity_to_json, solve_dirichlet
-from .render import packing_to_svg
+from .render import save_svg
 from .tilings import generate_grid, generate_tiling
 
 __all__ = ["RunConfig", "run", "main"]
@@ -159,7 +159,7 @@ def _cmd_pack(cfg: RunConfig, out: Path):
     doc["iterations"] = int(sol.iterations)
     doc["config"] = _config_dict(cfg)
     svg = out / "packing.svg"
-    svg.write_text(packing_to_svg(pk, cfg.svg_size))
+    save_svg(pk, svg, cfg.svg_size)
     return [_write_json(out / "packing.json", doc), svg]
 
 
@@ -173,12 +173,10 @@ def _cmd_analyze(cfg: RunConfig, out: Path):
 
 
 def _cmd_douglas(cfg: RunConfig, out: Path):
-    k_max = cfg.k_max or 5
-    n_theta = cfg.n_theta or 2048
     rows = []
-    for k in range(1, k_max + 1):
+    for k in range(1, cfg.k_max + 1):
         bf = BoundaryFunction(func=lambda th, k=k: np.cos(k * th))
-        d = douglas_energy(bf, n_theta)
+        d = douglas_energy(bf, cfg.n_theta)
         e = energy_continuous(poisson_extend(bf, k))
         rows.append({"k": k, "douglas": float(d), "energy": float(e),
                      "ratio": float(d / e)})
@@ -214,7 +212,7 @@ def _cmd_roundtrip(cfg: RunConfig, out: Path):
     if cfg.grid is not None:
         raise ConfigError("roundtrip sweeps truncation radii; "
                           "provide --tiling or --map")
-    lo, hi = cfg.radii or (3, 6)
+    lo, hi = cfg.radii
     if cfg.tiling is not None:
         parent = generate_tiling(*cfg.tiling, hi + 1)
     else:
@@ -259,162 +257,130 @@ def _cmd_evaluate(cfg: RunConfig, out: Path):
     if cfg.boundary_csv is None or cfg.points is None:
         raise ConfigError("evaluate needs --boundary-csv and --points")
     bf = load_boundary_csv(cfg.boundary_csv)
-    field = poisson_extend(bf, cfg.k_max or 16)
+    field = poisson_extend(bf, cfg.k_max)
     pts = np.loadtxt(cfg.points, delimiter=",", ndmin=2)
     if pts.shape[1] != 2:
         raise ConfigError("points file must have rows of x,y")
     vals = field.evaluate(pts[:, 0] + 1j * pts[:, 1])
     csv = _write_csv(out / "evaluate.csv", ["x", "y", "value"],
                      zip(pts[:, 0], pts[:, 1], vals))
-    doc = {"n_points": int(len(vals)), "k_max": int(cfg.k_max or 16),
+    doc = {"n_points": int(len(vals)), "k_max": int(cfg.k_max),
            "config": _config_dict(cfg)}
     return [csv, _write_json(out / "evaluate.json", doc)]
 
 
+# command -> (handler, help, the RunConfig fields it reads, and its defaults
+# where they differ from RunConfig's).  Each field read is one option of the
+# command; one that reads map_file needs exactly one map source.
+_SOURCE = ("map_file", "tiling", "grid", "layers", "root", "radius")
 _COMMANDS = {
-    "pack": _cmd_pack,
-    "analyze": _cmd_analyze,
-    "douglas": _cmd_douglas,
-    "capacity": _cmd_capacity,
-    "roundtrip": _cmd_roundtrip,
-    "harnack": _cmd_harnack,
-    "evaluate": _cmd_evaluate,
+    "pack": (_cmd_pack, "solve radii, lay out circles, draw SVG",
+             (*_SOURCE, "pack_tol", "boundary_mode", "svg_size"), {}),
+    "analyze": (_cmd_analyze, "pack and report geometry diagnostics",
+                (*_SOURCE, "pack_tol", "boundary_mode"), {}),
+    "douglas": (_cmd_douglas, "boundary-energy table for cos(k theta)",
+                ("k_max", "n_theta"), {"k_max": 5, "n_theta": 2048}),
+    "capacity": (_cmd_capacity, "discrete capacity and continuum comparison",
+                 (*_SOURCE, "pack_tol", "target", "delta", "grid_h"), {}),
+    "roundtrip": (_cmd_roundtrip, "disc/map isomorphism residual sweep",
+                  ("map_file", "tiling", "grid", "root", "pack_tol", "radii",
+                   "eps_trace", "k_max", "n_theta"), {"radii": (3, 6)}),
+    "harnack": (_cmd_harnack, "empirical Harnack exponent fit",
+                (*_SOURCE, "pack_tol", "seed", "alpha", "n_fields", "n_balls",
+                 "pairs_per_ball"), {}),
+    "evaluate": (_cmd_evaluate, "evaluate a harmonic extension at points",
+                 ("boundary_csv", "points", "k_max"), {"k_max": 16}),
 }
-
-_NEEDS_MAP = {"pack", "analyze", "capacity", "roundtrip", "harnack"}
 
 
 def run(config: RunConfig) -> list:
-    """Execute one command and return the artifact paths it wrote."""
+    """Execute one command and return the artifact paths it wrote.  Fields
+    left None take the command's own defaults, and the config records them."""
+    handler, _, _, defaults = _COMMANDS[config.command]
+    config = dataclasses.replace(config, **{
+        name: value for name, value in defaults.items()
+        if getattr(config, name) is None})
     config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[config.command](config, out)
+    return handler(config, out)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# RunConfig field -> (flag, add_argument keywords).  No option has a default:
+# an option not given is absent from the namespace and RunConfig supplies it.
+_OPTIONS = {
+    "out_dir": ("--out", {"help": "output directory (default $DOUBLEPACK_OUT or .)"}),
+    "map_file": ("--map", {"help": "path to a map JSON file"}),
+    "tiling": ("--tiling", {"help": "regular tiling as p,q (e.g. 7,3)"}),
+    "grid": ("--grid", {"help": "square-lattice patch, N or NxM"}),
+    "layers": ("--layers", {"type": int, "help": "truncation radius for --tiling"}),
+    "root": ("--root", {"type": int}),
+    "radius": ("--radius", {"type": int, "help":
+                            "truncation radius for --map (rim-bounded if omitted)"}),
+    "radii": ("--radii", {"help": "radius sweep lo:hi"}),
+    "boundary_mode": ("--boundary-mode", {"choices": ["disc", "prescribed"]}),
+    "pack_tol": ("--pack-tol", {"type": float}),
+    "grid_h": ("--grid-h", {"type": float}),
+    "n_theta": ("--ntheta", {"type": int}),
+    "k_max": ("--kmax", {"type": int}),
+    "eps_trace": ("--eps-trace", {"type": float}),
+    "delta": ("--delta", {"type": float}),
+    "alpha": ("--alpha", {"type": float}),
+    "target": ("--target", {"type": int, "nargs": "*",
+                            "help": "target vertex ids (default: the root)"}),
+    "n_fields": ("--n-fields", {"type": int}),
+    "n_balls": ("--n-balls", {"type": int}),
+    "pairs_per_ball": ("--pairs-per-ball", {"type": int}),
+    "seed": ("--seed", {"type": int}),
+    "svg_size": ("--svg-size", {"type": int}),
+    "boundary_csv": ("--boundary-csv", {"required": True}),
+    "points": ("--points", {"required": True,
+                            "help": "CSV file with one x,y row per point"}),
+}
+
+# Parsed after argparse, so a malformed value is a configuration error
+# reported through main (exit 2) like any other.
+_CONVERT = {
+    "tiling": lambda text: _parse_pair(text, ",", "tiling"),
+    "grid": lambda text: _parse_pair(text, "x", "grid size"),
+    "radii": lambda text: _parse_pair(text, ":", "radius sweep"),
+    "target": tuple,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="doublepack",
         description="Double circle packings and harmonic analysis on them.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_source(p):
-        p.add_argument("--map", help="path to a map JSON file")
-        p.add_argument("--tiling", help="regular tiling as p,q (e.g. 7,3)")
-        p.add_argument("--grid", help="square-lattice patch, N or NxM")
-        p.add_argument("--layers", type=int, default=3,
-                       help="truncation radius for --tiling (default 3)")
-        p.add_argument("--root", type=int, default=0)
-        p.add_argument("--radius", type=int,
-                       help="truncation radius for --map (rim-bounded if omitted)")
-
-    def add_common(p):
-        p.add_argument("--out", default=None,
-                       help="output directory (default $DOUBLEPACK_OUT or .)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--pack-tol", type=float, default=1e-10)
-
-    p = sub.add_parser("pack", help="solve radii, lay out circles, draw SVG")
-    add_source(p)
-    add_common(p)
-    p.add_argument("--boundary-mode", default="disc",
-                   choices=["disc", "prescribed"])
-    p.add_argument("--svg-size", type=int, default=720)
-
-    p = sub.add_parser("analyze", help="pack and report geometry diagnostics")
-    add_source(p)
-    add_common(p)
-    p.add_argument("--boundary-mode", default="disc",
-                   choices=["disc", "prescribed"])
-
-    p = sub.add_parser("douglas", help="boundary-energy table for cos(k theta)")
-    add_common(p)
-    p.add_argument("--kmax", type=int, default=5)
-    p.add_argument("--ntheta", type=int, default=2048)
-
-    p = sub.add_parser("capacity", help="discrete capacity and continuum comparison")
-    add_source(p)
-    add_common(p)
-    p.add_argument("--target", type=int, nargs="*", default=[],
-                   help="target vertex ids (default: the root)")
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--grid-h", type=float, default=1.0 / 256)
-
-    p = sub.add_parser("roundtrip", help="disc/map isomorphism residual sweep")
-    add_source(p)
-    add_common(p)
-    p.add_argument("--radii", default="3:6", help="radius sweep lo:hi")
-    p.add_argument("--eps-trace", type=float, default=None)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--ntheta", type=int, default=None)
-
-    p = sub.add_parser("harnack", help="empirical Harnack exponent fit")
-    add_source(p)
-    add_common(p)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--n-fields", type=int, default=6)
-    p.add_argument("--n-balls", type=int, default=40)
-    p.add_argument("--pairs-per-ball", type=int, default=60)
-
-    p = sub.add_parser("evaluate", help="evaluate a harmonic extension at points")
-    add_common(p)
-    p.add_argument("--boundary-csv", required=True)
-    p.add_argument("--points", required=True,
-                   help="CSV file with one x,y row per point")
-    p.add_argument("--kmax", type=int, default=16)
-
+    for command, (_, help_text, fields, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text,
+                           argument_default=argparse.SUPPRESS)
+        for field in ("out_dir", *fields):
+            flag, kwargs = _OPTIONS[field]
+            p.add_argument(flag, dest=field, **kwargs)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    get = lambda name, default=None: getattr(args, name, default)
-    sources = [s for s in (get("map"), get("tiling"), get("grid"))
-               if s is not None]
-    if args.command in _NEEDS_MAP:
+    given = dict(vars(args))
+    command = given.pop("command")
+    if "map_file" in _COMMANDS[command][2]:
+        sources = [s for s in ("map_file", "tiling", "grid") if s in given]
         if len(sources) == 0:
             raise ConfigError("provide a map source: --map, --tiling, or --grid")
         if len(sources) > 1:
             raise ConfigError("provide exactly one of --map, --tiling, --grid")
-    tiling = grid = None
-    if get("tiling"):
-        tiling = _parse_pair(args.tiling, ",", "tiling")
-    if get("grid"):
-        grid = _parse_pair(args.grid, "x", "grid size")
-    radii = None
-    if get("radii"):
-        radii = _parse_pair(args.radii, ":", "radius sweep")
-    out_dir = args.out or os.environ.get("DOUBLEPACK_OUT") or "."
-    return RunConfig(
-        command=args.command,
-        out_dir=out_dir,
-        map_file=get("map"),
-        tiling=tiling,
-        grid=grid,
-        layers=get("layers", 3),
-        root=get("root", 0),
-        radius=get("radius"),
-        radii=radii,
-        boundary_mode=get("boundary_mode", "disc"),
-        pack_tol=get("pack_tol", 1e-10),
-        grid_h=get("grid_h", 1.0 / 256),
-        n_theta=get("ntheta"),
-        k_max=get("kmax"),
-        eps_trace=get("eps_trace"),
-        delta=get("delta", 0.5),
-        alpha=get("alpha", 0.5),
-        target=tuple(get("target") or ()),
-        n_fields=get("n_fields", 6),
-        n_balls=get("n_balls", 40),
-        pairs_per_ball=get("pairs_per_ball", 60),
-        seed=get("seed", 0),
-        svg_size=get("svg_size", 720),
-        boundary_csv=get("boundary_csv"),
-        points=get("points"),
-    )
+    for name, convert in _CONVERT.items():
+        if name in given:
+            given[name] = convert(given[name])
+    given["out_dir"] = (given.get("out_dir") or os.environ.get("DOUBLEPACK_OUT")
+                        or ".")
+    return RunConfig(command=command, **given)
 
 
 def main(argv=None) -> int:

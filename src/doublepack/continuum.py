@@ -73,10 +73,8 @@ class HarmonicDiscField:
         return acc
 
     def boundary_values(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        ks = np.arange(1, self.degree + 1)
-        ang = np.multiply.outer(theta, ks)
-        return self.a0 + np.cos(ang) @ self.a + np.sin(ang) @ self.b
+        return _trig_eval(self.a0, self.a, self.b,
+                          np.asarray(theta, dtype=float))
 
 
 @dataclass(frozen=True)

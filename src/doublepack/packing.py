@@ -292,6 +292,8 @@ def solve_radii(trunc: Truncation, boundary_mode: str = "prescribed",
     _check_packable(trunc)
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     if boundary_mode == "prescribed":
         rb = 1.0 if boundary_radii is None else boundary_radii
         rb = np.broadcast_to(np.asarray(rb, dtype=float), trunc.boundary.shape).copy()

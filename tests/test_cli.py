@@ -124,6 +124,40 @@ class TestEvaluate:
         assert got == pytest.approx([0.3, 0.0, -0.5], abs=1e-9)
 
 
+# A report's config block with every field at RunConfig's default; each case
+# below names the fields that differ.
+BASE_CONFIG = {
+    "alpha": 0.5, "boundary_csv": None, "boundary_mode": "disc", "delta": 0.5,
+    "eps_trace": None, "grid": None, "grid_h": 0.00390625, "k_max": None,
+    "layers": 3, "map_file": None, "n_balls": 40, "n_fields": 6,
+    "n_theta": None, "pack_tol": 1e-10, "pairs_per_ball": 60, "points": None,
+    "radii": None, "radius": None, "root": 0, "seed": 0, "svg_size": 720,
+    "target": [], "tiling": None,
+}
+
+
+class TestConfig:
+    @pytest.mark.parametrize("args, artifact, fields", [
+        (("pack", "--grid", "5"), "packing.json",
+         {"command": "pack", "grid": [5, 5]}),
+        (("douglas", "--kmax", "2", "--ntheta", "256"), "douglas.json",
+         {"command": "douglas", "k_max": 2, "n_theta": 256}),
+        (("roundtrip", "--tiling", "7,3", "--radii", "3:4"), "roundtrip.json",
+         {"command": "roundtrip", "tiling": [7, 3], "radii": [3, 4]}),
+    ], ids=["pack", "douglas", "roundtrip"])
+    def test_config_block(self, tmp_path, args, artifact, fields):
+        assert run(tmp_path, *args) == 0
+        doc = json.loads((tmp_path / artifact).read_text())
+        assert doc["config"] == {**BASE_CONFIG, **fields, "out_dir": str(tmp_path)}
+
+    def test_run_applies_command_defaults(self, tmp_path):
+        cli.run(cli.RunConfig(command="douglas", out_dir=str(tmp_path)))
+        doc = json.loads((tmp_path / "douglas.json").read_text())
+        assert len(doc["rows"]) == 5
+        assert doc["config"] == {**BASE_CONFIG, "command": "douglas", "k_max": 5,
+                                 "n_theta": 2048, "out_dir": str(tmp_path)}
+
+
 class TestExitCodes:
     def test_missing_source_is_config_error(self, tmp_path):
         assert run(tmp_path, "pack") == 2
@@ -133,6 +167,28 @@ class TestExitCodes:
 
     def test_bad_tolerance_is_config_error(self, tmp_path):
         assert run(tmp_path, "pack", "--grid", "4", "--pack-tol", "-1") == 2
+
+    def test_malformed_tiling_is_config_error(self, tmp_path, capsys):
+        assert run(tmp_path, "pack", "--tiling", "7") == 2
+        assert "cannot parse tiling" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ("pack", "--grid", "5", "--seed", "1"),
+        ("analyze", "--grid", "5", "--seed", "1"),
+        ("douglas", "--seed", "1"),
+        ("capacity", "--grid", "5", "--seed", "1"),
+        ("roundtrip", "--tiling", "7,3", "--seed", "1"),
+        ("evaluate", "--boundary-csv", "b.csv", "--points", "p.csv", "--seed", "1"),
+        ("douglas", "--pack-tol", "1e-9"),
+        ("evaluate", "--boundary-csv", "b.csv", "--points", "p.csv",
+         "--pack-tol", "1e-9"),
+        ("roundtrip", "--tiling", "7,3", "--layers", "2"),
+        ("roundtrip", "--tiling", "7,3", "--radius", "2"),
+    ], ids=lambda args: f"{args[0]}{args[-2]}")
+    def test_option_the_command_ignores_is_usage_error(self, tmp_path, args):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *args)
+        assert exc.value.code == 2
 
     def test_missing_map_file_is_io_error(self, tmp_path):
         assert run(tmp_path, "pack", "--map",

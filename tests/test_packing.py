@@ -346,6 +346,12 @@ class TestSolveRadii:
         assert seen == sorted(seen, reverse=True)
         assert f"defect {seen[-1]:.3e} " in str(err.value)
 
+    @pytest.mark.parametrize("mode", ["prescribed", "disc"])
+    def test_negative_step_budget_rejected(self, mode):
+        t = truncate(generate_tiling(7, 3, 3), root=0, radius=2)
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_radii(t, boundary_mode=mode, max_iter=-1)
+
     def test_scaling_boundary_scales_solution(self):
         t = boundary_truncation(generate_tiling(7, 3, 3))
         a = solve_radii(t, tol=1e-12)
