@@ -1,6 +1,7 @@
-"""The sparse SPD solves: one LU with iterative refinement, shared by the
-discrete and the continuum Dirichlet problems, and a multigrid-preconditioned
-conjugate gradient for the masked 5-point lattice of the continuum capacity.
+"""The sparse SPD solves: the pinned-block solve of the discrete Dirichlet
+problems, one LU reused with iterative refinement, and a multigrid-
+preconditioned conjugate gradient for the masked 5-point lattice of the
+continuum capacity.
 """
 
 import numpy as np
@@ -16,20 +17,43 @@ _OMEGA = 0.8
 _CG_STEPS = 100
 
 
-def refined_solve(a, b, tol: float, failure: str) -> np.ndarray:
-    """Solve ``a x = b`` for a sparse SPD matrix ``a`` in CSC form: one LU
-    factorization, then up to five rounds of iterative refinement until the
-    residual is at most ``tol * |b|``.  Raises ``InvariantViolation(failure)``
-    when the rounds run out."""
-    lu = splu(a)
-    x = lu.solve(b)
-    scale = float(np.linalg.norm(b)) or 1.0
-    for _ in range(5):
-        r = b - a @ x
-        if float(np.linalg.norm(r)) <= tol * scale:
-            return x
-        x = x + lu.solve(r)
-    raise InvariantViolation(failure)
+class PinnedSolve:
+    """Values pinned on some unknowns of a sparse SPD system, extended to the
+    free ones by solving the free block, which is factored once.
+
+    ``a`` is a CSR matrix and ``pinned`` a boolean mask over its rows.  The
+    free block ``a_ff`` is kept in CSC form with its ``splu``, the coupling
+    block ``a_fp`` in CSR form; every ``extend`` reuses both, so the
+    factorization is paid once however many value sets are extended.
+    """
+
+    def __init__(self, a, pinned):
+        self.free = np.flatnonzero(~pinned)
+        self.pinned = np.flatnonzero(pinned)
+        rows = a[self.free]
+        self.a_ff = rows[:, self.free].tocsc()
+        self.a_fp = rows[:, self.pinned]
+        self.lu = splu(self.a_ff) if self.free.size else None
+
+    def extend(self, values, tol: float, failure: str) -> np.ndarray:
+        """A copy of ``values`` whose free entries solve the free rows of
+        ``a x = 0`` against its pinned entries: one solve with the stored
+        factorization, then up to five rounds of iterative refinement until
+        the residual is at most ``tol * |b|``.  Raises
+        ``InvariantViolation(failure)`` when the rounds run out."""
+        full = np.array(values, dtype=float)
+        if self.free.size == 0:
+            return full
+        b = -(self.a_fp @ full[self.pinned])
+        x = self.lu.solve(b)
+        scale = float(np.linalg.norm(b)) or 1.0
+        for _ in range(5):
+            r = b - self.a_ff @ x
+            if float(np.linalg.norm(r)) <= tol * scale:
+                full[self.free] = x
+                return full
+            x = x + self.lu.solve(r)
+        raise InvariantViolation(failure)
 
 
 def lattice_solve(a, free, b, tol: float, failure: str) -> np.ndarray:

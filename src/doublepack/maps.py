@@ -28,6 +28,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 
 from .errors import InvariantViolation
+from .linalg import PinnedSolve
 
 __all__ = [
     "PlanarMap",
@@ -168,6 +169,36 @@ class PlanarMap:
         out = np.zeros(self.n_vertices)
         np.add.at(out, self.origin, self.conductance)
         return out
+
+    @cached_property
+    def laplacian(self) -> sp.csr_matrix:
+        """Weighted graph Laplacian: c(v) on the diagonal, -c(e) per dart."""
+        n = self.n_vertices
+        off = sp.coo_matrix((-self.conductance, (self.origin, self.target)), shape=(n, n))
+        idx = np.arange(n)
+        diag = sp.coo_matrix((self.vertex_conductance, (idx, idx)), shape=(n, n))
+        return (off + diag).tocsr()
+
+    @cached_property
+    def walk_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Step tables of the conductance walk: per vertex, padded to the
+        largest degree, the targets of its darts in rotation order and the
+        cumulative step probabilities, the last one set to exactly 1 (padding
+        is target 0, probability 1).  The vertices of one degree are summed
+        as one block, so each row total is numpy's pairwise sum over that row
+        alone, bit for bit."""
+        width = int(self.degrees.max())
+        nbr = np.zeros((self.n_vertices, width), dtype=np.int64)
+        cum = np.ones((self.n_vertices, width))
+        for d in np.unique(self.degrees):
+            vs = np.flatnonzero(self.degrees == d)
+            darts = self.rotation[self.offsets[vs, None] + np.arange(d)]
+            c = self.conductance[darts]
+            p = np.cumsum(c, axis=1) / c.sum(axis=1, keepdims=True)
+            p[:, -1] = 1.0
+            nbr[vs, :d] = self.target[darts]
+            cum[vs, :d] = p
+        return nbr, cum
 
     def copy_with_conductance(self, conductance) -> "PlanarMap":
         """Same map with new weights, given per edge (length n_edges) or per
@@ -595,6 +626,13 @@ class Truncation:
         return DartTree(order, parent, levels, reverse, turn_sign,
                         turn_dart, vertex_dart, face_dart)
 
+    @cached_property
+    def boundary_solver(self) -> PinnedSolve:
+        """The graph Laplacian with the boundary pinned: its interior block
+        is factored once, and every harmonic extension of boundary data on
+        this truncation reuses that factorization."""
+        return PinnedSolve(self.graph.laplacian, self.is_boundary)
+
     def _require_outer_face(self):
         if self.outer_face is None:
             raise InvariantViolation("truncation has no identified outer face")
@@ -604,11 +642,18 @@ class Truncation:
                 f"radius={self.radius})")
 
 
+def _check_root(pmap: PlanarMap, root: int):
+    if not 0 <= root < pmap.n_vertices:
+        raise ValueError(f"root {root} is not a vertex of the map, whose "
+                         f"{pmap.n_vertices} vertices are numbered from 0")
+
+
 def truncate(pmap: PlanarMap, root: int, radius: int) -> Truncation:
     """Graph-distance ball of the given radius: interior is the open ball,
     boundary the radius-sphere; discarded vertices are dropped entirely."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
+    _check_root(pmap, root)
     dist = _bfs_distances(pmap, root)
     if not np.any(dist == radius):
         raise ValueError(f"radius {radius} exceeds the map's reach from the root "
@@ -633,7 +678,9 @@ def boundary_truncation(pmap: PlanarMap, root: int | None = None) -> Truncation:
     inner = np.setdiff1d(np.arange(pmap.n_vertices), boundary)
     if inner.size == 0:
         raise ValueError("map has no interior vertex inside its rim")
-    if root is None:
+    if root is not None:
+        _check_root(pmap, root)
+    else:
         # deepest interior vertex: maximize distance to the rim
         dist = _bfs_distances(pmap, boundary)
         root = int(inner[np.argmax(dist[inner])])

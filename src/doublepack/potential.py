@@ -5,7 +5,14 @@ the harmonic/grounded decomposition, capacities, and the random-walk
 boundary estimator act on a `Truncation`, whose boundary plays the role of
 the grounded sphere in an exhaustion of an infinite graph.  All linear
 systems are symmetric positive definite and solved by a sparse direct
-factorization with iterative refinement.
+factorization with iterative refinement (``linalg.PinnedSolve``).
+
+Every solve pins the boundary and reads the map's cached Laplacian.  The
+boundary-pinned solve of `solve_dirichlet` (and so of `royden_project`) is
+factored once per truncation and kept on it (``Truncation.boundary_solver``).
+`capacity` and `escape_capacity` also pin their target set, which differs
+from call to call, so each call factors its own block and keeps nothing.
+The walk's step tables are built once per map (``PlanarMap.walk_tables``).
 """
 
 import csv
@@ -14,10 +21,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConvergenceError
-from .linalg import refined_solve
+from .linalg import PinnedSolve
 from .maps import PlanarMap, Truncation
 
 __all__ = [
@@ -29,6 +35,8 @@ __all__ = [
 ]
 
 _SOLVE_TOL = 1e-10
+_SOLVE_FAILURE = ("harmonic solve did not reach its residual tolerance; "
+                  "the system should be well conditioned at this scale")
 
 
 @dataclass(frozen=True)
@@ -117,34 +125,17 @@ def inner_product(pmap: PlanarMap, phi, psi, o: int) -> float:
 # harmonic solves
 # ---------------------------------------------------------------------------
 
-def _laplacian(g: PlanarMap) -> sparse.csr_matrix:
-    n = g.n_vertices
-    off = sparse.coo_matrix((-g.conductance, (g.origin, g.target)), shape=(n, n))
-    idx = np.arange(n)
-    diag = sparse.coo_matrix((g.vertex_conductance, (idx, idx)), shape=(n, n))
-    return (off + diag).tocsr()
+def _pinned_solve(g: PlanarMap, fixed_mask: np.ndarray,
+                  full_values: np.ndarray) -> np.ndarray:
+    """Harmonically extend the values pinned where ``fixed_mask`` is set,
+    factoring the free block of ``g.laplacian`` for this one call.
 
-
-def _fixed_solve(g: PlanarMap, fixed_mask: np.ndarray, full_values: np.ndarray,
-                 tol: float = _SOLVE_TOL) -> np.ndarray:
-    """Harmonically extend the values pinned where ``fixed_mask`` is set.
-
-    The free-block Laplacian is SPD because the graph is connected and at
-    least one vertex is pinned; a few rounds of iterative refinement push the
-    relative residual below ``tol``.
+    The free block is SPD because the graph is connected and at least one
+    vertex is pinned; a few rounds of iterative refinement push the relative
+    residual below ``_SOLVE_TOL``.
     """
-    full = np.array(full_values, dtype=float)
-    free = np.flatnonzero(~fixed_mask)
-    if free.size == 0:
-        return full
-    lap = _laplacian(g)
-    fixed = np.flatnonzero(fixed_mask)
-    a = lap[free][:, free].tocsc()
-    b = -(lap[free][:, fixed] @ full[fixed])
-    full[free] = refined_solve(
-        a, b, tol, "harmonic solve did not reach its residual tolerance; "
-        "the system should be well conditioned at this scale")
-    return full
+    solver = PinnedSolve(g.laplacian, fixed_mask)
+    return solver.extend(full_values, _SOLVE_TOL, _SOLVE_FAILURE)
 
 
 def solve_dirichlet(trunc: Truncation, boundary_values) -> VertexFunction:
@@ -169,7 +160,7 @@ def solve_dirichlet(trunc: Truncation, boundary_values) -> VertexFunction:
         raise ValueError("boundary data has non-finite values")
     full = np.zeros(trunc.n_vertices)
     full[trunc.boundary] = bv
-    out = _fixed_solve(trunc.graph, trunc.is_boundary, full)
+    out = trunc.boundary_solver.extend(full, _SOLVE_TOL, _SOLVE_FAILURE)
     return VertexFunction(trunc, out)
 
 
@@ -207,7 +198,7 @@ def capacity(trunc: Truncation, target) -> CapacityEstimate:
     fixed[A] = True
     full = np.zeros(trunc.n_vertices)
     full[A] = 1.0
-    q = _fixed_solve(trunc.graph, fixed, full)
+    q = _pinned_solve(trunc.graph, fixed, full)
     return CapacityEstimate(energy(trunc.graph, q), VertexFunction(trunc, q), A)
 
 
@@ -227,7 +218,7 @@ def escape_capacity(trunc: Truncation, target) -> float:
     fixed[A] = True
     full = np.zeros(trunc.n_vertices)
     full[trunc.boundary] = 1.0
-    qbar = _fixed_solve(g, fixed, full)
+    qbar = _pinned_solve(g, fixed, full)
     in_a = np.zeros(trunc.n_vertices, dtype=bool)
     in_a[A] = True
     mask = in_a[g.origin]
@@ -260,21 +251,6 @@ def capacity_to_json(trunc: Truncation, est: CapacityEstimate,
 _WALK_BLOCK = 32
 
 
-def _transition_tables(g: PlanarMap):
-    """Padded per-vertex neighbor targets and cumulative step probabilities."""
-    width = int(g.degrees.max())
-    nbr = np.zeros((g.n_vertices, width), dtype=np.int64)
-    cum = np.ones((g.n_vertices, width))
-    for v in range(g.n_vertices):
-        darts = g.vertex_darts(v)
-        c = g.conductance[darts]
-        p = np.cumsum(c) / c.sum()
-        p[-1] = 1.0
-        nbr[v, :darts.size] = g.target[darts]
-        cum[v, :darts.size] = p
-    return nbr, cum
-
-
 def walk_limit_estimate(trunc: Truncation, phi, v: int, samples: int,
                         seed: int) -> tuple:
     """Monte Carlo mean of φ at the boundary hit by the conductance walk from
@@ -293,7 +269,7 @@ def walk_limit_estimate(trunc: Truncation, phi, v: int, samples: int,
     if trunc.is_boundary[v]:
         return float(vals[v]), 0.0
 
-    nbr, cum = _transition_tables(trunc.graph)
+    nbr, cum = trunc.graph.walk_tables
     is_b = trunc.is_boundary
     cur = np.full(samples, v, dtype=np.int64)
     out = np.empty(samples)

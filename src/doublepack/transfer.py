@@ -235,7 +235,13 @@ def _resolve_trace_params(trunc, packing, eps_trace, k_max, n_theta):
                          "boundary_mode='disc') before tracing")
     if eps_trace is None:
         # keep the trace clear of the outermost circle layer
-        eps_trace = 4.0 * float(np.max(packing.vertex_radius[trunc.boundary]))
+        r_max = float(np.max(packing.vertex_radius[trunc.boundary]))
+        eps_trace = 4.0 * r_max
+        if eps_trace >= 1.0:
+            raise ValueError(
+                f"the derived eps_trace {eps_trace:.4g} (4 times the largest "
+                f"boundary circle radius, {r_max:.4g}) is not below 1; use a "
+                "larger truncation radius")
     eps_trace = float(eps_trace)
     if not 0.0 < eps_trace < 1.0:
         raise ValueError("eps_trace must lie strictly between 0 and 1")

@@ -212,6 +212,21 @@ class TestExitCodes:
         assert run(tmp_path, "pack", "--map", str(path)) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_root_outside_the_map_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(map_to_json(generate_tiling(7, 3, 3))))
+        assert run(tmp_path, "pack", "--map", str(path), "--root", "999",
+                   "--radius", "2") == 2
+        assert "root 999 is not a vertex of the map" in capsys.readouterr().err
+
+    def test_derived_trace_depth_too_deep_is_bad_input(self, tmp_path, capsys):
+        # no --eps-trace: on the radius-1 ball the default, four boundary
+        # radii, is past the unit circle, and the message says where it came from
+        assert run(tmp_path, "roundtrip", "--tiling", "7,3", "--radii", "1:1") == 2
+        err = capsys.readouterr().err
+        assert "derived eps_trace" in err
+        assert "larger truncation radius" in err
+
     def test_unreachable_tolerance_is_convergence_error(self, tmp_path):
         assert run(tmp_path, "pack", "--tiling", "7,3", "--layers", "2",
                    "--pack-tol", "1e-30") == 3

@@ -545,6 +545,17 @@ class TestTruncation:
         with pytest.raises(ValueError):
             truncate(generate_tiling(6, 3, 2), root=0, radius=5)
 
+    @pytest.mark.parametrize("root", [999, -1])
+    @pytest.mark.parametrize("cut", [
+        lambda pmap, root: truncate(pmap, root=root, radius=2),
+        lambda pmap, root: boundary_truncation(pmap, root=root),
+    ], ids=["truncate", "boundary_truncation"])
+    def test_root_outside_the_map_rejected(self, cut, root):
+        parent = generate_tiling(7, 3, 3)
+        with pytest.raises(ValueError, match=rf"root {root} is not a vertex "
+                           rf"of the map, whose {parent.n_vertices} vertices"):
+            cut(parent, root)
+
     def test_distances_from_several_sources(self):
         m = generate_grid(5, 4)
         corners = [0, 4, 15, 19]

@@ -1,9 +1,17 @@
 """Discrete Dirichlet machinery: energy, harmonic solves, Royden splits,
 capacities, and the random-walk boundary-limit estimator."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
+from conftest import delaunay_rotations
+from doublepack import linalg, potential
+from doublepack.errors import InvariantViolation
 from doublepack.maps import (
     Truncation,
     boundary_truncation,
@@ -25,7 +33,9 @@ from doublepack.potential import (
     vertex_function_to_csv,
     walk_limit_estimate,
 )
+from doublepack.packing import layout, solve_radii
 from doublepack.tilings import generate_grid, generate_tiling
+from doublepack.transfer import disc_operator
 
 K4 = [[1, 2, 3], [2, 0, 3], [0, 1, 3], [0, 2, 1]]
 PATH3 = [[1], [0, 2], [1]]
@@ -211,6 +221,123 @@ class TestSolveDirichlet:
             solve_dirichlet(grid_trunc(5), np.zeros(3))
 
 
+def weighted_delaunay_truncation(n, seed):
+    """Boundary truncation of a seeded Delaunay map with conductances spread
+    over three decades and several vertices of degree 8 or more."""
+    rng = np.random.default_rng(seed)
+    pm = build_map(delaunay_rotations(rng.random((n, 2))))
+    pm = pm.copy_with_conductance(rng.uniform(0.1, 10.0, pm.n_edges) ** 1.5)
+    return boundary_truncation(pm)
+
+
+def uncached_dirichlet(t, full):
+    """The harmonic extension of ``full`` from the boundary by the same
+    arithmetic as the solver, but from a freshly built Laplacian and a fresh
+    factorization: the free block, one LU, and up to five refinements."""
+    g = t.graph
+    n = g.n_vertices
+    idx = np.arange(n)
+    lap = (sparse.coo_matrix((-g.conductance, (g.origin, g.target)), shape=(n, n))
+           + sparse.coo_matrix((g.vertex_conductance, (idx, idx)),
+                               shape=(n, n))).tocsr()
+    free, fixed = t.interior, t.boundary
+    a = lap[free][:, free].tocsc()
+    b = -(lap[free][:, fixed] @ full[fixed])
+    lu = splu(a)
+    x = lu.solve(b)
+    for _ in range(5):
+        r = b - a @ x
+        if np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b):
+            break
+        x = x + lu.solve(r)
+    out = full.copy()
+    out[free] = x
+    return out
+
+
+@pytest.fixture
+def count_splu(monkeypatch):
+    """Counts the LU factorizations made from here on."""
+    calls = []
+
+    def counting_splu(a, *args, **kwargs):
+        calls.append(a.shape)
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "splu", counting_splu)
+    return calls
+
+
+class TestFactorizationCache:
+    @pytest.mark.parametrize("make", [
+        lambda: truncate(generate_tiling(7, 3, 5), 0, 4),
+        lambda: grid_trunc(11),
+        lambda: weighted_delaunay_truncation(300, 3),
+    ], ids=["ball4", "grid11", "delaunay"])
+    def test_bitwise_equal_to_an_uncached_solve(self, make):
+        t = make()
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            bv = rng.normal(size=t.boundary.size)
+            full = np.zeros(t.n_vertices)
+            full[t.boundary] = bv
+            assert np.array_equal(solve_dirichlet(t, bv).values,
+                                  uncached_dirichlet(t, full))
+            phi = rng.normal(size=t.n_vertices)
+            split = royden_project(t, phi)
+            ref = uncached_dirichlet(t, np.where(t.is_boundary, phi, 0.0))
+            assert np.array_equal(split.harmonic_part.values, ref)
+            assert np.array_equal(split.d0_part.values,
+                                  np.where(t.is_boundary, 0.0, phi - ref))
+
+    def test_one_factorization_per_truncation(self, count_splu):
+        t = truncate(generate_tiling(7, 3, 4), 0, 3)
+        pk = layout(t, solve_radii(t, boundary_mode="disc"))
+        rng = np.random.default_rng(4)
+        for k in range(5):
+            solve_dirichlet(t, rng.normal(size=t.boundary.size))
+            disc_operator(t, pk, lambda z, k=k: (z ** (k + 1)).real)
+        assert count_splu == [(t.interior.size, t.interior.size)]
+
+    def test_capacities_keep_no_per_target_state(self, count_splu):
+        t = truncate(generate_tiling(7, 3, 5), 0, 4)
+        t.graph.laplacian  # the one per-map cache the capacities may fill
+        trunc_state, graph_state = dict(vars(t)), dict(vars(t.graph))
+        rng = np.random.default_rng(8)
+        for size in range(1, 6):
+            target = rng.choice(t.interior, size=size, replace=False)
+            capacity(t, target)
+            escape_capacity(t, target)
+        assert len(count_splu) == 10
+        for obj, before in ((t, trunc_state), (t.graph, graph_state)):
+            after = vars(obj)
+            assert after.keys() == before.keys()
+            assert all(after[k] is before[k] for k in before)
+
+    def test_solver_is_freed_with_its_truncation(self):
+        # reference counting alone must free the factorization: a cycle would
+        # hold it until the cyclic collector runs
+        gc.collect()
+        t = truncate(generate_tiling(7, 3, 5), 0, 4)
+        solve_dirichlet(t, np.ones(t.boundary.size))
+        ref = weakref.ref(t.boundary_solver)
+        del t
+        assert ref() is None
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("solve", [
+        lambda t: solve_dirichlet(t, np.linspace(-1.0, 2.0, t.boundary.size)),
+        lambda t: capacity(t, [t.root]),
+    ], ids=["dirichlet", "capacity"])
+    def test_refinement_failure_keeps_its_message(self, solve, monkeypatch):
+        t = truncate(generate_tiling(7, 3, 5), 0, 4)
+        monkeypatch.setattr(potential, "_SOLVE_TOL", 0.0)
+        with pytest.raises(InvariantViolation, match=(
+                "^harmonic solve did not reach its residual tolerance; the "
+                "system should be well conditioned at this scale$")):
+            solve(t)
+
+
 class TestRoydenProject:
     def test_harmonic_input_has_zero_d0(self):
         t = grid_trunc(5)
@@ -362,6 +489,45 @@ class TestWalkLimit:
         phi = np.array([0.0, 0.0, 1.0])
         mean, se = walk_limit_estimate(t, phi, 1, samples=8000, seed=12)
         assert abs(mean - 0.75) <= 3 * se
+
+
+def looped_walk_tables(g):
+    """Step tables built vertex by vertex: each row's cumulative
+    probabilities over its own conductance total, the last set to 1."""
+    width = int(g.degrees.max())
+    nbr = np.zeros((g.n_vertices, width), dtype=np.int64)
+    cum = np.ones((g.n_vertices, width))
+    for v in range(g.n_vertices):
+        darts = g.vertex_darts(v)
+        c = g.conductance[darts]
+        p = np.cumsum(c) / c.sum()
+        p[-1] = 1.0
+        nbr[v, :darts.size] = g.target[darts]
+        cum[v, :darts.size] = p
+    return nbr, cum
+
+
+class TestWalkTables:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_the_vertex_loop(self, seed):
+        g = weighted_delaunay_truncation(400, seed).graph
+        # rows of 8 or more terms, where numpy's pairwise total can differ
+        # in the last bit from the running one
+        assert g.degrees.max() >= 8
+        assert any(np.cumsum(c)[-1] != c.sum() for c in
+                   (g.conductance[g.vertex_darts(v)] for v in range(g.n_vertices)))
+        nbr, cum = g.walk_tables
+        ref_nbr, ref_cum = looped_walk_tables(g)
+        assert np.array_equal(nbr, ref_nbr)
+        assert np.array_equal(cum, ref_cum)
+
+    def test_built_once_per_graph(self):
+        t = truncate(generate_tiling(7, 3, 4), 0, 3)
+        phi = np.random.default_rng(1).normal(size=t.n_vertices)
+        walk_limit_estimate(t, phi, t.root, samples=50, seed=1)
+        tables = vars(t.graph)["walk_tables"]
+        walk_limit_estimate(t, phi, t.root, samples=50, seed=2)
+        assert vars(t.graph)["walk_tables"] is tables
 
 
 class TestProfile:

@@ -255,6 +255,27 @@ class TestContOperator:
             cont_operator(t, grid_disc_pk, np.zeros(t.n_vertices), eps_trace=1e-6)
 
 
+class TestTraceParams:
+    def test_derived_depth_names_its_source(self):
+        pk = pack(truncate(generate_tiling(7, 3, 2), 0, 1), "disc")
+        t = pk.trunc
+        r_max = float(np.max(pk.vertex_radius[t.boundary]))
+        assert 4.0 * r_max >= 1.0
+        with pytest.raises(ValueError) as exc:
+            roundtrip(t, pk, np.zeros(t.n_vertices))
+        msg = str(exc.value)
+        assert f"derived eps_trace {4.0 * r_max:.4g}" in msg
+        assert f"largest boundary circle radius, {r_max:.4g}" in msg
+        assert "use a larger truncation radius" in msg
+
+    @pytest.mark.parametrize("eps_trace", [1.0, 1.5])
+    def test_given_depth_keeps_its_message(self, hyp_disc_pk, eps_trace):
+        t = hyp_disc_pk.trunc
+        with pytest.raises(ValueError,
+                           match="^eps_trace must lie strictly between 0 and 1$"):
+            roundtrip(t, hyp_disc_pk, np.zeros(t.n_vertices), eps_trace=eps_trace)
+
+
 class TestRoundtrip:
     def test_constant(self, grid_disc_pk):
         t = grid_disc_pk.trunc
