@@ -708,7 +708,9 @@ def map_to_json(pmap: PlanarMap) -> dict:
 
 
 def load_map_json(source) -> PlanarMap:
-    """Load a map from a JSON dict, JSON string, or path to a JSON file."""
+    """Load a map from a JSON dict, JSON string, or path to a JSON file.
+    Rotations that embed the graph in a surface of higher genus are
+    rejected."""
     if isinstance(source, dict):
         data = source
     elif isinstance(source, str) and source.lstrip().startswith("{"):
@@ -723,7 +725,13 @@ def load_map_json(source) -> PlanarMap:
         raise ValueError(f"map JSON must contain 'vertices' and 'rotations': {exc}")
     if not isinstance(rotations, list) or len(rotations) != n:
         raise ValueError("rotation list length does not match vertex count")
-    return build_map(rotations, data.get("conductances"))
+    pmap = build_map(rotations, data.get("conductances"))
+    # a connected rotation system (PlanarMap checks that) has V - E + F = 2 - 2g
+    chi = euler_characteristic(pmap)
+    if chi != 2:
+        raise ValueError(f"map is not planar: V - E + F = {chi}, so its "
+                         f"rotations embed it in a surface of genus {(2 - chi) // 2}")
+    return pmap
 
 
 def canonical_encoding(pmap: PlanarMap) -> tuple:

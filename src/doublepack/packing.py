@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,8 +34,8 @@ from .errors import ConvergenceError
 from .maps import Truncation
 
 __all__ = [
-    "RadiiSolution", "DoublePacking", "GeometryReport", "solve_radii", "layout",
-    "angle_defect", "compute_delta0", "geometry_report", "packing_to_json",
+    "RadiiSolution", "Carrier", "DoublePacking", "GeometryReport", "solve_radii",
+    "layout", "angle_defect", "compute_delta0", "geometry_report", "packing_to_json",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -53,6 +54,31 @@ class RadiiSolution:
     tol: float
 
 
+@dataclass(frozen=True)
+class Carrier:
+    """The triangulated carrier of a packing and its point-location table.
+
+    Every corner dart contributes the triangle (center of its origin, center
+    of its target, center of its face); ``tri_nodes`` holds them in the order
+    of ``Truncation.corner_darts``.  Each face center has power r_f^2 with
+    respect to the vertex circles on its rim and more with respect to every
+    other vertex circle, so the face centers are the vertices of the power
+    diagram of the vertex circles.  Hence the power cell of a vertex u meets
+    the carrier in the half-kites (c_u, t_uv, c_f), each inside a triangle
+    with a corner at c_u, and a carrier point lies in one of the triangles
+    ``vertex_triangles[u]`` of the vertex u of least power |z - c_u|^2 - r_u^2:
+    those of u's darts, then those of their reverses, -1 where a dart borders
+    the outer face or the row is padded (one more row, all -1, stands for no
+    vertex).  ``tree`` finds that vertex: it
+    holds the lifted points (c_u, sqrt(R^2 - r_u^2)), R the largest vertex
+    radius, whose squared distance to (z, 0) is that power plus R^2.
+    """
+
+    tri_nodes: np.ndarray            # (n_tri, 3) complex corners
+    tree: cKDTree
+    vertex_triangles: np.ndarray     # (n_vertices + 1, 2 * largest degree)
+
+
 @dataclass
 class DoublePacking:
     """A laid-out double circle packing (normalized to the closed unit disc
@@ -65,6 +91,42 @@ class DoublePacking:
     face_radius: np.ndarray
     layout_residual: float
     delta0: float | None = None
+
+    @cached_property
+    def carrier(self) -> Carrier:
+        """The carrier triangles and their lookup, built on first use (a
+        laid-out packing is not moved).  Raises ``ValueError`` when a
+        triangle is degenerate."""
+        t = self.trunc
+        g = t.graph
+        darts = t.corner_darts
+        tri_nodes = np.stack([self.vertex_center[g.origin[darts]],
+                              self.vertex_center[g.target[darts]],
+                              self.face_center[t.faces.face_of[darts]]], axis=1)
+        e1 = tri_nodes[:, 1] - tri_nodes[:, 0]
+        e2 = tri_nodes[:, 2] - tri_nodes[:, 0]
+        det = np.abs(e1.real * e2.imag - e1.imag * e2.real)
+        if det.max() == 0.0 or det.min() <= 1e-12 * det.max():
+            raise ValueError("degenerate triangle in the carrier; "
+                             "the layout is inconsistent")
+
+        r = self.vertex_radius
+        z = self.vertex_center
+        # compact nodes made the queries from height 0 five times slower
+        # (r=9 ball, 70k queries: 2.2 s against 0.4 s on a 2-vCPU host)
+        tree = cKDTree(np.column_stack([z.real, z.imag, np.sqrt(r.max() ** 2 - r * r)]),
+                       compact_nodes=False)
+        tri_of = np.full(g.n_darts, -1, dtype=np.int64)
+        tri_of[darts] = np.arange(darts.size)
+        d = int(g.degrees.max())
+        row = g.origin[g.rotation]
+        col = np.arange(g.n_darts) - g.offsets[row]
+        # the extra last row answers the index the tree returns when a
+        # distance overflows: such a point is in no triangle
+        table = np.full((g.n_vertices + 1, 2 * d), -1, dtype=np.int64)
+        table[row, col] = tri_of[g.rotation]
+        table[row, d + col] = tri_of[g.rotation ^ 1]
+        return Carrier(tri_nodes, tree, table)
 
     def max_tangency_residual(self) -> float:
         g = self.trunc.graph

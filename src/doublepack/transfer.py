@@ -11,10 +11,9 @@ Harnack exponent.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .continuum import (BoundaryFunction, GridDiscField, HarmonicDiscField,
                         energy_continuous, grid_capacity, poisson_extend)
@@ -84,6 +83,12 @@ class AffineExtension:
     triangle (origin center, target center, face center).  Evaluation inside
     a triangle is the affine interpolant of its three node values, which
     agrees across shared edges because the shared nodes do.
+
+    The triangles and their lookup come from ``packing.carrier``, built once
+    per packing.  A point is located exactly: the vertex u of least power
+    |z - c_u|^2 - r_u^2 is found by one nearest-neighbour query, and only the
+    triangles with a corner at c_u can hold the point.  A point in none of
+    them is outside the carrier.
     """
 
     packing: DoublePacking
@@ -91,43 +96,24 @@ class AffineExtension:
     face_values: np.ndarray          # NaN at the outer face
     tri_nodes: np.ndarray            # (n_tri, 3) complex corners
     tri_values: np.ndarray           # (n_tri, 3) values at the corners
-    _tree: cKDTree | None = field(default=None, repr=False, compare=False)
 
     def evaluate(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=complex)
         flat = pts.ravel()
         out = np.full(flat.size, np.nan)
-        if flat.size == 0:
-            return out.reshape(pts.shape)
-        if self._tree is None:
-            cent = self.tri_nodes.mean(axis=1)
-            self._tree = cKDTree(np.column_stack([cent.real, cent.imag]))
-        k = min(12, self.tri_nodes.shape[0])
-        _, cand = self._tree.query(np.column_stack([flat.real, flat.imag]), k=k)
-        cand = cand.reshape(flat.size, k)
+        carrier = self.packing.carrier
+        _, u = carrier.tree.query(np.column_stack(
+            [flat.real, flat.imag, np.zeros(flat.size)]))
         pending = np.arange(flat.size)
-        for j in range(k):
-            idx = cand[pending, j]
+        for cand in carrier.vertex_triangles[u].T:
+            idx = cand[pending]
             lam = _bary(self.tri_nodes[idx], flat[pending])
-            ok = np.min(lam, axis=1) >= -_BARY_TOL
-            hit = pending[ok]
-            out[hit] = np.sum(lam[ok] * self.tri_values[idx[ok]], axis=1)
+            ok = (idx >= 0) & (np.min(lam, axis=1) >= -_BARY_TOL)
+            out[pending[ok]] = np.sum(lam[ok] * self.tri_values[idx[ok]], axis=1)
             pending = pending[~ok]
-            if pending.size == 0:
-                break
         if pending.size:
-            # nearest centroids missed; scan every triangle before giving up
-            missing = []
-            for i in pending:
-                lam = _bary(self.tri_nodes, flat[i])
-                ok = np.flatnonzero(np.min(lam, axis=1) >= -_BARY_TOL)
-                if ok.size:
-                    out[i] = float(np.dot(lam[ok[0]], self.tri_values[ok[0]]))
-                else:
-                    missing.append(int(i))
-            if missing:
-                raise ValueError(f"{len(missing)} evaluation point(s) fall "
-                                 "outside the triangulated carrier")
+            raise ValueError(f"{pending.size} evaluation point(s) fall "
+                             "outside the triangulated carrier")
         return out.reshape(pts.shape)
 
 
@@ -143,20 +129,10 @@ def extend_affine(packing: DoublePacking, phi) -> AffineExtension:
     face_vals[t.outer_face] = np.nan
 
     darts = t.corner_darts
-    f = t.faces.face_of[darts]
-    tri_nodes = np.stack([packing.vertex_center[g.origin[darts]],
-                          packing.vertex_center[g.target[darts]],
-                          packing.face_center[f]], axis=1)
     tri_values = np.stack([vals[g.origin[darts]], vals[g.target[darts]],
-                           face_vals[f]], axis=1)
-
-    e1 = tri_nodes[:, 1] - tri_nodes[:, 0]
-    e2 = tri_nodes[:, 2] - tri_nodes[:, 0]
-    det = np.abs(e1.real * e2.imag - e1.imag * e2.real)
-    if det.max() == 0.0 or det.min() <= 1e-12 * det.max():
-        raise ValueError("degenerate triangle in the carrier; "
-                         "the layout is inconsistent")
-    return AffineExtension(packing, vals.copy(), face_vals, tri_nodes, tri_values)
+                           face_vals[t.faces.face_of[darts]]], axis=1)
+    return AffineExtension(packing, vals.copy(), face_vals,
+                           packing.carrier.tri_nodes, tri_values)
 
 
 def energy_of_extension(packing: DoublePacking, phi) -> float:
@@ -213,7 +189,10 @@ def disc_average(packing: DoublePacking, field, v: int, delta: float | None = No
 
 
 def _check_same_map(trunc: Truncation, packing: DoublePacking):
-    if packing.trunc.n_vertices != trunc.n_vertices:
+    mine = packing.trunc
+    if not (np.array_equal(mine.graph.offsets, trunc.graph.offsets)
+            and np.array_equal(mine.graph.rotation, trunc.graph.rotation)
+            and np.array_equal(mine.boundary, trunc.boundary)):
         raise ValueError("packing and truncation describe different maps")
 
 

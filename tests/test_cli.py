@@ -212,6 +212,13 @@ class TestExitCodes:
         assert run(tmp_path, "pack", "--map", str(path)) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_non_planar_map_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "k5.json"
+        path.write_text(json.dumps({"vertices": 5, "rotations": [
+            [u for u in range(5) if u != v] for v in range(5)]}))
+        assert run(tmp_path, "pack", "--map", str(path)) == 2
+        assert "genus 2" in capsys.readouterr().err
+
     def test_root_outside_the_map_is_bad_input(self, tmp_path, capsys):
         path = tmp_path / "map.json"
         path.write_text(json.dumps(map_to_json(generate_tiling(7, 3, 3))))

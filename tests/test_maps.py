@@ -632,6 +632,13 @@ class TestSerialization:
         with pytest.raises((ValueError, KeyError)):
             load_map_json({"vertices": 3})
 
+    @pytest.mark.parametrize("n, genus", [(5, 2), (4, 1)], ids=["K5", "K4"])
+    def test_non_planar_rotations_rejected(self, n, genus):
+        # neighbours in ascending order: K5 has V - E + F = -2, K4 has 0
+        rotations = [[u for u in range(n) if u != v] for v in range(n)]
+        with pytest.raises(ValueError, match=f"not planar.*genus {genus}"):
+            load_map_json({"vertices": n, "rotations": rotations})
+
     def test_map_data(self):
         m = generate_grid(4, 4)
         d = map_data(m)

@@ -7,11 +7,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from doublepack import transfer
+from doublepack import packing, transfer
 from doublepack.continuum import HarmonicDiscField, sample_grid_field
-from doublepack.maps import boundary_truncation, truncate
-from doublepack.packing import layout, solve_radii
+from doublepack.maps import boundary_truncation, build_map, truncate
+from doublepack.packing import Carrier, layout, solve_radii
 from doublepack.potential import energy, royden_project, solve_dirichlet
 from doublepack.tilings import generate_grid, generate_tiling
 from doublepack.transfer import (
@@ -27,6 +29,8 @@ from doublepack.transfer import (
     roundtrip,
     transfer_report_to_json,
 )
+
+from conftest import delaunay_rotations
 
 RE_Z = HarmonicDiscField(0.0, np.array([1.0]), np.array([0.0]))
 
@@ -137,6 +141,39 @@ class TestAffineExtension:
                  - 0.5 * extend_affine(grid_disc_pk, psi).evaluate(pts))
         assert np.allclose(combo, parts, atol=1e-10)
 
+    @pytest.mark.parametrize("name", ["hyp_disc_pk", "grid_disc_pk", "grid_lattice_pk"])
+    def test_face_centers_are_power_diagram_vertices(self, name, request):
+        # the fact the carrier lookup rests on: a face center has power r_f^2
+        # with respect to the circles on its rim and more to every other one
+        pk = request.getfixturevalue(name)
+        t = pk.trunc
+        bf = t.bounded_faces
+        power = (np.abs(pk.face_center[bf, None] - pk.vertex_center[None, :]) ** 2
+                 - pk.vertex_radius[None, :] ** 2)
+        rim = np.zeros((t.faces.n_faces, t.n_vertices), dtype=bool)
+        rim[t.faces.face_of, t.graph.origin] = True
+        rim = rim[bf]
+        rf2 = np.broadcast_to(pk.face_radius[bf, None] ** 2, power.shape)
+        assert np.allclose(power[rim], rf2[rim], rtol=1e-9, atol=0.0)
+        assert np.all(power[~rim] > rf2[~rim])
+
+    def test_one_carrier_per_packing(self, hyp_disc_pk, monkeypatch):
+        pk = dataclasses.replace(hyp_disc_pk)    # a copy with no carrier yet
+        t = pk.trunc
+        built = []
+        monkeypatch.setattr(packing, "Carrier",
+                            lambda *parts: built.append(parts) or Carrier(*parts))
+        theta = np.angle(pk.vertex_center[t.boundary])
+        for k in range(1, 6):
+            roundtrip(t, pk, solve_dirichlet(t, np.cos(k * theta)))
+        assert len(built) == 1
+
+    def test_point_at_overflowing_distance_is_outside(self, grid_disc_pk):
+        # the lookup's distance overflows, so the tree finds no vertex
+        ext = extend_affine(grid_disc_pk, np.zeros(grid_disc_pk.trunc.n_vertices))
+        with pytest.raises(ValueError, match="1 evaluation point"):
+            ext.evaluate(np.array([0.0, 1e300]))
+
     def test_degenerate_triangle_rejected(self, grid_lattice_pk):
         bad = dataclasses.replace(grid_lattice_pk,
                                   face_center=grid_lattice_pk.face_center.copy())
@@ -145,6 +182,37 @@ class TestAffineExtension:
         bad.face_center[f] = bad.vertex_center[v]
         with pytest.raises(ValueError, match="degenerate"):
             extend_affine(bad, np.zeros(bad.trunc.n_vertices))
+
+
+def brute_force_evaluate(ext, points):
+    """Reference for ``AffineExtension.evaluate``: the first of all carrier
+    triangles that holds each point."""
+    out = np.empty(points.size)
+    for i, z in enumerate(points):
+        lam = transfer._bary(ext.tri_nodes, z)
+        inside = np.flatnonzero(np.min(lam, axis=1) >= -transfer._BARY_TOL)
+        assert inside.size, f"probe {z} is in no carrier triangle"
+        out[i] = lam[inside[0]] @ ext.tri_values[inside[0]]
+    return out
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.integers(20, 200), seed=st.integers(0, 2 ** 32 - 1))
+def test_lookup_matches_brute_force_on_delaunay_packings(n, seed):
+    rng = np.random.default_rng(seed)
+    t = boundary_truncation(build_map(delaunay_rotations(rng.random((n, 2)))))
+    pk = pack(t, "disc")
+    g = t.graph
+    ext = extend_affine(pk, rng.normal(size=t.n_vertices))
+    u, v = g.origin[::2], g.target[::2]
+    ru, rv = pk.vertex_radius[u], pk.vertex_radius[v]
+    tangency = (pk.vertex_center[u] * rv + pk.vertex_center[v] * ru) / (ru + rv)
+    probes = np.concatenate([pk.vertex_center, pk.face_center[t.bounded_faces],
+                             tangency, interior_probes(pk, rng, 100)])
+    assert np.max(np.abs(ext.evaluate(probes)
+                         - brute_force_evaluate(ext, probes))) <= 1e-11
+    with pytest.raises(ValueError, match="outside the triangulated carrier"):
+        ext.evaluate(np.array([1.5 + 0j]))
 
 
 class TestDiscAverage:
@@ -230,6 +298,18 @@ class TestDiscOperator:
         rhs = (disc_operator(pk.trunc, pk, f1).values
                + 2 * disc_operator(pk.trunc, pk, f2).values)
         assert np.allclose(lhs, rhs, atol=1e-8)
+
+    def test_other_map_of_the_same_size_rejected(self):
+        pk = pack(boundary_truncation(generate_grid(5, 5)), "disc")
+        pts = np.random.default_rng(0).random((25, 2))
+        other = boundary_truncation(build_map(delaunay_rotations(pts)))
+        assert other.n_vertices == pk.trunc.n_vertices
+        with pytest.raises(ValueError, match="different maps"):
+            disc_operator(other, pk, RE_Z)
+        # an equal truncation built again is the same map
+        again = boundary_truncation(generate_grid(5, 5))
+        assert np.allclose(disc_operator(again, pk, RE_Z).values,
+                           disc_operator(pk.trunc, pk, RE_Z).values)
 
 
 class TestContOperator:
