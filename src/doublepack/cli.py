@@ -13,6 +13,7 @@ Exit codes: 0 ok, 2 bad configuration, 3 solver non-convergence, 4 file I/O,
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -66,17 +67,15 @@ class RunConfig:
 
     def validate(self):
         positive = {"pack_tol": self.pack_tol, "grid_h": self.grid_h,
-                    "svg_size": self.svg_size}
+                    "svg_size": self.svg_size, "delta": self.delta}
         for name in ("n_theta", "k_max", "eps_trace"):
             if getattr(self, name) is not None:
                 positive[name] = getattr(self, name)
         for name, value in positive.items():
-            if not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie strictly between 0 and 1")
-        if self.delta <= 0.0:
-            raise ConfigError("delta must be positive")
         if self.boundary_mode not in ("disc", "prescribed"):
             raise ConfigError(f"unknown boundary mode {self.boundary_mode!r}")
         if self.radii is not None and not 1 <= self.radii[0] <= self.radii[1]:

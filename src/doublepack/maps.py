@@ -26,6 +26,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
+from scipy.sparse.linalg import splu
 
 from .errors import InvariantViolation
 from .linalg import PinnedSolve
@@ -35,6 +36,7 @@ __all__ = [
     "FaceStructure",
     "MapData",
     "DartTree",
+    "CornerPattern",
     "Truncation",
     "build_map",
     "trace_faces",
@@ -498,6 +500,32 @@ class DartTree:
     face_dart: np.ndarray    # first entry bordering each bounded face, else -1
 
 
+@dataclass(frozen=True)
+class CornerPattern:
+    """Sparsity of the vertex-face Laplacian over the corners of a truncation,
+    grounded at the boundary, in a fill-reducing symmetric order (see
+    ``Truncation.corner_pattern``).
+
+    The unknowns are the interior vertices, then the bounded faces, each in
+    increasing order.  The entries come in four runs: the face diagonal of
+    every corner, then, for the corners whose vertex is interior, the vertex
+    diagonal, the vertex-face and the face-vertex entry.
+    """
+
+    vertex_free: np.ndarray  # corner's vertex is an unknown
+    order: np.ndarray        # unknown at each permuted row and column
+    position: np.ndarray     # permuted row and column of each unknown
+    slot: np.ndarray         # CSC slot of each entry; equal slots sum
+    indptr: np.ndarray       # CSC arrays of the permuted matrix
+    indices: np.ndarray
+
+    def matrix(self, data) -> sp.csc_matrix:
+        """The permuted matrix whose entries are ``data``, summed per slot."""
+        n = self.order.size
+        values = np.bincount(self.slot, weights=data, minlength=self.indices.size)
+        return sp.csc_matrix((values, self.indices, self.indptr), shape=(n, n))
+
+
 class Truncation:
     """A finite map with a designated grounding boundary around a root.
 
@@ -625,6 +653,40 @@ class Truncation:
         face_dart[f] = on_face[i]
         return DartTree(order, parent, levels, reverse, turn_sign,
                         turn_dart, vertex_dart, face_dart)
+
+    @cached_property
+    def corner_pattern(self) -> CornerPattern:
+        """The pattern of the Jacobian that ``packing.solve_radii`` factors
+        at every Newton step, ordered once: one symmetric minimum-degree pass
+        (SuperLU's ``MMD_AT_PLUS_A``) over a diagonally dominant matrix with
+        this pattern.  Its column permutation ``perm_c`` sends each unknown
+        to its position; permuting by ``perm_c`` itself instead of by its
+        inverse made eight times the fill on the r=6 ball."""
+        g = self.graph
+        n = g.n_vertices
+        interior, bf = self.interior, self.bounded_faces
+        nun = interior.size + bf.size
+        unknown = np.full(n + self.faces.n_faces, -1, dtype=np.int64)
+        unknown[interior] = np.arange(interior.size)
+        unknown[n + bf] = np.arange(interior.size, nun)
+        darts = self.corner_darts
+        av = unknown[g.origin[darts]]
+        af = unknown[n + self.faces.face_of[darts]]
+        free = av >= 0
+        av, af_free = av[free], af[free]
+        rows = np.concatenate([af, av, av, af_free])
+        cols = np.concatenate([af, av, af_free, av])
+        data = np.concatenate([np.full(af.size + av.size, 2.0),
+                               np.full(2 * av.size, -1.0)])
+        lu = splu(sp.csc_matrix((data, (rows, cols)), shape=(nun, nun)),
+                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+        position = lu.perm_c.astype(np.int64)
+        keys, slot = np.unique(position[cols] * nun + position[rows],
+                               return_inverse=True)
+        indptr = np.searchsorted(keys // nun, np.arange(nun + 1))
+        return CornerPattern(free, np.argsort(position), position, slot,
+                             indptr, keys % nun)
 
     @cached_property
     def boundary_solver(self) -> PinnedSolve:

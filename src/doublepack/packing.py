@@ -14,8 +14,8 @@ The shrinkage level needs the delta-sausages of non-adjacent edges to be
 disjoint.  That test does not look at every pair of edges: a k-d tree over
 the edge midpoints keeps only the pairs that could fail below a cap, and the
 bound is exact below the cap.  The cap follows the delta under test: just
-above 1/2 in ``compute_delta0``, which tries only dyadic delta <= 1/2, and
-just above a preset delta0 in ``geometry_report``.
+above the largest dyadic delta <= 1/2 that the edge condition admits in
+``compute_delta0``, and just above a preset delta0 in ``geometry_report``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
@@ -232,27 +231,21 @@ def _solve_prescribed(trunc, boundary_x, tol, max_iter, hyperbolic=False):
     Euclidean unknowns are log radii, starting from 0; hyperbolic ones are
     x = log tanh(r/2), starting from log tanh(1/2), and x = 0 is a
     horocycle.  In both geometries the Jacobian is minus a symmetric,
-    diagonally dominant vertex-face Laplacian grounded at the boundary.  A
-    hyperbolic step from a residual within ``tol`` is followed by the walk
-    of ``_disc_radii``, whose Euclidean defect must be within ``tol`` too.
+    diagonally dominant vertex-face Laplacian grounded at the boundary, so
+    each step factors it in the truncation's cached order
+    (``Truncation.corner_pattern``) with diagonal pivots.  A hyperbolic step
+    from a residual within ``tol`` is followed by the walk of
+    ``_disc_radii``, whose Euclidean defect must be within ``tol`` too.
     """
-    n = trunc.graph.n_vertices
     cv, cf = _corner_arrays(trunc)
     interior, bf = trunc.interior, trunc.bounded_faces
-    ni, nun = interior.size, interior.size + bf.size
+    ni = interior.size
+    pattern = trunc.corner_pattern
+    free_v = pattern.vertex_free
     corners = _hyperbolic_corners if hyperbolic else _euclidean_corners
 
-    # unknown index of each corner's vertex (-1 on the boundary) and face
-    idx = np.full(n + trunc.faces.n_faces, -1, dtype=np.int64)
-    idx[interior] = np.arange(ni)
-    idx[n + bf] = np.arange(ni, nun)
-    av, af = idx[cv], idx[n + cf]
-    free_v = av >= 0
-    rows = np.concatenate([af, av[free_v], av[free_v], af[free_v]])
-    cols = np.concatenate([af, av[free_v], af[free_v], av[free_v]])
-
     start = math.log(math.tanh(0.5)) if hyperbolic else 0.0
-    xv = np.full(n, start)
+    xv = np.full(trunc.graph.n_vertices, start)
     xv[trunc.boundary] = boundary_x
     xf = np.full(trunc.faces.n_faces, start)
     # the iterate after the last step is checked too, so a failure quotes
@@ -267,8 +260,14 @@ def _solve_prescribed(trunc, boundary_x, tol, max_iter, hyperbolic=False):
         if it == max_iter:
             break
         data = np.concatenate([own, own[free_v], -other[free_v], -other[free_v]])
-        lap = sp.coo_matrix((data, (rows, cols)), shape=(nun, nun)).tocsc()
-        step = spla.spsolve(lap, resid)
+        try:
+            lu = spla.splu(pattern.matrix(data), permc_spec="NATURAL",
+                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        except RuntimeError as exc:  # SuperLU met an exactly zero pivot
+            raise ConvergenceError(
+                f"radius iteration met a singular Jacobian at step {it + 1} "
+                f"(defect {defect:.3e})") from exc
+        step = lu.solve(resid[pattern.order])[pattern.position]
         if hyperbolic:
             # keep x < 0: no unknown moves more than halfway to 0
             x = np.concatenate([xv[interior], xf[bf]])
@@ -352,15 +351,15 @@ def solve_radii(trunc: Truncation, boundary_mode: str = "prescribed",
     walk of the dart tree.  ``defect`` is the returned radii's angle defect.
     """
     _check_packable(trunc)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     if boundary_mode == "prescribed":
         rb = 1.0 if boundary_radii is None else boundary_radii
         rb = np.broadcast_to(np.asarray(rb, dtype=float), trunc.boundary.shape).copy()
-        if np.any(rb <= 0):
-            raise ValueError("boundary radii must be positive")
+        if not np.all(np.isfinite(rb) & (rb > 0)):
+            raise ValueError("boundary radii must be finite and positive")
         vr, fr, defect, iters = _solve_prescribed(trunc, np.log(rb), tol, max_iter)
         vr[trunc.boundary] = rb
         fr[trunc.outer_face] = np.nan
@@ -521,12 +520,14 @@ def compute_delta0(pk: DoublePacking) -> float:
     (a quarter of every edge is at least delta times the origin radius) and
     disjointness of all non-adjacent edge sausages."""
     m_edge = _edge_condition_bound(pk)
-    m_saus = _sausage_bound(pk, _sausage_cap(0.5))
-    delta = 0.5
-    for _ in range(60):
-        if delta <= m_edge * (1.0 + 1e-9) and _sausages_clear(delta, m_saus):
-            return delta
-        delta *= 0.5
+    admitted = [delta for delta in (0.5 ** k for k in range(1, 61))
+                if delta <= m_edge * (1.0 + 1e-9)]
+    if admitted:
+        # the bound need only be exact below the largest delta left to test
+        m_saus = _sausage_bound(pk, _sausage_cap(admitted[0]))
+        for delta in admitted:
+            if _sausages_clear(delta, m_saus):
+                return delta
     raise ConvergenceError("no dyadic delta0 found; packing is degenerate")
 
 

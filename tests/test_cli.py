@@ -168,6 +168,19 @@ class TestExitCodes:
     def test_bad_tolerance_is_config_error(self, tmp_path):
         assert run(tmp_path, "pack", "--grid", "4", "--pack-tol", "-1") == 2
 
+    @pytest.mark.parametrize("args,name", [
+        (("pack", "--grid", "5", "--pack-tol", "inf"), "pack_tol"),
+        (("pack", "--grid", "5", "--pack-tol", "nan"), "pack_tol"),
+        (("capacity", "--grid", "5", "--delta", "inf"), "delta"),
+        (("capacity", "--grid", "5", "--grid-h", "inf"), "grid_h"),
+        (("roundtrip", "--tiling", "7,3", "--eps-trace", "inf"), "eps_trace"),
+    ], ids=["pack-tol-inf", "pack-tol-nan", "delta-inf", "grid-h-inf", "eps-trace-inf"])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, args, name):
+        # an infinite tolerance would pass a packing that does not pack
+        assert run(tmp_path, *args) == 2
+        assert f"{name} must be finite and positive" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_malformed_tiling_is_config_error(self, tmp_path, capsys):
         assert run(tmp_path, "pack", "--tiling", "7") == 2
         assert "cannot parse tiling" in capsys.readouterr().err

@@ -1,16 +1,21 @@
 """Double circle packing solver: radii, layout, delta0, geometry reports."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from doublepack import packing
+from doublepack import maps, packing
 from doublepack.errors import ConvergenceError
 from doublepack.maps import Truncation, boundary_truncation, build_map, truncate
 from doublepack.packing import (
     DoublePacking,
+    _edge_condition_bound,
     _sausage_bound,
     _sausage_cap,
     _sausages_clear,
@@ -170,6 +175,70 @@ def brute_sausage_bound(pk, chunk=128):
         ratio = d / (rmax[ii] + rmax[jj])
         best = min(best, float(ratio[ok].min()))
     return best
+
+
+def spsolve_newton_reference(trunc, boundary_x, tol, max_iter, hyperbolic=False):
+    """Reference Newton iteration: the angle-sum solve that preceded the
+    cached ``corner_pattern``, assembling each Jacobian from COO and solving
+    it with ``spsolve`` (a fresh COLAMD ordering and partial pivoting)."""
+    n = trunc.graph.n_vertices
+    cv, cf = packing._corner_arrays(trunc)
+    interior, bf = trunc.interior, trunc.bounded_faces
+    ni, nun = interior.size, interior.size + bf.size
+    corners = packing._hyperbolic_corners if hyperbolic else packing._euclidean_corners
+    idx = np.full(n + trunc.faces.n_faces, -1, dtype=np.int64)
+    idx[interior] = np.arange(ni)
+    idx[n + bf] = np.arange(ni, nun)
+    av, af = idx[cv], idx[n + cf]
+    free_v = av >= 0
+    rows = np.concatenate([af, av[free_v], av[free_v], af[free_v]])
+    cols = np.concatenate([af, av[free_v], af[free_v], av[free_v]])
+
+    start = math.log(math.tanh(0.5)) if hyperbolic else 0.0
+    xv = np.full(n, start)
+    xv[trunc.boundary] = boundary_x
+    xf = np.full(trunc.faces.n_faces, start)
+    for it in range(max_iter + 1):
+        at_v, at_f, own, other = corners(xv[cv], xf[cf])
+        resid = packing._angle_residual(trunc, at_v, at_f)
+        defect = float(np.max(np.abs(resid)))
+        if defect <= tol and not hyperbolic:
+            return np.exp(xv), np.exp(xf), defect, it
+        if it == max_iter:
+            break
+        data = np.concatenate([own, own[free_v], -other[free_v], -other[free_v]])
+        lap = sp.coo_matrix((data, (rows, cols)), shape=(nun, nun)).tocsc()
+        step = spla.spsolve(lap, resid)
+        if hyperbolic:
+            x = np.concatenate([xv[interior], xf[bf]])
+            step /= max(1.0, float(np.max(-2.0 * step / x)))
+        else:
+            step = np.clip(step, -2.0, 2.0)
+        xv[interior] += step[:ni]
+        xf[bf] += step[ni:]
+        if defect <= tol:
+            vr, fr = packing._disc_radii(trunc, xv, xf)
+            defect = angle_defect(trunc, vr, fr)
+            if defect <= tol:
+                return vr, fr, defect, it + 1
+    raise ConvergenceError(f"reference iteration stalled at defect {defect:.3e}")
+
+
+def reference_delta0(pk):
+    """Reference delta0: every dyadic delta <= 1/2 from the top, tested
+    against the edge condition and the all-pairs sausage bound."""
+    m_edge = _edge_condition_bound(pk)
+    m_saus = brute_sausage_bound(pk)
+    delta = 0.5
+    for _ in range(60):
+        if delta <= m_edge * (1.0 + 1e-9) and _sausages_clear(delta, m_saus):
+            return delta
+        delta *= 0.5
+    raise ConvergenceError("no dyadic delta0 found")
+
+
+def no_newton_step(*args, **kwargs):
+    raise AssertionError("a Newton iteration started")
 
 
 def honeycomb_truncation():
@@ -352,6 +421,24 @@ class TestSolveRadii:
         with pytest.raises(ValueError, match="max_iter"):
             solve_radii(t, boundary_mode=mode, max_iter=-1)
 
+    @pytest.mark.parametrize("mode", ["prescribed", "disc"])
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10])
+    def test_tolerance_must_be_finite_and_positive(self, mode, tol, monkeypatch):
+        t = truncate(generate_tiling(7, 3, 3), root=0, radius=2)
+        monkeypatch.setattr(packing, "_solve_prescribed", no_newton_step)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            solve_radii(t, boundary_mode=mode, tol=tol)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_boundary_radii_must_be_finite_and_positive(self, bad, monkeypatch):
+        t = truncate(generate_tiling(7, 3, 3), root=0, radius=2)
+        monkeypatch.setattr(packing, "_solve_prescribed", no_newton_step)
+        rb = np.ones(t.boundary.size)
+        rb[-1] = bad
+        for radii in (bad, rb):
+            with pytest.raises(ValueError, match="boundary radii must be finite and positive"):
+                solve_radii(t, boundary_radii=radii)
+
     def test_scaling_boundary_scales_solution(self):
         t = boundary_truncation(generate_tiling(7, 3, 3))
         a = solve_radii(t, tol=1e-12)
@@ -528,6 +615,111 @@ class TestDiscMode:
         assert_fills_unit_disc(t, sol)
 
 
+def newton_instances():
+    return [
+        *[(f"ball{r}", lambda r=r: truncate(generate_tiling(7, 3, r + 1), root=0, radius=r))
+          for r in range(3, 7)],
+        ("grid21", lambda: boundary_truncation(generate_grid(21, 21))),
+        ("delaunay400", lambda: delaunay_truncation(400, seed=0)),
+    ]
+
+
+class TestCornerPattern:
+    @pytest.mark.parametrize("hyperbolic", [False, True], ids=["prescribed", "disc"])
+    @pytest.mark.parametrize("name,build", newton_instances(),
+                             ids=[name for name, _ in newton_instances()])
+    def test_matches_the_spsolve_reference(self, name, build, hyperbolic):
+        t = build()
+        # prescribed radii between 1/2 and 3/2, so even the grid iterates
+        bx = 0.0 if hyperbolic else np.log1p(0.5 * np.cos(np.arange(t.boundary.size)))
+        got = packing._solve_prescribed(t, bx, 1e-10, 80, hyperbolic)
+        ref = spsolve_newton_reference(t, bx, 1e-10, 80, hyperbolic)
+        assert got[3] == ref[3]
+        for a, b in zip(got[:2], ref[:2]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+    def test_matrix_is_the_permuted_coo_assembly(self):
+        t = delaunay_truncation(60, seed=2)
+        pat = t.corner_pattern
+        nun = t.interior.size + t.bounded_faces.size
+        assert np.array_equal(np.sort(pat.order), np.arange(nun))
+        assert np.array_equal(pat.order[pat.position], np.arange(nun))
+        k = np.count_nonzero(pat.vertex_free)
+        data = np.random.default_rng(3).normal(size=pat.vertex_free.size + 3 * k)
+        idx = np.full(t.n_vertices + t.faces.n_faces, -1)
+        idx[t.interior] = np.arange(t.interior.size)
+        idx[t.n_vertices + t.bounded_faces] = np.arange(t.interior.size, nun)
+        cv, cf = packing._corner_arrays(t)
+        av, af = idx[cv], idx[t.n_vertices + cf]
+        free = av >= 0
+        rows = np.concatenate([af, av[free], av[free], af[free]])
+        cols = np.concatenate([af, av[free], af[free], av[free]])
+        ref = sp.coo_matrix((data, (rows, cols)), shape=(nun, nun)).toarray()
+        m = pat.matrix(data)
+        assert m.has_canonical_format
+        np.testing.assert_allclose(m.toarray(), ref[np.ix_(pat.order, pat.order)],
+                                   rtol=1e-15, atol=1e-15)
+
+    def test_cached_order_cuts_the_fill(self):
+        # the step factor in the cached order must fill less than COLAMD
+        # with partial pivoting on the unpermuted Jacobian (7700 against
+        # 12262 nonzeros in L + U here); taking SuperLU's perm_c itself as
+        # the order instead of its inverse fills 30604
+        t = truncate(generate_tiling(7, 3, 6), root=0, radius=5)
+        pat = t.corner_pattern
+        k = np.count_nonzero(pat.vertex_free)
+        m = pat.matrix(np.concatenate([np.full(pat.vertex_free.size + k, 2.0),
+                                       np.full(2 * k, -1.0)]))
+        lu = spla.splu(m, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        ref = spla.splu(m[pat.position][:, pat.position].tocsc())
+        assert lu.L.nnz + lu.U.nnz < 0.75 * (ref.L.nnz + ref.U.nnz)
+
+    def test_one_ordering_per_truncation(self, monkeypatch):
+        orderings, factors = [], []
+        order_splu, factor_splu = maps.splu, spla.splu
+
+        def count_ordering(a, **kwargs):
+            orderings.append(kwargs["permc_spec"])
+            return order_splu(a, **kwargs)
+
+        def count_factor(a, **kwargs):
+            factors.append(kwargs["permc_spec"])
+            return factor_splu(a, **kwargs)
+
+        monkeypatch.setattr(maps, "splu", count_ordering)
+        monkeypatch.setattr(spla, "splu", count_factor)
+        t = truncate(generate_tiling(7, 3, 5), root=0, radius=4)
+        disc = solve_radii(t, boundary_mode="disc")
+        prescribed = solve_radii(t, boundary_radii=2.0)
+        assert orderings == ["MMD_AT_PLUS_A"]
+        assert factors == ["NATURAL"] * (disc.iterations + prescribed.iterations)
+
+    def test_pattern_is_freed_with_its_truncation(self):
+        # reference counting alone must free the pattern with its truncation
+        gc.collect()
+        t = truncate(generate_tiling(7, 3, 5), root=0, radius=4)
+        solve_radii(t, boundary_mode="disc")
+        ref = weakref.ref(t.corner_pattern)
+        del t
+        assert ref() is None
+        assert gc.collect() == 0
+
+    def test_singular_jacobian_fails_fast(self, monkeypatch):
+        # zero Jacobian weights leave a zero pivot: the solve names it at
+        # the first step instead of iterating on NaN
+        t = truncate(generate_tiling(7, 3, 3), root=0, radius=2)
+        corners = packing._euclidean_corners
+
+        def weightless(xv, xf):
+            at_v, at_f, own, other = corners(xv, xf)
+            return at_v, at_f, 0.0 * own, 0.0 * other
+
+        monkeypatch.setattr(packing, "_euclidean_corners", weightless)
+        with pytest.raises(ConvergenceError, match="singular Jacobian at step 1 "):
+            solve_radii(t)
+
+
 class TestDelta0:
     def test_square_patch_delta_half(self):
         t = boundary_truncation(generate_grid(5, 5))
@@ -544,6 +736,34 @@ class TestDelta0:
         for e in range(g.n_darts):
             u, v = int(g.origin[e]), int(g.target[e])
             assert 0.25 * abs(z[u] - z[v]) >= d0 * r[u] * (1 - 1e-12)
+
+    def test_matches_the_all_pairs_reference(self, disc_packing):
+        assert compute_delta0(disc_packing) == reference_delta0(disc_packing)
+
+    def test_sausages_set_delta0_on_the_delaunay_map(self, monkeypatch):
+        # the edges admit 1/4 (m_edge 0.262) but the sausages only 1/16:
+        # the bound is queried once, at the cap of 1/4
+        t = delaunay_truncation(400, seed=0)
+        pk = layout(t, solve_radii(t, boundary_mode="disc"))
+        caps = []
+        bound = packing._sausage_bound
+
+        def record(pk, cap):
+            caps.append(cap)
+            return bound(pk, cap)
+
+        monkeypatch.setattr(packing, "_sausage_bound", record)
+        assert 0.25 < _edge_condition_bound(pk) < 0.5
+        assert compute_delta0(pk) == reference_delta0(pk) == 0.0625
+        assert caps == [_sausage_cap(0.25)]
+        assert geometry_report(pk).sausage_ok
+
+    def test_no_dyadic_delta(self):
+        t = boundary_truncation(generate_grid(5, 5))
+        pk = layout(t, solve_radii(t))
+        pk = dataclasses.replace(pk, vertex_center=np.zeros_like(pk.vertex_center))
+        with pytest.raises(ConvergenceError, match="no dyadic delta0 found"):
+            compute_delta0(pk)
 
     def test_stable_across_relabeling(self):
         m = generate_tiling(7, 3, 4)
