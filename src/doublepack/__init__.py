@@ -61,7 +61,7 @@ from .potential import (
     vertex_function_to_csv,
     walk_limit_estimate,
 )
-from .render import packing_to_svg, save_svg
+from .render import packing_to_svg
 from .tilings import generate_grid, generate_tiling
 from .transfer import (
     AffineExtension,

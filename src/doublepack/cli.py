@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands build a map (from a file or a generator), pack it, run one of the
-analyses, and write artifacts to the output directory (``--out`` or the
-``DOUBLEPACK_OUT`` environment variable).  Every JSON report embeds its fully
-resolved configuration, and a fixed seed makes reruns byte-identical, so the
-artifacts double as provenance.
+analyses, and return their artifacts; ``run`` alone writes them to the output
+directory (``--out`` or the ``DOUBLEPACK_OUT`` environment variable).  Every
+JSON report embeds its fully resolved configuration, and a fixed seed makes
+reruns byte-identical, so the artifacts double as provenance.
 
 Exit codes: 0 ok, 2 bad configuration, 3 solver non-convergence, 4 file I/O,
 5 violated invariant.
@@ -12,7 +12,6 @@ Exit codes: 0 ok, 2 bad configuration, 3 solver non-convergence, 4 file I/O,
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -28,7 +27,8 @@ from .errors import ConfigError, ConvergenceError, InvariantViolation
 from .maps import boundary_truncation, load_map_json, truncate
 from .packing import geometry_report, layout, packing_to_json, solve_radii
 from .potential import capacity, capacity_to_json, solve_dirichlet
-from .render import save_svg
+from .render import packing_to_svg
+from .textio import csv_text, json_text
 from .tilings import generate_grid, generate_tiling
 
 __all__ = ["RunConfig", "run", "main"]
@@ -82,27 +82,6 @@ class RunConfig:
             raise ConfigError(f"bad radius sweep {self.radii}")
 
 
-def _config_dict(cfg: RunConfig) -> dict:
-    doc = dataclasses.asdict(cfg)
-    for key, value in doc.items():
-        if isinstance(value, tuple):
-            doc[key] = list(value)
-    return doc
-
-
-def _write_json(path: Path, doc: dict) -> Path:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _write_csv(path: Path, header, rows) -> Path:
-    """A header line and one line per row, floats in ``repr`` form."""
-    cell = lambda v: repr(float(v)) if isinstance(v, float) else str(v)
-    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
 # ---------------------------------------------------------------------------
 # map sources
 # ---------------------------------------------------------------------------
@@ -148,30 +127,26 @@ def _pack(cfg: RunConfig, mode: str | None = None):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its artifacts as {file name: JSON doc or text}
 # ---------------------------------------------------------------------------
 
-def _cmd_pack(cfg: RunConfig, out: Path):
+def _cmd_pack(cfg: RunConfig):
     trunc, sol, pk = _pack(cfg)
     doc = packing_to_json(pk)
     doc["defect"] = float(sol.defect)
     doc["iterations"] = int(sol.iterations)
-    doc["config"] = _config_dict(cfg)
-    svg = out / "packing.svg"
-    save_svg(pk, svg, cfg.svg_size)
-    return [_write_json(out / "packing.json", doc), svg]
+    return {"packing.json": doc, "packing.svg": packing_to_svg(pk, cfg.svg_size)}
 
 
-def _cmd_analyze(cfg: RunConfig, out: Path):
+def _cmd_analyze(cfg: RunConfig):
     trunc, sol, pk = _pack(cfg)
     doc = dataclasses.asdict(geometry_report(pk))
     doc["defect"] = float(sol.defect)
     doc["layout_residual"] = float(pk.layout_residual)
-    doc["config"] = _config_dict(cfg)
-    return [_write_json(out / "geometry.json", doc)]
+    return {"geometry.json": doc}
 
 
-def _cmd_douglas(cfg: RunConfig, out: Path):
+def _cmd_douglas(cfg: RunConfig):
     rows = []
     for k in range(1, cfg.k_max + 1):
         bf = BoundaryFunction(func=lambda th, k=k: np.cos(k * th))
@@ -180,12 +155,11 @@ def _cmd_douglas(cfg: RunConfig, out: Path):
         rows.append({"k": k, "douglas": float(d), "energy": float(e),
                      "ratio": float(d / e)})
     cols = ["k", "douglas", "energy", "ratio"]
-    csv = _write_csv(out / "douglas.csv", cols, [[r[c] for c in cols] for r in rows])
-    doc = {"rows": rows, "config": _config_dict(cfg)}
-    return [csv, _write_json(out / "douglas.json", doc)]
+    return {"douglas.csv": csv_text(cols, [[r[c] for c in cols] for r in rows]),
+            "douglas.json": {"rows": rows}}
 
 
-def _cmd_capacity(cfg: RunConfig, out: Path):
+def _cmd_capacity(cfg: RunConfig):
     trunc, _, pk = _pack(cfg, mode="disc")
     target = list(cfg.target) if cfg.target else [trunc.root]
     est = capacity(trunc, target)
@@ -196,9 +170,8 @@ def _cmd_capacity(cfg: RunConfig, out: Path):
            "comparison": {"discrete": float(d), "continuum": float(c),
                           "ratio": float(ratio), "delta": cfg.delta,
                           "grid_h": cfg.grid_h},
-           "target": [int(v) for v in target],
-           "config": _config_dict(cfg)}
-    return [_write_json(out / "capacity.json", doc)]
+           "target": [int(v) for v in target]}
+    return {"capacity.json": doc}
 
 
 def _sweep_boundary_data(pk, trunc) -> np.ndarray:
@@ -207,15 +180,12 @@ def _sweep_boundary_data(pk, trunc) -> np.ndarray:
     return zb.real + 0.5 * (zb ** 2).real
 
 
-def _cmd_roundtrip(cfg: RunConfig, out: Path):
+def _cmd_roundtrip(cfg: RunConfig):
     if cfg.grid is not None:
         raise ConfigError("roundtrip sweeps truncation radii; "
                           "provide --tiling or --map")
     lo, hi = cfg.radii
-    if cfg.tiling is not None:
-        parent = generate_tiling(*cfg.tiling, hi + 1)
-    else:
-        parent = load_map_json(cfg.map_file)
+    parent = _parent_map(cfg, hi + 1)
     rows = []
     for r in range(lo, hi + 1):
         trunc = truncate(parent, cfg.root, r)
@@ -230,12 +200,11 @@ def _cmd_roundtrip(cfg: RunConfig, out: Path):
         rows.append(row)
     cols = ["radius", "n_vertices", "roundtrip_residual", "asymptotic_gap",
             "energy_ratio_A", "energy_ratio_R"]
-    csv = _write_csv(out / "roundtrip.csv", cols, [[r[c] for c in cols] for r in rows])
-    doc = {"sweep": rows, "config": _config_dict(cfg)}
-    return [csv, _write_json(out / "roundtrip.json", doc)]
+    return {"roundtrip.csv": csv_text(cols, [[r[c] for c in cols] for r in rows]),
+            "roundtrip.json": {"sweep": rows}}
 
 
-def _cmd_harnack(cfg: RunConfig, out: Path):
+def _cmd_harnack(cfg: RunConfig):
     trunc, _, pk = _pack(cfg, mode="disc")
     rng = np.random.default_rng(cfg.seed)
     weights = 1.0 / (1.0 + np.arange(3))
@@ -247,12 +216,10 @@ def _cmd_harnack(cfg: RunConfig, out: Path):
     fit = transfer.harnack_fit(trunc, pk, samples, alpha=cfg.alpha,
                                seed=cfg.seed, n_balls=cfg.n_balls,
                                pairs_per_ball=cfg.pairs_per_ball)
-    doc = transfer.harnack_to_json(fit)
-    doc["config"] = _config_dict(cfg)
-    return [_write_json(out / "harnack.json", doc)]
+    return {"harnack.json": transfer.harnack_to_json(fit)}
 
 
-def _cmd_evaluate(cfg: RunConfig, out: Path):
+def _cmd_evaluate(cfg: RunConfig):
     if cfg.boundary_csv is None or cfg.points is None:
         raise ConfigError("evaluate needs --boundary-csv and --points")
     bf = load_boundary_csv(cfg.boundary_csv)
@@ -261,11 +228,9 @@ def _cmd_evaluate(cfg: RunConfig, out: Path):
     if pts.shape[1] != 2:
         raise ConfigError("points file must have rows of x,y")
     vals = field.evaluate(pts[:, 0] + 1j * pts[:, 1])
-    csv = _write_csv(out / "evaluate.csv", ["x", "y", "value"],
-                     zip(pts[:, 0], pts[:, 1], vals))
-    doc = {"n_points": int(len(vals)), "k_max": int(cfg.k_max),
-           "config": _config_dict(cfg)}
-    return [csv, _write_json(out / "evaluate.json", doc)]
+    return {"evaluate.csv": csv_text(["x", "y", "value"],
+                                     zip(pts[:, 0], pts[:, 1], vals)),
+            "evaluate.json": {"n_points": int(len(vals)), "k_max": int(cfg.k_max)}}
 
 
 # command -> (handler, help, the RunConfig fields it reads, and its defaults
@@ -294,7 +259,8 @@ _COMMANDS = {
 
 def run(config: RunConfig) -> list:
     """Execute one command and return the artifact paths it wrote.  Fields
-    left None take the command's own defaults, and the config records them."""
+    left None take the command's own defaults, and every JSON artifact
+    records the resolved config."""
     handler, _, _, defaults = _COMMANDS[config.command]
     config = dataclasses.replace(config, **{
         name: value for name, value in defaults.items()
@@ -302,7 +268,14 @@ def run(config: RunConfig) -> list:
     config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return handler(config, out)
+    paths = []
+    for name, artifact in handler(config).items():
+        if isinstance(artifact, dict):  # tuples in the config become lists
+            artifact = json_text({**artifact, "config": dataclasses.asdict(config)})
+        path = out / name
+        path.write_text(artifact, encoding="utf-8")
+        paths.append(path)
+    return paths
 
 
 # ---------------------------------------------------------------------------

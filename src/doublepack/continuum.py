@@ -9,8 +9,6 @@ summed through the FFT autocorrelation of the samples, whose diagonal uses
 the difference-quotient limit.
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -19,6 +17,7 @@ from scipy import sparse
 
 from .errors import InvariantViolation
 from .linalg import lattice_solve
+from .textio import csv_text, read_csv
 
 __all__ = [
     "HarmonicDiscField", "GridDiscField", "BoundaryFunction",
@@ -288,34 +287,10 @@ def inner_product_continuous(field1, field2, region, n_r: int = 96,
 # grid capacity
 # ---------------------------------------------------------------------------
 
-def _parse_discs(target):
-    """Normalize a disc union: a bare (center, radius) / (x, y, radius)
-    tuple, or a list of such tuples; centers complex or coordinate pairs."""
-    if target is None:
-        return []
-    if isinstance(target, tuple) and len(target) in (2, 3) and \
-            all(np.isscalar(x) for x in target):
-        items = [target]
-    else:
-        items = list(target)
-    discs = []
-    for item in items:
-        if len(item) == 3:
-            x, y, r = item
-            c = complex(x, y)
-        else:
-            c, r = item
-            c = complex(c)
-        r = float(r)
-        if r < 0:
-            raise ValueError("disc radius cannot be negative")
-        discs.append((c, r))
-    return discs
-
-
 def grid_capacity(target, grid_h: float) -> float:
-    """Capacity between a union of closed discs and the unit circle, from the
-    5-point equilibrium potential on a Cartesian grid.
+    """Capacity between a union of closed discs, given as a list of
+    (center, radius) pairs with complex centers, and the unit circle, from
+    the 5-point equilibrium potential on a Cartesian grid.
 
     The potential is 1 on the target nodes and 0 off the open disc; the free
     nodes are solved to a residual of 1e-10 relative by ``lattice_solve``,
@@ -327,7 +302,9 @@ def grid_capacity(target, grid_h: float) -> float:
     h = float(grid_h)
     if not 0 < h <= 0.25:
         raise ValueError("grid_h must be in (0, 1/4]")
-    discs = _parse_discs(target)
+    discs = [(complex(c), float(r)) for c, r in target]
+    if any(r < 0 for _, r in discs):
+        raise ValueError("disc radius cannot be negative")
     if not discs:
         return 0.0
     for c, r in discs:
@@ -417,33 +394,16 @@ def oscillation_bound_check(field: HarmonicDiscField, center, radius: float,
 # ---------------------------------------------------------------------------
 
 def boundary_function_to_csv(bf: BoundaryFunction, n_theta: int) -> str:
-    vals = bf.sample(n_theta)
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
-    lines = ["theta,value"]
-    lines.extend(f"{float(t)!r},{float(v)!r}" for t, v in zip(theta, vals))
-    return "\n".join(lines) + "\n"
+    return csv_text(["theta", "value"], zip(theta, bf.sample(n_theta)))
 
 
 def load_boundary_csv(source) -> BoundaryFunction:
-    """Boundary samples from CSV text or a file path; requires the uniform
-    grid theta_j = 2 pi j / n in any row order."""
-    if isinstance(source, str) and ("\n" in source or source.startswith("theta")):
-        text = source
-    else:
-        with open(source) as fh:
-            text = fh.read()
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != ["theta", "value"]:
-        raise ValueError("boundary CSV must start with 'theta,value'")
-    theta, vals = [], []
-    for row in reader:
-        if not row:
-            continue
-        theta.append(float(row[0]))
-        vals.append(float(row[1]))
-    theta = np.asarray(theta)
-    vals = np.asarray(vals)
+    """Boundary samples from a CSV file (a path or an open text file);
+    requires the uniform grid theta_j = 2 pi j / n in any row order."""
+    rows = read_csv(source, ["theta", "value"], "boundary")
+    theta = np.array([float(t) for t, _ in rows])
+    vals = np.array([float(v) for _, v in rows])
     order = np.argsort(theta)
     theta, vals = theta[order], vals[order]
     n = theta.size

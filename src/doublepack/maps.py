@@ -30,6 +30,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import InvariantViolation
 from .linalg import PinnedSolve
+from .textio import read_text
 
 __all__ = [
     "PlanarMap",
@@ -586,8 +587,13 @@ class Truncation:
 
     def _check_interior_connected(self):
         inner = self.graph.adjacency[self.interior][:, self.interior]
-        if connected_components(inner, return_labels=False) > 1:
-            raise InvariantViolation("interior of the truncation is not connected")
+        _, label = connected_components(inner)
+        root_label = label[np.searchsorted(self.interior, self.root)]
+        cut_off = self.interior[label != root_label]
+        if cut_off.size:
+            raise ValueError(f"interior of the truncation is not connected: the "
+                             f"boundary cuts interior vertex {cut_off[0]} off "
+                             f"from the root {self.root}")
 
     # -- conveniences ------------------------------------------------------
 
@@ -770,16 +776,10 @@ def map_to_json(pmap: PlanarMap) -> dict:
 
 
 def load_map_json(source) -> PlanarMap:
-    """Load a map from a JSON dict, JSON string, or path to a JSON file.
-    Rotations that embed the graph in a surface of higher genus are
-    rejected."""
-    if isinstance(source, dict):
-        data = source
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        data = json.loads(source)
-    else:
-        with open(source) as fh:
-            data = json.load(fh)
+    """Load a map from a JSON dict, or from a JSON file given as a path or
+    an open text file.  Rotations that embed the graph in a surface of
+    higher genus are rejected."""
+    data = source if isinstance(source, dict) else json.loads(read_text(source))
     try:
         n = int(data["vertices"])
         rotations = data["rotations"]

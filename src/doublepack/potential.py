@@ -15,8 +15,6 @@ from call to call, so each call factors its own block and keeps nothing.
 The walk's step tables are built once per map (``PlanarMap.walk_tables``).
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +23,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .linalg import PinnedSolve
 from .maps import PlanarMap, Truncation
+from .textio import csv_text, read_csv
 
 __all__ = [
     "VertexFunction", "RoydenSplit", "CapacityEstimate", "CapacityProfile",
@@ -332,30 +331,19 @@ def quasi_asymptotic_profile(trunc_sequence, phi_family, eps: float) -> Capacity
 # ---------------------------------------------------------------------------
 
 def vertex_function_to_csv(vf: VertexFunction) -> str:
-    lines = ["vertex_id,value"]
-    lines.extend(f"{i},{float(x)!r}" for i, x in enumerate(vf.values))
-    return "\n".join(lines) + "\n"
+    return csv_text(["vertex_id", "value"], enumerate(vf.values))
 
 
 def load_vertex_function_csv(trunc: Truncation, source) -> VertexFunction:
-    """Read a vertex function for ``trunc`` from CSV text or a file path."""
-    if isinstance(source, str) and ("\n" in source or source.startswith("vertex_id")):
-        text = source
-    else:
-        with open(source) as fh:
-            text = fh.read()
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != ["vertex_id", "value"]:
-        raise ValueError("vertex function CSV must start with 'vertex_id,value'")
+    """Read a vertex function for ``trunc`` from a CSV file (a path or an
+    open text file)."""
+    rows = read_csv(source, ["vertex_id", "value"], "vertex function")
     vals = np.full(trunc.n_vertices, np.nan)
-    for row in reader:
-        if not row:
-            continue
-        i = int(row[0])
+    for i, x in rows:
+        i = int(i)
         if not 0 <= i < trunc.n_vertices:
             raise ValueError(f"vertex id {i} outside the truncation")
-        vals[i] = float(row[1])
+        vals[i] = float(x)
     if np.isnan(vals).any():
         missing = int(np.flatnonzero(np.isnan(vals))[0])
         raise ValueError(f"no value for vertex {missing}")

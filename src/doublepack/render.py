@@ -6,7 +6,7 @@ import numpy as np
 
 from .packing import DoublePacking
 
-__all__ = ["packing_to_svg", "save_svg"]
+__all__ = ["packing_to_svg"]
 
 
 def _fmt(x: float) -> str:
@@ -51,8 +51,3 @@ def packing_to_svg(pk: DoublePacking, size: int = 720) -> str:
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def save_svg(pk: DoublePacking, path, size: int = 720) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(packing_to_svg(pk, size=size))

@@ -1,0 +1,54 @@
+"""Text formats of the artifacts, and the one rule for reading an input.
+
+JSON documents are written with sorted keys, an indent of 2 and a trailing
+newline; CSV tables as a header line and one line per row, floats in exact
+``repr`` form.  The same values therefore give the same bytes.  An input
+source is a path or an open text file, and a ``str`` is always a path: inline
+text goes through ``io.StringIO``.
+"""
+
+import csv
+import io
+import json
+import os
+
+__all__ = ["json_text", "csv_text", "read_text", "read_csv"]
+
+
+def json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(header, rows) -> str:
+    """A header line and one line per row, floats in ``repr`` form."""
+    cell = lambda v: repr(float(v)) if isinstance(v, float) else str(v)
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def read_text(source) -> str:
+    """The whole text of a path (``str`` or path-like) or an open text file."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, encoding="utf-8") as fh:
+            return fh.read()
+    return source.read()
+
+
+def read_csv(source, header, what: str) -> list:
+    """The rows after the header of a CSV source, blank lines skipped.
+
+    Raises ``ValueError`` unless the first line is ``header`` and every
+    other non-blank line has as many fields; ``what`` names the table in
+    the message."""
+    reader = csv.reader(io.StringIO(read_text(source)))
+    if next(reader, None) != list(header):
+        raise ValueError(f"{what} CSV must start with '{','.join(header)}'")
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"{what} CSV line {reader.line_num}: expected "
+                             f"{len(header)} fields, got {len(row)}")
+        rows.append(row)
+    return rows

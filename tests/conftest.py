@@ -2,7 +2,7 @@
 
 ``delaunay_rotations`` turns seeded points into the rotation lists of their
 Delaunay triangulation; the map and packing tests each sample their own
-points.  The one hook prints a one-line verdict per deliverable check from
+points.  ``TWO_WHEELS`` is a planar map whose rim cuts its interior in two.  The one hook prints a one-line verdict per deliverable check from
 test_acceptance.py at the end of the run, so the terminal (and any tee'd log)
 ends with a compact scoreboard.
 """
@@ -21,6 +21,12 @@ def delaunay_rotations(pts):
         d = pts[nb] - pts[v]
         rotations.append(nb[np.argsort(np.arctan2(d[:, 1], d[:, 0]))].tolist())
     return rotations
+
+
+# Two 4-wheels, hubs 1 and 5, that share rim vertex 0: the rim of the outer
+# face separates the two hubs, so the map has no connected interior.
+TWO_WHEELS = [[4, 8, 5, 6, 2, 1], [4, 0, 2, 3], [3, 1, 0], [4, 1, 2], [0, 1, 3],
+              [8, 7, 6, 0], [0, 5, 7], [8, 6, 5], [7, 5, 0]]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import TWO_WHEELS
 from doublepack import cli
 from doublepack.continuum import BoundaryFunction, boundary_function_to_csv
 from doublepack.maps import map_to_json
@@ -123,6 +124,24 @@ class TestEvaluate:
         # the extension of cos(theta) is Re z
         assert got == pytest.approx([0.3, 0.0, -0.5], abs=1e-9)
 
+    def test_boundary_file_named_like_its_header(self, tmp_path, monkeypatch):
+        # a file name is never read as CSV text, whatever it starts with
+        monkeypatch.chdir(tmp_path)
+        bf = BoundaryFunction(func=np.cos)
+        (tmp_path / "theta_samples.csv").write_text(boundary_function_to_csv(bf, 64))
+        (tmp_path / "pts.csv").write_text("0.3,0.0\n")
+        assert run(tmp_path, "evaluate", "--boundary-csv", "theta_samples.csv",
+                   "--points", "pts.csv") == 0
+
+    def test_short_boundary_row_is_bad_input(self, tmp_path, capsys):
+        (tmp_path / "bdry.csv").write_text("theta,value\n0.0\n")
+        (tmp_path / "pts.csv").write_text("0.3,0.0\n")
+        assert run(tmp_path, "evaluate", "--boundary-csv", str(tmp_path / "bdry.csv"),
+                   "--points", str(tmp_path / "pts.csv")) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "line 2" in err[0]
+
 
 # A report's config block with every field at RunConfig's default; each case
 # below names the fields that differ.
@@ -149,6 +168,33 @@ class TestConfig:
         assert run(tmp_path, *args) == 0
         doc = json.loads((tmp_path / artifact).read_text())
         assert doc["config"] == {**BASE_CONFIG, **fields, "out_dir": str(tmp_path)}
+
+    @pytest.mark.parametrize("args, fields", [
+        (("pack", "--grid", "5"), {"grid": [5, 5]}),
+        (("analyze", "--grid", "5"), {"grid": [5, 5]}),
+        (("douglas", "--kmax", "2", "--ntheta", "256"), {"k_max": 2, "n_theta": 256}),
+        (("capacity", "--grid", "5", "--grid-h", "0.015625"),
+         {"grid": [5, 5], "grid_h": 0.015625}),
+        (("roundtrip", "--tiling", "7,3", "--radii", "3:4"),
+         {"tiling": [7, 3], "radii": [3, 4]}),
+        (("harnack", "--tiling", "7,3", "--seed", "1"), {"tiling": [7, 3], "seed": 1}),
+        (("evaluate", "--boundary-csv", "bdry.csv", "--points", "pts.csv"),
+         {"boundary_csv": "bdry.csv", "points": "pts.csv", "k_max": 16}),
+    ], ids=["pack", "analyze", "douglas", "capacity", "roundtrip", "harnack",
+            "evaluate"])
+    def test_every_json_artifact_records_the_config(self, tmp_path, monkeypatch,
+                                                    args, fields):
+        monkeypatch.chdir(tmp_path)
+        bf = BoundaryFunction(func=np.cos)
+        (tmp_path / "bdry.csv").write_text(boundary_function_to_csv(bf, 64))
+        (tmp_path / "pts.csv").write_text("0.3,0.0\n")
+        out = tmp_path / "out"
+        assert run(out, *args) == 0
+        expected = {**BASE_CONFIG, **fields, "command": args[0], "out_dir": str(out)}
+        docs = sorted(out.glob("*.json"))
+        assert docs
+        for path in docs:
+            assert json.loads(path.read_text())["config"] == expected, path.name
 
     def test_run_applies_command_defaults(self, tmp_path):
         cli.run(cli.RunConfig(command="douglas", out_dir=str(tmp_path)))
@@ -224,6 +270,12 @@ class TestExitCodes:
         path.write_text(json.dumps(payload))
         assert run(tmp_path, "pack", "--map", str(path)) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_rim_that_splits_the_interior_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "wheels.json"
+        path.write_text(json.dumps({"vertices": 9, "rotations": TWO_WHEELS}))
+        assert run(tmp_path, "pack", "--map", str(path)) == 2
+        assert "interior of the truncation is not connected" in capsys.readouterr().err
 
     def test_non_planar_map_is_bad_input(self, tmp_path, capsys):
         path = tmp_path / "k5.json"

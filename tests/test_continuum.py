@@ -2,6 +2,7 @@
 Douglas boundary energy, disc inner products, and grid capacity."""
 
 import gc
+import io
 import math
 
 import numpy as np
@@ -255,6 +256,10 @@ class TestGridCapacity:
         with pytest.raises(ValueError, match="boundary"):
             grid_capacity([(0.9, 0.2)], 1 / 64)
 
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            grid_capacity([(0.1j, -0.1)], 1 / 64)
+
 
 def _thirty_small_discs():
     rng = np.random.default_rng(5)
@@ -378,10 +383,10 @@ class TestSerialization:
         bf = BoundaryFunction(samples=np.cos(theta) + 0.5)
         text = boundary_function_to_csv(bf, 32)
         assert text.splitlines()[0] == "theta,value"
-        back = load_boundary_csv(text)
+        back = load_boundary_csv(io.StringIO(text))
         assert np.allclose(back.sample(32), bf.sample(32), atol=1e-12)
 
     def test_rejects_nonuniform_grid(self):
         bad = "theta,value\n0.0,1.0\n0.5,2.0\n3.0,1.5\n"
         with pytest.raises(ValueError, match="uniform"):
-            load_boundary_csv(bad)
+            load_boundary_csv(io.StringIO(bad))

@@ -2,6 +2,7 @@
 tilings, truncations, serialization."""
 
 import hashlib
+import io
 import json
 from collections import defaultdict
 
@@ -29,7 +30,7 @@ from doublepack.maps import (
 from doublepack.maps import _bfs_distances
 from doublepack.tilings import generate_grid, generate_tiling
 
-from conftest import delaunay_rotations
+from conftest import TWO_WHEELS, delaunay_rotations
 
 TRIANGLE = [[1, 2], [2, 0], [0, 1]]
 K4 = [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]]
@@ -615,11 +616,18 @@ class TestTruncation:
         assert t.interior.size == 9
         assert t.root == 12  # center of the patch
 
+    def test_rim_that_splits_the_interior_is_bad_input(self):
+        # a connected interior is a precondition, so this is a ValueError
+        # (user input), not an InvariantViolation
+        with pytest.raises(ValueError, match="not connected.*vertex 5 off "
+                                             "from the root 1"):
+            boundary_truncation(build_map(TWO_WHEELS))
+
 
 class TestSerialization:
     def test_round_trip(self):
         m = generate_tiling(7, 3, 2)
-        again = load_map_json(json.dumps(map_to_json(m)))
+        again = load_map_json(io.StringIO(json.dumps(map_to_json(m))))
         assert canonical_encoding(again) == canonical_encoding(m)
 
     def test_conductances_survive(self):

@@ -2,6 +2,7 @@
 capacities, and the random-walk boundary-limit estimator."""
 
 import gc
+import io
 import weakref
 
 import numpy as np
@@ -567,7 +568,16 @@ class TestSerialization:
         t = grid_trunc(5)
         vf = VertexFunction(t, np.random.default_rng(6).normal(size=t.n_vertices))
         text = vertex_function_to_csv(vf)
-        back = load_vertex_function_csv(t, text)
+        back = load_vertex_function_csv(t, io.StringIO(text))
+        assert np.array_equal(back.values, vf.values)
+
+    def test_csv_file_named_like_its_header(self, tmp_path, monkeypatch):
+        # a str is always a path, whatever it starts with
+        monkeypatch.chdir(tmp_path)
+        t = path_truncation()
+        vf = VertexFunction(t, np.array([0.0, 0.5, 1.0]))
+        (tmp_path / "vertex_id_values.csv").write_text(vertex_function_to_csv(vf))
+        back = load_vertex_function_csv(t, "vertex_id_values.csv")
         assert np.array_equal(back.values, vf.values)
 
     def test_csv_shape(self):
