@@ -6,7 +6,7 @@ directory (``--out`` or the ``DOUBLEPACK_OUT`` environment variable).  Every
 JSON report embeds its fully resolved configuration, and a fixed seed makes
 reruns byte-identical, so the artifacts double as provenance.
 
-Exit codes: 0 ok, 2 bad configuration, 3 solver non-convergence, 4 file I/O,
+Exit codes: 0 ok, 2 bad input, 3 solver non-convergence, 4 file I/O,
 5 violated invariant.
 """
 
@@ -28,7 +28,7 @@ from .maps import boundary_truncation, load_map_json, truncate
 from .packing import geometry_report, layout, packing_to_json, solve_radii
 from .potential import capacity, capacity_to_json, solve_dirichlet
 from .render import packing_to_svg
-from .textio import csv_text, json_text
+from .textio import csv_text, json_text, read_csv
 from .tilings import generate_grid, generate_tiling
 
 __all__ = ["RunConfig", "run", "main"]
@@ -224,12 +224,17 @@ def _cmd_evaluate(cfg: RunConfig):
         raise ConfigError("evaluate needs --boundary-csv and --points")
     bf = load_boundary_csv(cfg.boundary_csv)
     field = poisson_extend(bf, cfg.k_max)
-    pts = np.loadtxt(cfg.points, delimiter=",", ndmin=2)
-    if pts.shape[1] != 2:
-        raise ConfigError("points file must have rows of x,y")
-    vals = field.evaluate(pts[:, 0] + 1j * pts[:, 1])
-    return {"evaluate.csv": csv_text(["x", "y", "value"],
-                                     zip(pts[:, 0], pts[:, 1], vals)),
+    rows, lines = read_csv(cfg.points, ["x", "y"], "points", headed=False)
+    if not rows:
+        raise ConfigError(f"points file {cfg.points} holds no x,y rows")
+    x, y = np.array(rows).T
+    # the Poisson extension is defined on the closed disc only
+    far = np.flatnonzero(~(np.hypot(x, y) <= 1.0 + 1e-12))
+    if far.size:
+        raise ConfigError(f"points CSV line {lines[far[0]]}: {tuple(rows[far[0]])} "
+                          "lies outside the closed unit disc")
+    vals = field.evaluate(x + 1j * y)
+    return {"evaluate.csv": csv_text(["x", "y", "value"], zip(x, y, vals)),
             "evaluate.json": {"n_points": int(len(vals)), "k_max": int(cfg.k_max)}}
 
 
@@ -355,24 +360,19 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(command=command, **given)
 
 
+# Exit code per failure, in match order: ConfigError is a ValueError.
+_EXIT_CODES = {ValueError: 2, ConvergenceError: 3, InvariantViolation: 5, OSError: 4}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
         paths = run(cfg)
-    except (ConfigError, ValueError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     for path in paths:
         print(path)
     return 0

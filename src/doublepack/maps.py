@@ -159,8 +159,9 @@ class PlanarMap:
         """"a loop" or "a doubled edge" when the map is not simple, else None."""
         if np.any(self.origin == self.target):
             return "a loop"
-        ends = np.sort(np.stack([self.origin[::2], self.target[::2]], axis=1), axis=1)
-        if len(np.unique(ends, axis=0)) != self.n_edges:
+        u, v = self.origin[::2], self.target[::2]
+        key = np.sort(np.minimum(u, v) * self.n_vertices + np.maximum(u, v))
+        if np.any(key[1:] == key[:-1]):
             return "a doubled edge"
         return None
 
@@ -532,11 +533,9 @@ class Truncation:
 
     ``graph`` is a self-contained relabeled map; ``boundary`` separates the
     interior from whatever was discarded from ``parent``.  All potential-
-    theoretic operations act on truncations.  ``truncate`` and
-    ``boundary_truncation`` additionally guarantee ``rim_is_boundary`` (the
-    boundary is exactly the rim of the outer face), which circle packing
-    requires; direct construction accepts any nonempty grounding set whose
-    complement is connected, e.g. the leaves of a star.
+    theoretic operations act on truncations, with any nonempty grounding
+    set whose complement is connected, e.g. the leaves of a star.  Circle
+    packing asks more (``rim_is_boundary`` among it) and checks that itself.
     """
 
     def __init__(self, graph: PlanarMap, boundary_ids, root: int,
@@ -730,11 +729,8 @@ def truncate(pmap: PlanarMap, root: int, radius: int) -> Truncation:
     sub, parent_vertices = induce_submap(pmap, keep)
     boundary = np.flatnonzero(dist[parent_vertices] == radius)
     new_root = int(np.flatnonzero(parent_vertices == root)[0])
-    trunc = Truncation(sub, boundary, new_root, radius,
-                       parent=pmap, parent_vertices=parent_vertices)
-    if not trunc.rim_is_boundary:
-        raise InvariantViolation("boundary does not coincide with the outer face rim")
-    return trunc
+    return Truncation(sub, boundary, new_root, radius,
+                      parent=pmap, parent_vertices=parent_vertices)
 
 
 def boundary_truncation(pmap: PlanarMap, root: int | None = None) -> Truncation:
@@ -754,11 +750,8 @@ def boundary_truncation(pmap: PlanarMap, root: int | None = None) -> Truncation:
         root = int(inner[np.argmax(dist[inner])])
     dist_root = _bfs_distances(pmap, root)
     radius = int(dist_root[boundary].max())
-    trunc = Truncation(pmap, boundary, root, radius, parent=pmap,
-                       parent_vertices=np.arange(pmap.n_vertices))
-    if not trunc.rim_is_boundary:
-        raise InvariantViolation("boundary does not coincide with the outer face rim")
-    return trunc
+    return Truncation(pmap, boundary, root, radius, parent=pmap,
+                      parent_vertices=np.arange(pmap.n_vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -798,24 +791,21 @@ def load_map_json(source) -> PlanarMap:
 
 def canonical_encoding(pmap: PlanarMap) -> tuple:
     """Canonical form of the rotation system under orientation-preserving
-    relabeling; two maps are isomorphic iff their encodings match."""
+    relabeling; two maps are isomorphic iff their encodings match.  Each
+    start numbers the darts breadth-first along ``nxt[e]``, then ``e ^ 1``;
+    the least list of those numbers, dart by dart, is kept."""
     m = pmap.n_darts
-    rev = np.arange(m) ^ 1
-    best = None
+    darts = np.arange(m)
+    succ = np.stack([pmap.nxt, darts ^ 1], axis=1)
+    graph = sp.csr_matrix((np.ones(2 * m), succ.ravel(), np.arange(0, 2 * m + 1, 2)),
+                          shape=(m, m))
+    label = np.empty(m, dtype=np.int64)
+    best = np.full(2 * m, m)    # above every encoding
     for start in range(m):
-        label = np.full(m, -1, dtype=np.int64)
-        order = []
-        label[start] = 0
-        order.append(start)
-        head = 0
-        while head < len(order):
-            e = order[head]
-            head += 1
-            for f in (int(pmap.nxt[e]), int(rev[e])):
-                if label[f] < 0:
-                    label[f] = len(order)
-                    order.append(f)
-        enc = tuple((int(label[pmap.nxt[e]]), int(label[rev[e]])) for e in order)
-        if best is None or enc < best:
+        order = breadth_first_order(graph, start, return_predecessors=False)
+        label[order] = darts
+        enc = label[succ[order]].ravel()
+        diff = np.flatnonzero(enc != best)
+        if diff.size and enc[diff[0]] < best[diff[0]]:
             best = enc
-    return best
+    return tuple(zip(best[0::2].tolist(), best[1::2].tolist()))

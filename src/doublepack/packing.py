@@ -156,6 +156,10 @@ class GeometryReport:
 # ---------------------------------------------------------------------------
 
 def _check_packable(trunc: Truncation):
+    """The one test of whether a truncation packs; ``ValueError`` names the
+    first failure.  A vertex that the outer face visits twice is a cut vertex
+    (Mohar & Thomassen, *Graphs on Surfaces*, 2001): the layout crosses only
+    bounded corners, so it never reaches the blocks past that vertex."""
     g = trunc.graph
     if not trunc.rim_is_boundary:
         raise ValueError("packing needs the boundary to be exactly the outer "
@@ -172,6 +176,11 @@ def _check_packable(trunc: Truncation):
         raise ValueError(
             f"edge ({u}, {v}) has the outer face on both sides, so no corner "
             f"fixes its direction; vertex {v} hangs off the map there")
+    twice = np.flatnonzero(np.bincount(g.origin[outer]) > 1)
+    if twice.size:
+        raise ValueError(
+            f"the outer face visits rim vertex {int(twice[0])} twice, so it is a "
+            "cut vertex and the layout cannot reach past it")
     bad = trunc.interior[g.degrees[trunc.interior] < 3]
     if bad.size:
         raise ValueError(
@@ -331,12 +340,6 @@ def _disc_radii(trunc, xv, xf):
     return rho_v / (np.abs(a[ev]) ** 2 - 2.0 * rho_v * ab[ev].real), fr
 
 
-def _check_reached(trunc: Truncation):
-    tree = trunc.dart_tree
-    if np.any(tree.vertex_dart < 0) or np.any(tree.face_dart[trunc.bounded_faces] < 0):
-        raise ConvergenceError("layout traversal could not reach every circle")
-
-
 def solve_radii(trunc: Truncation, boundary_mode: str = "prescribed",
                 boundary_radii=None, tol: float = 1e-10,
                 max_iter: int = 80) -> RadiiSolution:
@@ -349,6 +352,7 @@ def solve_radii(trunc: Truncation, boundary_mode: str = "prescribed",
     boundary circle internally tangent to the unit circle, solved in
     hyperbolic radii (``iterations`` counts those steps) and read off one
     walk of the dart tree.  ``defect`` is the returned radii's angle defect.
+    A truncation that cannot pack raises ``ValueError`` before any solve.
     """
     _check_packable(trunc)
     if not 0 < tol < math.inf:
@@ -367,7 +371,6 @@ def solve_radii(trunc: Truncation, boundary_mode: str = "prescribed",
         if boundary_radii is not None:
             raise ValueError("disc mode fixes the boundary radii itself; "
                              "boundary_radii applies to prescribed mode only")
-        _check_reached(trunc)
         vr, fr, defect, iters = _solve_prescribed(trunc, 0.0, tol, max_iter,
                                                   hyperbolic=True)
     else:
@@ -393,9 +396,10 @@ def layout(trunc: Truncation, radii: RadiiSolution,
     borders a bounded face, for that face; all are checked at once and the
     largest mismatch must stay below 10*sqrt(tol).  The tree starts at the
     root's first dart, so the root center is 0; ``normalize`` scales the
-    packing into the closed unit disc.
+    packing into the closed unit disc.  ``solve_radii``'s packability test
+    runs first, and a truncation that passes it has every circle reached.
     """
-    _check_reached(trunc)
+    _check_packable(trunc)
     g = trunc.graph
     tree = trunc.dart_tree
     bf = trunc.bounded_faces

@@ -337,14 +337,18 @@ def vertex_function_to_csv(vf: VertexFunction) -> str:
 def load_vertex_function_csv(trunc: Truncation, source) -> VertexFunction:
     """Read a vertex function for ``trunc`` from a CSV file (a path or an
     open text file)."""
-    rows = read_csv(source, ["vertex_id", "value"], "vertex function")
+    rows, lines = read_csv(source, ["vertex_id", "value"], "vertex function")
     vals = np.full(trunc.n_vertices, np.nan)
-    for i, x in rows:
-        i = int(i)
-        if not 0 <= i < trunc.n_vertices:
-            raise ValueError(f"vertex id {i} outside the truncation")
-        vals[i] = float(x)
-    if np.isnan(vals).any():
-        missing = int(np.flatnonzero(np.isnan(vals))[0])
+    line_of = {}
+    for (i, x), line in zip(rows, lines):
+        where = f"vertex function CSV line {line}"
+        if not (i.is_integer() and 0 <= i < trunc.n_vertices):
+            raise ValueError(f"{where}: {i:g} is not a vertex id of the truncation")
+        if i in line_of:
+            raise ValueError(f"{where}: vertex id {i:g} repeats, first on line {line_of[i]}")
+        line_of[i] = line
+        vals[int(i)] = x
+    if len(line_of) < trunc.n_vertices:
+        missing = min(set(range(trunc.n_vertices)) - set(line_of))
         raise ValueError(f"no value for vertex {missing}")
     return VertexFunction(trunc, vals)

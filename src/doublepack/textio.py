@@ -34,21 +34,26 @@ def read_text(source) -> str:
     return source.read()
 
 
-def read_csv(source, header, what: str) -> list:
-    """The rows after the header of a CSV source, blank lines skipped.
+def read_csv(source, header, what: str, headed: bool = True):
+    """The numbers of a CSV source, one row per non-blank line after the
+    header line (when ``headed``), and the line number of each row.
 
-    Raises ``ValueError`` unless the first line is ``header`` and every
-    other non-blank line has as many fields; ``what`` names the table in
-    the message."""
+    Raises ``ValueError`` unless the first line is ``header`` (when
+    ``headed``), every other non-blank line has as many fields and every
+    field is a number; the message names the table (``what``) and the line."""
     reader = csv.reader(io.StringIO(read_text(source)))
-    if next(reader, None) != list(header):
+    if headed and next(reader, None) != list(header):
         raise ValueError(f"{what} CSV must start with '{','.join(header)}'")
-    rows = []
+    rows, lines = [], []
     for row in reader:
         if not row:
             continue
+        where = f"{what} CSV line {reader.line_num}"
         if len(row) != len(header):
-            raise ValueError(f"{what} CSV line {reader.line_num}: expected "
-                             f"{len(header)} fields, got {len(row)}")
-        rows.append(row)
-    return rows
+            raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
+        try:
+            rows.append([float(cell) for cell in row])
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        lines.append(reader.line_num)
+    return rows, lines

@@ -2,7 +2,9 @@
 
 ``delaunay_rotations`` turns seeded points into the rotation lists of their
 Delaunay triangulation; the map and packing tests each sample their own
-points.  ``TWO_WHEELS`` is a planar map whose rim cuts its interior in two.  The one hook prints a one-line verdict per deliverable check from
+points.  ``TWO_WHEELS`` is a planar map whose rim cuts its interior in two,
+and ``PINCHED_WHEEL`` one whose outer face visits a rim vertex twice.  The
+one hook prints a one-line verdict per deliverable check from
 test_acceptance.py at the end of the run, so the terminal (and any tee'd log)
 ends with a compact scoreboard.
 """
@@ -27,6 +29,11 @@ def delaunay_rotations(pts):
 # face separates the two hubs, so the map has no connected interior.
 TWO_WHEELS = [[4, 8, 5, 6, 2, 1], [4, 0, 2, 3], [3, 1, 0], [4, 1, 2], [0, 1, 3],
               [8, 7, 6, 0], [0, 5, 7], [8, 6, 5], [7, 5, 0]]
+
+# A 5-wheel around hub 0 with the triangle 1, 6, 7 hanging off rim vertex 1:
+# the outer face walk 2, 3, 4, 5, 1, 7, 6, 1 visits vertex 1 twice.
+PINCHED_WHEEL = [[1, 2, 3, 4, 5], [2, 0, 5, 7, 6], [3, 0, 1], [4, 0, 2], [5, 0, 3],
+                 [1, 0, 4], [1, 7], [6, 1]]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import TWO_WHEELS
+from conftest import PINCHED_WHEEL, TWO_WHEELS
 from doublepack import cli
 from doublepack.continuum import BoundaryFunction, boundary_function_to_csv
 from doublepack.maps import map_to_json
@@ -142,6 +142,23 @@ class TestEvaluate:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "line 2" in err[0]
 
+    @pytest.mark.parametrize("points, cause", [
+        ("0.3,0.0\n2,2\n", "line 2: (2.0, 2.0) lies outside the closed unit disc"),
+        ("0.3,0.0\nnan,0\n", "line 2: (nan, 0.0) lies outside"),
+        ("0.3,0.0\n0.1,abc\n", "line 2: could not convert string to float: 'abc'"),
+        ("", "holds no x,y rows"),
+    ], ids=["outside-disc", "nan", "not-a-number", "empty"])
+    def test_bad_points_are_bad_input(self, tmp_path, capsys, points, cause):
+        bf = BoundaryFunction(func=np.cos)
+        (tmp_path / "bdry.csv").write_text(boundary_function_to_csv(bf, 64))
+        (tmp_path / "pts.csv").write_text(points)
+        out = tmp_path / "out"
+        assert cli.main(["evaluate", "--boundary-csv", str(tmp_path / "bdry.csv"),
+                         "--points", str(tmp_path / "pts.csv"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and cause in err[0]
+        assert not any(out.iterdir())
+
 
 # A report's config block with every field at RunConfig's default; each case
 # below names the fields that differ.
@@ -276,6 +293,23 @@ class TestExitCodes:
         path.write_text(json.dumps({"vertices": 9, "rotations": TWO_WHEELS}))
         assert run(tmp_path, "pack", "--map", str(path)) == 2
         assert "interior of the truncation is not connected" in capsys.readouterr().err
+
+    def test_pinched_rim_is_bad_input(self, tmp_path, capsys):
+        # the outer face visits vertex 1 twice; refused before any solve
+        path = tmp_path / "pinched.json"
+        path.write_text(json.dumps({"vertices": 8, "rotations": PINCHED_WHEEL}))
+        assert run(tmp_path, "pack", "--map", str(path)) == 2
+        assert "outer face visits rim vertex 1 twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tiling, layers", [("4,4", "3"), ("3,7", "1")])
+    def test_ball_whose_rim_is_not_its_boundary_is_bad_input(self, tmp_path, capsys,
+                                                             tiling, layers):
+        out = tmp_path / "out"
+        assert cli.main(["pack", "--tiling", tiling, "--layers", layers,
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "outer face rim" in err[0]
+        assert not any(out.iterdir())
 
     def test_non_planar_map_is_bad_input(self, tmp_path, capsys):
         path = tmp_path / "k5.json"

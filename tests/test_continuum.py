@@ -386,6 +386,11 @@ class TestSerialization:
         back = load_boundary_csv(io.StringIO(text))
         assert np.allclose(back.sample(32), bf.sample(32), atol=1e-12)
 
+    def test_bad_number_names_its_line(self):
+        bad = "theta,value\n0.0,1.0\n1.5707963267948966,x1\n"
+        with pytest.raises(ValueError, match="boundary CSV line 3: could not convert string to float: 'x1'"):
+            load_boundary_csv(io.StringIO(bad))
+
     def test_rejects_nonuniform_grid(self):
         bad = "theta,value\n0.0,1.0\n0.5,2.0\n3.0,1.5\n"
         with pytest.raises(ValueError, match="uniform"):

@@ -158,6 +158,27 @@ def trace_faces_reference(nxt):
     return face_of, orbits
 
 
+def canonical_encoding_reference(pmap):
+    """Loop reference for canonical_encoding: from every start dart, number
+    the darts breadth-first along nxt[e], then e ^ 1, and keep the least
+    tuple of (number of nxt[e], number of e ^ 1) pairs."""
+    m = pmap.n_darts
+    best = None
+    for start in range(m):
+        label = np.full(m, -1, dtype=np.int64)
+        label[start] = 0
+        order = [start]
+        for e in order:     # the list grows while it is walked
+            for f in (int(pmap.nxt[e]), e ^ 1):
+                if label[f] < 0:
+                    label[f] = len(order)
+                    order.append(f)
+        enc = tuple((int(label[pmap.nxt[e]]), int(label[e ^ 1])) for e in order)
+        if best is None or enc < best:
+            best = enc
+    return best
+
+
 def cyclic_rotations(pmap):
     """Rotation lists, each turned to start at its smallest neighbor."""
     out = []
@@ -625,6 +646,17 @@ class TestTruncation:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("build", [
+        lambda: build_map([[1], [0, 2], [1]]),                      # degree 1
+        lambda: PlanarMap(rotation=[0, 1, 2, 3], offsets=[0, 3, 4]),  # a loop
+        lambda: build_map([[1, 1, 2, 3], [0, 0, 3, 2], [0, 1, 3], [0, 2, 1]]),
+        lambda: generate_grid(4, 3),
+        lambda: generate_tiling(5, 4, 2),
+    ], ids=["path", "loop", "doubled-K4", "grid", "tiling542"])
+    def test_canonical_encoding_matches_loop_reference(self, build):
+        m = build()
+        assert canonical_encoding(m) == canonical_encoding_reference(m)
+
     def test_round_trip(self):
         m = generate_tiling(7, 3, 2)
         again = load_map_json(io.StringIO(json.dumps(map_to_json(m))))
@@ -669,6 +701,7 @@ def test_multigraph_matches_loop_reference(n, n_double, n_loops, seed):
     assert np.array_equal(faces.face_of, face_of)
     assert np.array_equal(faces.order, np.concatenate(orbits))
     assert np.array_equal(faces.degrees, [len(orbit) for orbit in orbits])
+    assert canonical_encoding(m) == canonical_encoding_reference(m)
 
 
 @settings(max_examples=20, deadline=None)

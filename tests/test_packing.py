@@ -15,6 +15,7 @@ from doublepack.errors import ConvergenceError
 from doublepack.maps import Truncation, boundary_truncation, build_map, truncate
 from doublepack.packing import (
     DoublePacking,
+    RadiiSolution,
     _edge_condition_bound,
     _sausage_bound,
     _sausage_cap,
@@ -26,9 +27,10 @@ from doublepack.packing import (
     packing_to_json,
     solve_radii,
 )
+from doublepack.potential import capacity, escape_capacity
 from doublepack.tilings import generate_grid, generate_tiling
 
-from conftest import delaunay_rotations
+from conftest import PINCHED_WHEEL, delaunay_rotations
 
 TRIANGLE = [[1, 2], [2, 0], [0, 1]]
 
@@ -363,6 +365,28 @@ class TestSolveRadii:
         with pytest.raises(ValueError, match=r"edge \(1, 9\).*vertex 9 hangs"):
             solve_radii(t)
 
+    @pytest.mark.parametrize("mode", ["prescribed", "disc"])
+    def test_pinched_rim_rejected_before_solving(self, mode, monkeypatch):
+        # the outer face visits rim vertex 1 twice, so the triangle past it
+        # can never be laid out; the gate says so before any Newton step
+        t = boundary_truncation(build_map(PINCHED_WHEEL))
+        assert t.rim_is_boundary
+        monkeypatch.setattr(packing, "_solve_prescribed", no_newton_step)
+        with pytest.raises(ValueError, match="outer face visits rim vertex 1 twice"):
+            solve_radii(t, boundary_mode=mode)
+
+    def test_ball_that_does_not_pack(self):
+        # the (5,4) ball of radius 3 is a valid grounding set whose boundary
+        # is not the outer face rim: potential theory works on it, packing
+        # refuses it
+        t = truncate(generate_tiling(5, 4, 4), 0, 3)
+        assert not t.rim_is_boundary
+        target = [t.root]
+        assert capacity(t, target).value == pytest.approx(escape_capacity(t, target),
+                                                          rel=0, abs=1e-8)
+        with pytest.raises(ValueError, match="outer face rim"):
+            solve_radii(t)
+
     def test_interior_degree_two_rejected(self):
         # hexagon with a subdivided chord: vertex 6 is interior with degree 2,
         # so its two kite corners can never sum to a full turn
@@ -533,9 +557,15 @@ class TestLayout:
             layout(t, dataclasses.replace(sol, vertex_radius=vr))
 
     def test_block_behind_outer_corner_unreachable(self):
+        # the outer face visits corner 8 twice: the gate refuses to solve,
+        # and layout runs the same gate on any radii it is given
         t = corner_block_truncation()
-        with pytest.raises(ConvergenceError, match="could not reach every circle"):
-            layout(t, solve_radii(t))
+        with pytest.raises(ValueError, match="rim vertex 8 twice"):
+            solve_radii(t)
+        ones = RadiiSolution(np.ones(t.n_vertices), np.ones(t.faces.n_faces), 0.0, 0,
+                             "prescribed", 1e-10)
+        with pytest.raises(ValueError, match="rim vertex 8 twice"):
+            layout(t, ones)
 
     @pytest.mark.parametrize("n", [7, 9, 15])
     def test_disc_mode_small_grids(self, n):
@@ -566,7 +596,7 @@ class TestDiscMode:
             solve_radii(t, boundary_mode="disc", boundary_radii=1.0)
 
     def test_unreachable_circles(self):
-        with pytest.raises(ConvergenceError, match="could not reach every circle"):
+        with pytest.raises(ValueError, match="rim vertex 8 twice"):
             solve_radii(corner_block_truncation(), boundary_mode="disc")
 
     def test_newton_budget(self):

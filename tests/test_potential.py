@@ -580,6 +580,20 @@ class TestSerialization:
         back = load_vertex_function_csv(t, "vertex_id_values.csv")
         assert np.array_equal(back.values, vf.values)
 
+    @pytest.mark.parametrize("rows, cause", [
+        ("0,0.0\n1,0.5\n1,99.0\n2,1.0\n", "line 4: vertex id 1 repeats, first on line 3"),
+        ("0,0.0\n1,abc\n2,1.0\n", "line 3: could not convert string to float: 'abc'"),
+        ("0,0.0\n1.5,0.5\n2,1.0\n", "line 3: 1.5 is not a vertex id"),
+        ("0,0.0\n7,0.5\n2,1.0\n", "line 3: 7 is not a vertex id"),
+        ("0,0.0\n1,nan\n2,1.0\n", "non-finite"),
+        ("0,0.0\n2,1.0\n", "no value for vertex 1"),
+    ], ids=["repeated-id", "value", "fractional-id", "out-of-range-id", "nan-value",
+            "missing"])
+    def test_csv_bad_rows_rejected(self, rows, cause):
+        with pytest.raises(ValueError, match=cause):
+            load_vertex_function_csv(path_truncation(),
+                                     io.StringIO("vertex_id,value\n" + rows))
+
     def test_csv_shape(self):
         t = path_truncation()
         text = vertex_function_to_csv(VertexFunction(t, np.array([0.0, 0.5, 1.0])))
