@@ -78,6 +78,7 @@ from .transfer import (
     harnack_fit,
     harnack_to_json,
     roundtrip,
+    shrunk_discs,
     transfer_report_to_json,
 )
 

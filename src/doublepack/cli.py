@@ -22,7 +22,8 @@ import numpy as np
 
 from . import transfer
 from .continuum import (BoundaryFunction, HarmonicDiscField, douglas_energy,
-                        energy_continuous, load_boundary_csv, poisson_extend)
+                        energy_continuous, grid_capacity, load_boundary_csv,
+                        poisson_extend)
 from .errors import ConfigError, ConvergenceError, InvariantViolation
 from .maps import boundary_truncation, load_map_json, truncate
 from .packing import geometry_report, layout, packing_to_json, solve_radii
@@ -162,12 +163,12 @@ def _cmd_douglas(cfg: RunConfig):
 def _cmd_capacity(cfg: RunConfig):
     trunc, _, pk = _pack(cfg, mode="disc")
     target = list(cfg.target) if cfg.target else [trunc.root]
+    # capacity_comparison would solve the discrete capacity a second time
     est = capacity(trunc, target)
-    d, c, ratio = transfer.capacity_comparison(trunc, pk, target,
-                                               delta=cfg.delta,
-                                               grid_h=cfg.grid_h)
+    c = grid_capacity(transfer.shrunk_discs(pk, target, cfg.delta), cfg.grid_h)
+    ratio = c / est.value if est.value > 0.0 else float("nan")
     doc = {"estimate": capacity_to_json(trunc, est),
-           "comparison": {"discrete": float(d), "continuum": float(c),
+           "comparison": {"discrete": est.value, "continuum": float(c),
                           "ratio": float(ratio), "delta": cfg.delta,
                           "grid_h": cfg.grid_h},
            "target": [int(v) for v in target]}

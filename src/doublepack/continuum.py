@@ -3,19 +3,18 @@
 Harmonic functions are carried as truncated boundary Fourier series, which
 makes evaluation, gradients, and energies exact; Cartesian grid fields serve
 the two jobs Fourier cannot: non-harmonic equilibrium potentials (capacity,
-by a multigrid-preconditioned lattice solve) and energy checks of sampled
-data.  The boundary Douglas energy is a double quadrature over the circle,
-summed through the FFT autocorrelation of the samples, whose diagonal uses
-the difference-quotient limit.
+by a lattice solve: double-precision CG, single-precision multigrid V-cycle)
+and energy checks of sampled data.  The boundary Douglas energy is a double
+quadrature over the circle, summed through the FFT autocorrelation of the
+samples, whose diagonal uses the difference-quotient limit.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .linalg import lattice_solve
+from .linalg import lattice_laplacian, lattice_solve
 from .textio import csv_text, read_csv
 
 __all__ = [
@@ -24,6 +23,11 @@ __all__ = [
     "inner_product_continuous", "grid_capacity", "oscillation_bound_check",
     "sample_grid_field", "boundary_function_to_csv", "load_boundary_csv",
 ]
+
+# The most lattice nodes (grid_capacity) or boundary samples (douglas_energy)
+# one request may ask for: at about 230 bytes a node and 60 a sample, no
+# request within it needs 2 GB, and it admits h = 1/1024 and n_theta = 2^23.
+_SIZE_BUDGET = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -234,11 +238,13 @@ def douglas_energy(boundary: BoundaryFunction, n_theta: int) -> float:
     autocorrelation of the samples, taken by FFT (O(n log n)); the mean is
     removed first, which leaves every gap as it is.  The integrand extends
     continuously to the diagonal with value phi'(theta)^2, estimated by the
-    symmetric difference quotient.
+    symmetric difference quotient.  Past ``_SIZE_BUDGET`` samples it raises.
     """
     n = int(n_theta)
     if n < 64 or n % 2:
         raise ValueError("n_theta must be even and at least 64")
+    if n > _SIZE_BUDGET:
+        raise ValueError(f"n_theta = {n} samples exceed the size budget {_SIZE_BUDGET}")
     vals = boundary.sample(n)
     w = 2 * np.pi / n
     # shifting by a sample makes a constant input exactly zero
@@ -292,11 +298,12 @@ def grid_capacity(target, grid_h: float) -> float:
     the 5-point equilibrium potential on a Cartesian grid.
 
     The potential is 1 on the target nodes and 0 off the open disc; the free
-    nodes are solved to a residual of 1e-10 relative by ``lattice_solve``,
-    conjugate gradients with a geometric multigrid V-cycle as the
-    preconditioner, and the capacity is the lattice Dirichlet energy.
+    nodes are solved by ``lattice_solve`` to a double-precision residual of
+    1e-10 relative (its V-cycle runs in single precision, which changes the
+    work, not the answer), and the capacity is the lattice Dirichlet energy.
     Targets get a one-cell margin (the continuum definition asks for an open
-    neighbourhood); the estimate refines as ``grid_h`` decreases.
+    neighbourhood); the estimate refines as ``grid_h`` decreases, up to
+    ``_SIZE_BUDGET`` nodes, past which it raises before any allocation.
     """
     h = float(grid_h)
     if not 0 < h <= 0.25:
@@ -310,9 +317,12 @@ def grid_capacity(target, grid_h: float) -> float:
         if abs(c) + r >= 1 - 2 * h:
             raise ValueError("target touches the disc boundary at this spacing")
 
-    n_half = int(math.ceil(1.0 / h))
+    side = 2 * np.ceil(1.0 / h) + 1
+    if side * side > _SIZE_BUDGET:
+        raise ValueError(f"grid_h = {h:g} asks for a lattice of {side * side:.4g} "
+                         f"nodes; the size budget is {_SIZE_BUDGET}")
+    n_half = int(side) // 2
     coords = np.arange(-n_half, n_half + 1) * h
-    m = coords.size
     xx = coords[None, :]
     yy = coords[:, None]
     inside = xx ** 2 + yy ** 2 < 1.0
@@ -321,34 +331,12 @@ def grid_capacity(target, grid_h: float) -> float:
         tmask |= (xx - c.real) ** 2 + (yy - c.imag) ** 2 <= (r + h) ** 2
 
     unknown = inside & ~tmask
-    phi = np.zeros((m, m))
-    phi[tmask] = 1.0
-    flat_phi = phi.ravel()
-    colmap = np.full(m * m, -1, dtype=np.int64)
-    ii = np.flatnonzero(unknown.ravel())
-    k = ii.size
-    colmap[ii] = np.arange(k)
-
-    rows, cols, data = [], [], []
-    rhs = np.zeros(k)
-    local = np.arange(k)
-    for off in (1, -1, m, -m):
-        jj = ii + off
-        nb = colmap[jj]
-        free = nb >= 0
-        rows.append(local[free])
-        cols.append(nb[free])
-        data.append(np.full(free.sum(), -1.0))
-        rhs[~free] += flat_phi[jj[~free]]
-    rows.append(local)
-    cols.append(local)
-    data.append(np.full(k, 4.0))
-    a = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(k, k)).tocsr()
-    flat_phi[ii] = lattice_solve(a, unknown, rhs, 1e-10,
-                                 "grid equilibrium solve did not converge")
-    phi = flat_phi.reshape(m, m)
+    phi = tmask.astype(float)
+    # a free node's right-hand side counts its neighbours on the target
+    pad = np.pad(phi, 1)
+    rhs = pad[:-2, 1:-1] + pad[2:, 1:-1] + pad[1:-1, :-2] + pad[1:-1, 2:]
+    phi[unknown] = lattice_solve(lattice_laplacian(unknown), unknown, rhs[unknown],
+                                 1e-10, "grid equilibrium solve did not converge")
     e = float(np.sum((phi[:, 1:] - phi[:, :-1]) ** 2))
     e += float(np.sum((phi[1:, :] - phi[:-1, :]) ** 2))
     return e

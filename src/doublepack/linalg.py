@@ -1,7 +1,8 @@
 """The sparse SPD solves: the pinned-block solve of the discrete Dirichlet
 problems, one LU reused with iterative refinement, and a multigrid-
 preconditioned conjugate gradient for the masked 5-point lattice of the
-continuum capacity.
+continuum capacity: built straight from its mask (only this module numbers
+it), with a single-precision multigrid hierarchy under a double-precision CG.
 """
 
 import numpy as np
@@ -61,13 +62,14 @@ def lattice_solve(a, free, b, tol: float, failure: str) -> np.ndarray:
     square boolean mask ``free``, numbered row-major, by conjugate gradients
     preconditioned with one symmetric multigrid V-cycle.
 
-    Each coarse level keeps the free nodes at even positions, with bilinear
-    interpolation ``P`` between the free nodes of the two levels and the
-    Galerkin operator ``P^T a P``; the V-cycle smooths with two damped-Jacobi
-    sweeps before and after its coarse correction and factorizes the level
-    whose side is at most 40.  Stops once the residual is at most
-    ``tol * |b|``; raises ``InvariantViolation(failure)`` when 100 steps do
-    not reach that.
+    Each coarse level keeps the free nodes at even positions, with the
+    ``lattice_interpolation`` P and the Galerkin operator ``P^T a P``; the
+    V-cycle smooths with two damped-Jacobi sweeps before and after its
+    coarse correction and factorizes the level whose side is at most 40.
+    It runs in single precision, half the memory: a preconditioner need only
+    approximate the inverse, and CG stays double, so its rounding can slow
+    CG but not change the answer.  Stops once the residual is at most
+    ``tol * |b|``; raises ``InvariantViolation(failure)`` after 100 steps.
     """
     a = a.tocsr()
     levels = _hierarchy(a, free)
@@ -78,7 +80,7 @@ def lattice_solve(a, free, b, tol: float, failure: str) -> np.ndarray:
     for _ in range(_CG_STEPS):
         if float(np.linalg.norm(r)) <= tol * scale:
             return x
-        z = _vcycle(levels, 0, r)
+        z = _vcycle(levels, 0, r.astype(np.float32)).astype(np.float64)
         rz_old, rz = rz, float(r @ z)
         p = z if p is None else z + (rz / rz_old) * p
         q = a @ p
@@ -88,42 +90,65 @@ def lattice_solve(a, free, b, tol: float, failure: str) -> np.ndarray:
     raise InvariantViolation(failure)
 
 
-def _interpolation(n_fine: int):
-    """1-d linear interpolation onto ``n_fine`` points from the coarse points
-    at the even ones: even points copy, odd ones average their two even
-    neighbours (the last point of an even side keeps half of its one)."""
-    nc = (n_fine + 1) // 2
-    odd = np.arange(1, n_fine, 2)
-    rows = np.r_[np.arange(0, n_fine, 2), odd, odd]
-    cols = np.r_[np.arange(nc), odd // 2, odd // 2 + 1]
-    vals = np.r_[np.ones(nc), np.full(2 * odd.size, 0.5)]
-    keep = cols < nc
-    return sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n_fine, nc))
+def lattice_laplacian(free):
+    """The 5-point operator ``4 u - (its four neighbours)`` on the free nodes
+    of the square mask ``free``, numbered row-major (values off it are 0):
+    per row, the free ones of the columns -m, -1, 0, +1, +m, m the side."""
+    w = free.shape[0] + 2
+    at = np.flatnonzero(np.pad(free, 1))[:, None] + np.array([-w, -1, 0, 1, w])
+    return _csr(free, at, np.array([-1.0, -1.0, 4.0, -1.0, -1.0]))
+
+
+def lattice_interpolation(free):
+    """Bilinear interpolation P (single precision) onto the free nodes of
+    ``free`` from those at even positions, both numbered row-major: a fine
+    node takes 0.5^(its odd coordinates) from each free one of its 1, 2 or 4
+    coarse neighbours.  P copies each coarse node onto its own fine node, so
+    its columns are independent and ``P^T a P`` is SPD."""
+    i, j = np.nonzero(free)
+    w = (free.shape[0] + 1) // 2 + 2
+    # padded coarse rows and columns; an even coordinate's second is row 0
+    rows = np.stack([i // 2 + 1, (i // 2 + 2) * (i & 1)], axis=1) * w
+    cols = np.stack([j // 2 + 1, (j // 2 + 2) * (j & 1)], axis=1)
+    at = (rows[:, :, None] + cols[:, None, :]).reshape(-1, 4)
+    weight = np.array([1.0, 0.5, 0.25], dtype=np.float32)[(i & 1) + (j & 1)]
+    return _csr(free[::2, ::2], at, weight[:, None])
+
+
+def _csr(free, at, vals):
+    """CSR matrix of ``vals`` (broadcast against ``at``) in the row-major
+    numbers (in the narrowest type, to keep the tables small) of the free
+    nodes of ``free`` at the ascending flat positions ``at[k]`` in its
+    lattice padded by one node, for each row k."""
+    number = np.full((free.shape[0] + 2,) * 2, -1, dtype=np.min_scalar_type(-free.size))
+    number[1:-1, 1:-1][free] = np.arange(np.count_nonzero(free))
+    cols = number.ravel()[at]
+    keep = cols >= 0
+    indptr = np.r_[0, np.cumsum(np.count_nonzero(keep, axis=1))]
+    return sparse.csr_matrix((np.broadcast_to(vals, cols.shape)[keep], cols[keep], indptr),
+                             shape=(cols.shape[0], int(number.max()) + 1))
 
 
 def _hierarchy(a, free):
-    """Levels ``(a, omega / diag a, P, P^T)`` from fine to coarse, ending
-    with the LU factorization of the coarsest operator.  The coarse free
-    nodes are the free nodes at even positions; ``P`` copies each onto its
-    own fine node, so its columns are independent and ``P^T a P`` is SPD."""
+    """Levels ``(a, omega / diag a, P, P^T)`` in single precision from fine
+    to coarse (the finest shares the index arrays of ``a``), ending with the
+    LU factorization of the coarsest operator."""
     levels = []
+    a = sparse.csr_matrix((a.data.astype(np.float32), a.indices, a.indptr), shape=a.shape)
     while free.shape[0] > _COARSEST_SIDE:
-        i1 = _interpolation(free.shape[0])
-        coarse = free[::2, ::2]
-        p = sparse.kron(i1, i1, format="csr")[np.flatnonzero(free.ravel())]
-        p = p[:, np.flatnonzero(coarse.ravel())]
+        p = lattice_interpolation(free)
         pt = p.T.tocsr()
-        levels.append((a, _OMEGA / a.diagonal(), p, pt))
-        a = (pt @ a @ p).tocsr()
-        free = coarse
-    levels.append(splu(a.tocsc()))
+        levels.append((a, np.float32(_OMEGA) / a.diagonal(), p, pt))
+        a = pt @ a @ p
+        free = free[::2, ::2]
+    levels.append(splu(a.astype(np.float64).tocsc()))
     return levels
 
 
 def _vcycle(levels, k, r):
-    """One symmetric V-cycle from level ``k`` on the residual ``r``."""
+    """One single-precision symmetric V-cycle from level ``k`` on ``r``."""
     if k == len(levels) - 1:
-        return levels[k].solve(r)
+        return levels[k].solve(r).astype(np.float32)
     a, dinv, p, pt = levels[k]
     x = dinv * r
     x += dinv * (r - a @ x)

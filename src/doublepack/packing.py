@@ -257,9 +257,10 @@ def _solve_prescribed(trunc, boundary_x, tol, max_iter, hyperbolic=False):
     xv = np.full(trunc.graph.n_vertices, start)
     xv[trunc.boundary] = boundary_x
     xf = np.full(trunc.faces.n_faces, start)
+    walked = None
     # the iterate after the last step is checked too, so a failure quotes
     # its defect; a hyperbolic one packs only through the walk after a step
-    # from within tol
+    # from within tol, so its failure quotes the last walked defect as well
     for it in range(max_iter + 1):
         at_v, at_f, own, other = corners(xv[cv], xf[cf])
         resid = _angle_residual(trunc, at_v, at_f)
@@ -289,11 +290,13 @@ def _solve_prescribed(trunc, boundary_x, tol, max_iter, hyperbolic=False):
             # this step from within tol lands near the rounding floor; walked
             # radii with a defect just under tol can close up to 300 times worse
             vr, fr = _disc_radii(trunc, xv, xf)
-            defect = angle_defect(trunc, vr, fr)
-            if defect <= tol:
-                return vr, fr, defect, it + 1
-    raise ConvergenceError(
-        f"radius iteration stalled at defect {defect:.3e} after {max_iter} steps")
+            walked = angle_defect(trunc, vr, fr)
+            if walked <= tol:
+                return vr, fr, walked, it + 1
+    stall = (f"defect {defect:.3e}" if walked is None else
+             f"walked Euclidean defect {walked:.3e}, above tol {tol:.3e} "
+             f"(hyperbolic {defect:.3e}),")
+    raise ConvergenceError(f"radius iteration stalled at {stall} after {max_iter} steps")
 
 
 def _disc_radii(trunc, xv, xf):

@@ -124,17 +124,13 @@ def inner_product(pmap: PlanarMap, phi, psi, o: int) -> float:
 # harmonic solves
 # ---------------------------------------------------------------------------
 
-def _pinned_solve(g: PlanarMap, fixed_mask: np.ndarray,
-                  full_values: np.ndarray) -> np.ndarray:
-    """Harmonically extend the values pinned where ``fixed_mask`` is set,
-    factoring the free block of ``g.laplacian`` for this one call.
-
-    The free block is SPD because the graph is connected and at least one
-    vertex is pinned; a few rounds of iterative refinement push the relative
-    residual below ``_SOLVE_TOL``.
-    """
-    solver = PinnedSolve(g.laplacian, fixed_mask)
-    return solver.extend(full_values, _SOLVE_TOL, _SOLVE_FAILURE)
+def _target_solve(trunc: Truncation, A: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """Harmonically extend ``full`` pinned on the boundary and the target
+    set ``A``, factoring that free block for this one call: it is SPD, as
+    the graph is connected and the boundary pinned."""
+    fixed = trunc.is_boundary.copy()
+    fixed[A] = True
+    return PinnedSolve(trunc.graph.laplacian, fixed).extend(full, _SOLVE_TOL, _SOLVE_FAILURE)
 
 
 def solve_dirichlet(trunc: Truncation, boundary_values) -> VertexFunction:
@@ -193,11 +189,9 @@ def capacity(trunc: Truncation, target) -> CapacityEstimate:
     boundary, harmonic elsewhere).  This is the least energy among grounded
     functions that are ≥ 1 on the set."""
     A = _target_set(trunc, target)
-    fixed = trunc.is_boundary.copy()
-    fixed[A] = True
     full = np.zeros(trunc.n_vertices)
     full[A] = 1.0
-    q = _pinned_solve(trunc.graph, fixed, full)
+    q = _target_solve(trunc, A, full)
     return CapacityEstimate(energy(trunc.graph, q), VertexFunction(trunc, q), A)
 
 
@@ -213,11 +207,9 @@ def escape_capacity(trunc: Truncation, target) -> float:
     if A.size == 0:
         return 0.0
     g = trunc.graph
-    fixed = trunc.is_boundary.copy()
-    fixed[A] = True
     full = np.zeros(trunc.n_vertices)
     full[trunc.boundary] = 1.0
-    qbar = _pinned_solve(g, fixed, full)
+    qbar = _target_solve(trunc, A, full)
     in_a = np.zeros(trunc.n_vertices, dtype=bool)
     in_a[A] = True
     mask = in_a[g.origin]

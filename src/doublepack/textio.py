@@ -2,17 +2,22 @@
 
 JSON documents are written with sorted keys, an indent of 2 and a trailing
 newline; CSV tables as a header line and one line per row, floats in exact
-``repr`` form.  The same values therefore give the same bytes.  An input
-source is a path or an open text file, and a ``str`` is always a path: inline
-text goes through ``io.StringIO``.
+``repr`` form.  The same values therefore give the same bytes.  A CSV cell
+read back is a finite number in plain decimal or scientific notation, not
+``inf``, ``nan`` or ``1_000``.  An input source is a path or an open text
+file, and a ``str`` is always a path: inline text goes through ``io.StringIO``.
 """
 
 import csv
 import io
 import json
+import math
 import os
+import re
 
 __all__ = ["json_text", "csv_text", "read_text", "read_csv"]
+
+_NUMBER = re.compile(r"\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\s*", re.ASCII)
 
 
 def json_text(doc) -> str:
@@ -40,7 +45,7 @@ def read_csv(source, header, what: str, headed: bool = True):
 
     Raises ``ValueError`` unless the first line is ``header`` (when
     ``headed``), every other non-blank line has as many fields and every
-    field is a number; the message names the table (``what``) and the line."""
+    field is a finite decimal number; the message names the table and line."""
     reader = csv.reader(io.StringIO(read_text(source)))
     if headed and next(reader, None) != list(header):
         raise ValueError(f"{what} CSV must start with '{','.join(header)}'")
@@ -51,9 +56,10 @@ def read_csv(source, header, what: str, headed: bool = True):
         where = f"{what} CSV line {reader.line_num}"
         if len(row) != len(header):
             raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
-        try:
-            rows.append([float(cell) for cell in row])
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+        bad = [c for c in row if not (_NUMBER.fullmatch(c) and math.isfinite(float(c)))]
+        if bad:
+            raise ValueError(f"{where}: could not convert string to float: {bad[0]!r} "
+                             "(not plain decimal or scientific notation, or non-finite)")
+        rows.append([float(cell) for cell in row])
         lines.append(reader.line_num)
     return rows, lines

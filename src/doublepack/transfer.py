@@ -34,6 +34,7 @@ __all__ = [
     "cont_operator",
     "roundtrip",
     "capacity_comparison",
+    "shrunk_discs",
     "continuity_bound_check",
     "harnack_fit",
     "transfer_report_to_json",
@@ -329,16 +330,19 @@ def capacity_comparison(trunc: Truncation, packing: DoublePacking, target,
                         delta: float = 0.5, grid_h: float = 1.0 / 256):
     """Discrete capacity of a vertex set against the continuum capacity of
     the union of its shrunk discs.  Returns (discrete, continuum, ratio)."""
-    if not 0.0 < delta <= 0.5:
-        raise ValueError("delta must lie in (0, 1/2]")
     _check_same_map(trunc, packing)
     est = capacity(trunc, target)
-    vs = np.unique(np.asarray(target, dtype=np.int64)) if len(target) else []
-    discs = [(packing.vertex_center[v], delta * packing.vertex_radius[v])
-             for v in vs]
-    cont = grid_capacity(discs, grid_h)
-    ratio = cont / est.value if est.value > 0.0 else float("nan")
-    return est.value, cont, ratio
+    cont = grid_capacity(shrunk_discs(packing, target, delta), grid_h)
+    return est.value, cont, cont / est.value if est.value > 0.0 else float("nan")
+
+
+def shrunk_discs(packing: DoublePacking, target, delta: float) -> list:
+    """The discs of the target vertices shrunk by ``delta`` in (0, 1/2], as
+    (center, radius) pairs: the continuum target of ``capacity_comparison``."""
+    if not 0.0 < delta <= 0.5:
+        raise ValueError("delta must lie in (0, 1/2]")
+    return [(packing.vertex_center[v], delta * packing.vertex_radius[v])
+            for v in np.unique(np.asarray(target, dtype=np.int64))]
 
 
 @dataclass(frozen=True)

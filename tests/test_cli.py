@@ -2,12 +2,13 @@
 and the exit-code contract."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from conftest import PINCHED_WHEEL, TWO_WHEELS
-from doublepack import cli
+from doublepack import cli, potential, transfer
 from doublepack.continuum import BoundaryFunction, boundary_function_to_csv
 from doublepack.maps import map_to_json
 from doublepack.tilings import generate_tiling
@@ -77,6 +78,25 @@ class TestCapacity:
             doc["comparison"]["continuum"] / doc["estimate"]["value"])
         assert doc["config"]["grid_h"] == 0.015625
 
+    def test_one_discrete_solve_per_command(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(trunc, target):
+            calls.append(list(target))
+            return potential.capacity(trunc, target)
+
+        monkeypatch.setattr(cli, "capacity", counting)
+        monkeypatch.setattr(transfer, "capacity", counting)
+        assert run(tmp_path, "capacity", "--grid", "5", "--grid-h", "0.015625") == 0
+        assert len(calls) == 1
+        # the shared shrunk discs give capacity_comparison's numbers exactly
+        doc = json.loads((tmp_path / "capacity.json").read_text())
+        cfg = cli.RunConfig(command="capacity", out_dir=str(tmp_path), grid=(5, 5))
+        trunc, _, pk = cli._pack(cfg, mode="disc")
+        d, c, ratio = transfer.capacity_comparison(trunc, pk, calls[0], grid_h=0.015625)
+        assert doc["comparison"] == {"discrete": d, "continuum": c, "ratio": ratio,
+                                     "delta": 0.5, "grid_h": 0.015625}
+
 
 class TestRoundtrip:
     def test_sweep(self, tmp_path):
@@ -144,10 +164,12 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("points, cause", [
         ("0.3,0.0\n2,2\n", "line 2: (2.0, 2.0) lies outside the closed unit disc"),
-        ("0.3,0.0\nnan,0\n", "line 2: (nan, 0.0) lies outside"),
+        ("0.3,0.0\nnan,0\n", "line 2: could not convert string to float: 'nan'"),
         ("0.3,0.0\n0.1,abc\n", "line 2: could not convert string to float: 'abc'"),
         ("", "holds no x,y rows"),
-    ], ids=["outside-disc", "nan", "not-a-number", "empty"])
+        ("0.3,0.0\n0.1,inf\n", "line 2: could not convert string to float: 'inf'"),
+        ("1_000,0\n", "line 1: could not convert string to float: '1_000'"),
+    ], ids=["outside-disc", "nan", "not-a-number", "empty", "inf", "underscore"])
     def test_bad_points_are_bad_input(self, tmp_path, capsys, points, cause):
         bf = BoundaryFunction(func=np.cos)
         (tmp_path / "bdry.csv").write_text(boundary_function_to_csv(bf, 64))
@@ -332,6 +354,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "derived eps_trace" in err
         assert "larger truncation radius" in err
+
+    @pytest.mark.parametrize("args, cause", [
+        (("capacity", "--tiling", "7,3", "--layers", "3", "--grid-h", "0.00002"),
+         "grid_h = 2e-05 asks for a lattice of 1e+10 nodes"),
+        (("douglas", "--ntheta", "1000000000"),
+         "n_theta = 1000000000 samples exceed the size budget 8388608"),
+    ], ids=["lattice", "douglas"])
+    def test_oversized_request_is_bad_input(self, tmp_path, capsys, args, cause):
+        out = tmp_path / "out"
+        assert cli.main([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and cause in err[0]
+        assert not any(out.iterdir())
+
+    def test_stall_below_the_walk_floor_quotes_the_walked_defect(self, tmp_path, capsys):
+        # the hyperbolic iterates reach 1e-14, the radii walked from them do not
+        assert run(tmp_path, "pack", "--grid", "31", "--pack-tol", "1e-14") == 3
+        err = capsys.readouterr().err
+        walked = re.search(r"walked Euclidean defect (\S+), above tol 1\.000e-14", err)
+        assert walked and float(walked.group(1)) > 1e-14
 
     def test_unreachable_tolerance_is_convergence_error(self, tmp_path):
         assert run(tmp_path, "pack", "--tiling", "7,3", "--layers", "2",

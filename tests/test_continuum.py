@@ -197,6 +197,13 @@ class TestDouglasEnergy:
         with pytest.raises(ValueError):
             douglas_energy(bf, 32)
 
+    def test_oversized_sample_count_rejected_before_sampling(self):
+        def never(theta):
+            raise AssertionError("sampled an oversized request")
+
+        with pytest.raises(ValueError, match="n_theta = 1000000000 samples exceed the size budget"):
+            douglas_energy(BoundaryFunction(func=never), 10 ** 9)
+
 
 class TestInnerProduct:
     def test_constants_give_area(self):
@@ -260,6 +267,12 @@ class TestGridCapacity:
         with pytest.raises(ValueError, match="negative"):
             grid_capacity([(0.1j, -0.1)], 1 / 64)
 
+    @pytest.mark.parametrize("h, nodes", [(2e-5, "1e\\+10"), (1e-320, "inf")])
+    def test_oversized_lattice_rejected_before_allocation(self, h, nodes):
+        # (2 ceil(1/h) + 1)^2 nodes: 74.5 GiB of float64 at h = 2e-5
+        with pytest.raises(ValueError, match=f"grid_h = .* lattice of {nodes} nodes"):
+            grid_capacity([(0j, 0.25)], h)
+
 
 def _thirty_small_discs():
     rng = np.random.default_rng(5)
@@ -290,6 +303,33 @@ def masked_laplacian(free):
     return lap[idx][:, idx]
 
 
+def kron_interpolation(free):
+    """Bilinear interpolation onto the free nodes of a square mask from the
+    free nodes at even positions, both row-major: the Kronecker square of
+    the 1-d linear interpolation (even points copy, odd ones average their
+    two even neighbours, and the last point of an even side keeps half of
+    its one), sliced to the free rows and the coarse free columns."""
+    n = free.shape[0]
+    nc = (n + 1) // 2
+    odd = np.arange(1, n, 2)
+    rows = np.r_[np.arange(0, n, 2), odd, odd]
+    cols = np.r_[np.arange(nc), odd // 2, odd // 2 + 1]
+    vals = np.r_[np.ones(nc), np.full(2 * odd.size, 0.5)]
+    keep = cols < nc
+    i1 = sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, nc))
+    p = sparse.kron(i1, i1, format="csr")[np.flatnonzero(free.ravel())]
+    return p[:, np.flatnonzero(free[::2, ::2].ravel())]
+
+
+def random_mask(side, seed, border=False):
+    """Seeded random mask, its border never free unless ``border``."""
+    free = np.random.default_rng(seed).random((side, side)) < 0.7
+    if not border:
+        free[[0, -1]] = False
+        free[:, [0, -1]] = False
+    return free
+
+
 def direct_lattice_solve(a, free, b, tol, failure):
     return splu(a.tocsc()).solve(b)
 
@@ -297,6 +337,34 @@ def direct_lattice_solve(a, free, b, tol, failure):
 def disc_mask(n):
     c = np.arange(n) - (n - 1) / 2
     return c[None, :] ** 2 + c[:, None] ** 2 < (n / 2 - 1) ** 2
+
+
+class TestLatticeBuild:
+    @pytest.mark.parametrize("side", [33, 64, 65, 201])
+    @pytest.mark.parametrize("border", [False, True], ids=["closed", "open"])
+    def test_operator_and_interpolation_match_the_oracles(self, side, border):
+        free = random_mask(side, side, border)
+        for built, oracle in ((linalg.lattice_laplacian(free), masked_laplacian(free)),
+                              (linalg.lattice_interpolation(free), kron_interpolation(free))):
+            assert built.shape == oracle.shape
+            assert built.nnz == oracle.nnz
+            assert (built != oracle).nnz == 0
+            assert built.has_canonical_format
+
+    @pytest.mark.parametrize("side", [64, 65])
+    def test_hierarchy_is_single_precision_and_the_solve_double(self, side):
+        free = disc_mask(side)
+        a = linalg.lattice_laplacian(free)
+        levels = linalg._hierarchy(a, free)
+        assert len(levels) >= 2
+        for level in levels[:-1]:
+            assert [m.dtype for m in level] == [np.float32] * 4
+        b = np.random.default_rng(side).normal(size=a.shape[0])
+        r = b.astype(np.float32)
+        assert linalg._vcycle(levels, 0, r).dtype == np.float32
+        x = linalg.lattice_solve(a, free, b, 1e-10, "no convergence")
+        assert a.dtype == x.dtype == np.float64
+        assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b)
 
 
 class TestLatticeSolve:
