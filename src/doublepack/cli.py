@@ -361,8 +361,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(command=command, **given)
 
 
-# Exit code per failure, in match order: ConfigError is a ValueError.
-_EXIT_CODES = {ValueError: 2, ConvergenceError: 3, InvariantViolation: 5, OSError: 4}
+# Exit code per failure, in match order: ConfigError is a ValueError.  A
+# request too large for the memory it finds is bad input too.
+_EXIT_CODES = {ValueError: 2, MemoryError: 2, ConvergenceError: 3,
+               InvariantViolation: 5, OSError: 4}
 
 
 def main(argv=None) -> int:
@@ -372,7 +374,10 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         paths = run(cfg)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, MemoryError):
+            message = "the request ran out of memory" + (f": {message}" if message else "")
+        print(f"error: {message}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     for path in paths:
         print(path)

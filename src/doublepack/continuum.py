@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import lattice_laplacian, lattice_solve
+from .linalg import _SIZE_BUDGET, lattice_laplacian, lattice_solve
 from .textio import csv_text, read_csv
 
 __all__ = [
@@ -23,11 +23,6 @@ __all__ = [
     "inner_product_continuous", "grid_capacity", "oscillation_bound_check",
     "sample_grid_field", "boundary_function_to_csv", "load_boundary_csv",
 ]
-
-# The most lattice nodes (grid_capacity) or boundary samples (douglas_energy)
-# one request may ask for: at about 230 bytes a node and 60 a sample, no
-# request within it needs 2 GB, and it admits h = 1/1024 and n_theta = 2^23.
-_SIZE_BUDGET = 2 ** 23
 
 
 @dataclass(frozen=True)

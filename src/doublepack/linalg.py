@@ -11,6 +11,13 @@ from scipy.sparse.linalg import splu
 
 from .errors import InvariantViolation
 
+# The most lattice nodes (continuum.grid_capacity), boundary samples
+# (continuum.douglas_energy) or grid patch vertices (tilings.generate_grid)
+# one request may ask for: at about 230 bytes a node and 60 a sample, no
+# lattice or Douglas request within it needs 2 GB, and it admits h = 1/1024
+# and n_theta = 2^23.
+_SIZE_BUDGET = 2 ** 23
+
 # lattice side at or below which the V-cycle solves directly
 _COARSEST_SIDE = 40
 # damped-Jacobi weight; the Galerkin stencils keep diag^-1 a within [0, 2]

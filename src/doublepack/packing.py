@@ -6,7 +6,9 @@ corners of the incident faces sum to a full turn, and dually around every
 bounded face.  ``solve_radii`` runs Newton's method on them with the
 boundary radii prescribed, or, for the maximal packing of the disc, in
 hyperbolic radii with horocycles on the boundary; one walk of the cached
-dart tree then reads off every Euclidean radius.  ``layout`` places the
+dart tree then reads off every Euclidean radius.  The Jacobian joins
+vertices only to faces, so each step eliminates the face radii exactly and
+factors the interior vertices' Schur complement alone.  ``layout`` places the
 circles along the same tree and checks every closing constraint in one
 vectorized pass; ``compute_delta0`` extracts the shrinkage level.
 
@@ -38,6 +40,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# walks in a row without a new least walked defect after which a disc solve
+# stops: past the rounding floor the walked defects only scatter
+_STALLED_WALKS = 3
 
 
 @dataclass(frozen=True)
@@ -233,31 +238,58 @@ def _hyperbolic_corners(xv, xf):
             2.0 * ch_v * ch_f / d, 2.0 * sv * sf / d)
 
 
+def _newton_step(trunc, own, other, resid) -> np.ndarray:
+    """The Newton step [s_v, s_f] solving L s = ``resid``, where L = [[D_v,
+    -B], [-B^T, D_f]] is minus the Jacobian in both geometries: D_v and D_f
+    sum the ``own`` weights at each interior vertex and bounded face, B[v, f]
+    is the ``other`` weight of corner (v, f).  D_f is diagonal, so the faces
+    are eliminated exactly: S = D_v - B D_f^-1 B^T is factored in the cached
+    order of ``Truncation.corner_pattern`` with diagonal pivots, S s_v = r_v +
+    B (r_f / D_f), and s_f = (r_f + B^T s_v) / D_f.  Raises ``RuntimeError``
+    at a zero pivot, in D_f or in S.
+    """
+    pattern = trunc.corner_pattern
+    free, vertex, face = pattern.free, pattern.vertex, pattern.face
+    pa, pb = pattern.pair
+    bf = trunc.bounded_faces
+    ni = pattern.order.size
+    _, cf = _corner_arrays(trunc)
+    d_f = np.bincount(cf, weights=own, minlength=trunc.faces.n_faces)[bf]
+    if not np.all(d_f > 0):
+        raise RuntimeError("a bounded face has no positive Jacobian weight")
+    w = other[free]
+    data = np.concatenate([own[free], -w[pa] * w[pb] / d_f[face[pa]]])
+    lu = spla.splu(pattern.matrix(data), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    g_f = resid[ni:] / d_f
+    rhs = resid[:ni] + np.bincount(vertex, weights=w * g_f[face], minlength=ni)
+    s_v = lu.solve(rhs[pattern.order])[pattern.position]
+    s_f = g_f + np.bincount(face, weights=w * s_v[vertex], minlength=bf.size) / d_f
+    return np.concatenate([s_v, s_f])
+
+
 def _solve_prescribed(trunc, boundary_x, tol, max_iter, hyperbolic=False):
     """Newton iteration on the angle sums with the boundary unknowns fixed
     to ``boundary_x``; returns (vertex radii, face radii, defect, iterations).
 
     Euclidean unknowns are log radii, starting from 0; hyperbolic ones are
     x = log tanh(r/2), starting from log tanh(1/2), and x = 0 is a
-    horocycle.  In both geometries the Jacobian is minus a symmetric,
-    diagonally dominant vertex-face Laplacian grounded at the boundary, so
-    each step factors it in the truncation's cached order
-    (``Truncation.corner_pattern``) with diagonal pivots.  A hyperbolic step
-    from a residual within ``tol`` is followed by the walk of
-    ``_disc_radii``, whose Euclidean defect must be within ``tol`` too.
+    horocycle.  Each step factors only the interior-vertex block left after
+    eliminating the faces (``_newton_step``).  A hyperbolic step from a
+    residual within ``tol`` is followed by the walk of ``_disc_radii``, whose
+    Euclidean defect must be within ``tol`` too; the solve stops once
+    ``_STALLED_WALKS`` walks in a row set no new least walked defect.
     """
     cv, cf = _corner_arrays(trunc)
     interior, bf = trunc.interior, trunc.bounded_faces
     ni = interior.size
-    pattern = trunc.corner_pattern
-    free_v = pattern.vertex_free
     corners = _hyperbolic_corners if hyperbolic else _euclidean_corners
 
     start = math.log(math.tanh(0.5)) if hyperbolic else 0.0
     xv = np.full(trunc.graph.n_vertices, start)
     xv[trunc.boundary] = boundary_x
     xf = np.full(trunc.faces.n_faces, start)
-    walked = None
+    walked, least, stale = None, math.inf, 0
     # the iterate after the last step is checked too, so a failure quotes
     # its defect; a hyperbolic one packs only through the walk after a step
     # from within tol, so its failure quotes the last walked defect as well
@@ -269,15 +301,12 @@ def _solve_prescribed(trunc, boundary_x, tol, max_iter, hyperbolic=False):
             return np.exp(xv), np.exp(xf), defect, it
         if it == max_iter:
             break
-        data = np.concatenate([own, own[free_v], -other[free_v], -other[free_v]])
         try:
-            lu = spla.splu(pattern.matrix(data), permc_spec="NATURAL",
-                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        except RuntimeError as exc:  # SuperLU met an exactly zero pivot
+            step = _newton_step(trunc, own, other, resid)
+        except RuntimeError as exc:  # a zero pivot, in D_f or in SuperLU
             raise ConvergenceError(
                 f"radius iteration met a singular Jacobian at step {it + 1} "
                 f"(defect {defect:.3e})") from exc
-        step = lu.solve(resid[pattern.order])[pattern.position]
         if hyperbolic:
             # keep x < 0: no unknown moves more than halfway to 0
             x = np.concatenate([xv[interior], xf[bf]])
@@ -293,10 +322,15 @@ def _solve_prescribed(trunc, boundary_x, tol, max_iter, hyperbolic=False):
             walked = angle_defect(trunc, vr, fr)
             if walked <= tol:
                 return vr, fr, walked, it + 1
+            stale = 0 if walked < least else stale + 1
+            least = min(least, walked)
+            if stale == _STALLED_WALKS:
+                it += 1  # steps taken
+                break
     stall = (f"defect {defect:.3e}" if walked is None else
              f"walked Euclidean defect {walked:.3e}, above tol {tol:.3e} "
              f"(hyperbolic {defect:.3e}),")
-    raise ConvergenceError(f"radius iteration stalled at {stall} after {max_iter} steps")
+    raise ConvergenceError(f"radius iteration stalled at {stall} after {it} steps")
 
 
 def _disc_radii(trunc, xv, xf):

@@ -98,8 +98,7 @@ def energy(pmap: PlanarMap, phi) -> float:
     """Dirichlet energy: half the sum over darts of c(e) (φ(e-) - φ(e+))²,
     i.e. the sum over unoriented edges."""
     vals = _coerce(phi, pmap.n_vertices)
-    d = vals[pmap.origin] - vals[pmap.target]
-    return 0.5 * float(np.dot(pmap.conductance * d, d))
+    return _cross_energy(pmap, vals, vals)
 
 
 def _cross_energy(pmap: PlanarMap, phi, psi) -> float:

@@ -10,6 +10,7 @@ Spherical parameter pairs are rejected.
 
 from __future__ import annotations
 
+from .linalg import _SIZE_BUDGET
 from .maps import PlanarMap, build_map
 
 __all__ = ["generate_tiling", "generate_grid"]
@@ -93,9 +94,13 @@ def generate_tiling(p: int, q: int, layers: int) -> PlanarMap:
 
 def generate_grid(nx: int, ny: int) -> PlanarMap:
     """nx-by-ny patch of the square lattice (vertex (i, j) -> id j*nx + i),
-    neighbors in counterclockwise order east, north, west, south."""
+    neighbors in counterclockwise order east, north, west, south.  A patch
+    of more than ``_SIZE_BUDGET`` vertices raises before any allocation."""
     if nx < 2 or ny < 2:
         raise ValueError("grid patch needs at least 2 vertices per side")
+    if nx * ny > _SIZE_BUDGET:
+        raise ValueError(f"a {nx}x{ny} grid patch has {nx * ny} vertices; "
+                         f"the size budget is {_SIZE_BUDGET}")
     rotations = []
     for j in range(ny):
         for i in range(nx):

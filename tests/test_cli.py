@@ -360,7 +360,10 @@ class TestExitCodes:
          "grid_h = 2e-05 asks for a lattice of 1e+10 nodes"),
         (("douglas", "--ntheta", "1000000000"),
          "n_theta = 1000000000 samples exceed the size budget 8388608"),
-    ], ids=["lattice", "douglas"])
+        (("pack", "--grid", "100000"),
+         "a 100000x100000 grid patch has 10000000000 vertices; "
+         "the size budget is 8388608"),
+    ], ids=["lattice", "douglas", "grid"])
     def test_oversized_request_is_bad_input(self, tmp_path, capsys, args, cause):
         out = tmp_path / "out"
         assert cli.main([*args, "--out", str(out)]) == 2
@@ -368,12 +371,26 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error:") and cause in err[0]
         assert not any(out.iterdir())
 
+    def test_out_of_memory_is_bad_input(self, tmp_path, capsys, monkeypatch):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        _, *entry = cli._COMMANDS["douglas"]
+        monkeypatch.setitem(cli._COMMANDS, "douglas", (exhausted, *entry))
+        assert run(tmp_path, "douglas") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: the request ran out of memory: "
+                       "Unable to allocate 74.5 GiB for an array"]
+
     def test_stall_below_the_walk_floor_quotes_the_walked_defect(self, tmp_path, capsys):
-        # the hyperbolic iterates reach 1e-14, the radii walked from them do not
+        # the hyperbolic iterates reach 1e-14, the radii walked from them do
+        # not, and the solve stops once the walked defects stop falling
         assert run(tmp_path, "pack", "--grid", "31", "--pack-tol", "1e-14") == 3
         err = capsys.readouterr().err
-        walked = re.search(r"walked Euclidean defect (\S+), above tol 1\.000e-14", err)
+        walked = re.search(r"walked Euclidean defect (\S+), above tol 1\.000e-14 "
+                           r"\(hyperbolic \S+\), after (\d+) steps", err)
         assert walked and float(walked.group(1)) > 1e-14
+        assert int(walked.group(2)) <= 15
 
     def test_unreachable_tolerance_is_convergence_error(self, tmp_path):
         assert run(tmp_path, "pack", "--tiling", "7,3", "--layers", "2",

@@ -551,6 +551,11 @@ class TestTilings:
         corner_degrees = m.degrees[[0, 4, 10, 14]]
         assert np.all(corner_degrees == 2)
 
+    def test_grid_over_the_size_budget_is_refused(self):
+        with pytest.raises(ValueError, match="a 4000x3000 grid patch has 12000000 "
+                                             "vertices; the size budget is 8388608"):
+            generate_grid(4000, 3000)
+
 
 class TestTruncation:
     def test_flower_truncation(self):

@@ -179,15 +179,13 @@ def brute_sausage_bound(pk, chunk=128):
     return best
 
 
-def spsolve_newton_reference(trunc, boundary_x, tol, max_iter, hyperbolic=False):
-    """Reference Newton iteration: the angle-sum solve that preceded the
-    cached ``corner_pattern``, assembling each Jacobian from COO and solving
-    it with ``spsolve`` (a fresh COLAMD ordering and partial pivoting)."""
+def vertex_face_laplacian(trunc, own, other):
+    """The grounded vertex-face Laplacian of the corner weights, interior
+    vertices then bounded faces, assembled from COO (equal entries sum)."""
     n = trunc.graph.n_vertices
     cv, cf = packing._corner_arrays(trunc)
     interior, bf = trunc.interior, trunc.bounded_faces
     ni, nun = interior.size, interior.size + bf.size
-    corners = packing._hyperbolic_corners if hyperbolic else packing._euclidean_corners
     idx = np.full(n + trunc.faces.n_faces, -1, dtype=np.int64)
     idx[interior] = np.arange(ni)
     idx[n + bf] = np.arange(ni, nun)
@@ -195,6 +193,20 @@ def spsolve_newton_reference(trunc, boundary_x, tol, max_iter, hyperbolic=False)
     free_v = av >= 0
     rows = np.concatenate([af, av[free_v], av[free_v], af[free_v]])
     cols = np.concatenate([af, av[free_v], af[free_v], av[free_v]])
+    data = np.concatenate([own, own[free_v], -other[free_v], -other[free_v]])
+    return sp.coo_matrix((data, (rows, cols)), shape=(nun, nun)).tocsc()
+
+
+def spsolve_newton_reference(trunc, boundary_x, tol, max_iter, hyperbolic=False):
+    """Reference Newton iteration: the angle-sum solve that preceded the
+    cached ``corner_pattern``, assembling each vertex-face Jacobian from COO
+    and solving it with ``spsolve`` (a fresh COLAMD ordering and partial
+    pivoting)."""
+    n = trunc.graph.n_vertices
+    cv, cf = packing._corner_arrays(trunc)
+    interior, bf = trunc.interior, trunc.bounded_faces
+    ni = interior.size
+    corners = packing._hyperbolic_corners if hyperbolic else packing._euclidean_corners
 
     start = math.log(math.tanh(0.5)) if hyperbolic else 0.0
     xv = np.full(n, start)
@@ -208,9 +220,7 @@ def spsolve_newton_reference(trunc, boundary_x, tol, max_iter, hyperbolic=False)
             return np.exp(xv), np.exp(xf), defect, it
         if it == max_iter:
             break
-        data = np.concatenate([own, own[free_v], -other[free_v], -other[free_v]])
-        lap = sp.coo_matrix((data, (rows, cols)), shape=(nun, nun)).tocsc()
-        step = spla.spsolve(lap, resid)
+        step = spla.spsolve(vertex_face_laplacian(trunc, own, other), resid)
         if hyperbolic:
             x = np.concatenate([xv[interior], xf[bf]])
             step /= max(1.0, float(np.max(-2.0 * step / x)))
@@ -668,42 +678,68 @@ class TestCornerPattern:
         for a, b in zip(got[:2], ref[:2]):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
-    def test_matrix_is_the_permuted_coo_assembly(self):
+    @pytest.mark.parametrize("hyperbolic", [False, True], ids=["prescribed", "disc"])
+    @pytest.mark.parametrize("name,build", [
+        ("delaunay200", lambda: delaunay_truncation(200, seed=4)),
+        ("ball54", lambda: boundary_truncation(generate_tiling(5, 4, 4))),
+        ("grid21", lambda: boundary_truncation(generate_grid(21, 21))),
+    ], ids=["delaunay200", "ball54", "grid21"])
+    def test_step_matches_the_vertex_face_solve(self, name, build, hyperbolic):
+        # one step from a seeded random iterate: eliminating the faces must
+        # give the step of the whole vertex-face system, to 1e-12 of its
+        # largest entry (the grid's smallest entries differ by 1e-12 of
+        # themselves)
+        t = build()
+        rng = np.random.default_rng(11)
+        cv, cf = packing._corner_arrays(t)
+        if hyperbolic:
+            xv = -rng.uniform(0.05, 2.0, t.n_vertices)
+            xf = -rng.uniform(0.05, 2.0, t.faces.n_faces)
+            xv[t.boundary] = 0.0
+        else:
+            xv = rng.normal(scale=0.5, size=t.n_vertices)
+            xf = rng.normal(scale=0.5, size=t.faces.n_faces)
+        corners = packing._hyperbolic_corners if hyperbolic else packing._euclidean_corners
+        at_v, at_f, own, other = corners(xv[cv], xf[cf])
+        resid = packing._angle_residual(t, at_v, at_f)
+        got = packing._newton_step(t, own, other, resid)
+        ref = spla.spsolve(vertex_face_laplacian(t, own, other), resid)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_matrix_is_the_schur_complement(self):
+        # the pattern's matrix is D_v - B D_f^-1 B^T in the cached order
         t = delaunay_truncation(60, seed=2)
         pat = t.corner_pattern
-        nun = t.interior.size + t.bounded_faces.size
-        assert np.array_equal(np.sort(pat.order), np.arange(nun))
-        assert np.array_equal(pat.order[pat.position], np.arange(nun))
-        k = np.count_nonzero(pat.vertex_free)
-        data = np.random.default_rng(3).normal(size=pat.vertex_free.size + 3 * k)
-        idx = np.full(t.n_vertices + t.faces.n_faces, -1)
-        idx[t.interior] = np.arange(t.interior.size)
-        idx[t.n_vertices + t.bounded_faces] = np.arange(t.interior.size, nun)
-        cv, cf = packing._corner_arrays(t)
-        av, af = idx[cv], idx[t.n_vertices + cf]
-        free = av >= 0
-        rows = np.concatenate([af, av[free], av[free], af[free]])
-        cols = np.concatenate([af, av[free], af[free], av[free]])
-        ref = sp.coo_matrix((data, (rows, cols)), shape=(nun, nun)).toarray()
-        m = pat.matrix(data)
+        ni, nf = t.interior.size, t.bounded_faces.size
+        assert np.array_equal(np.sort(pat.order), np.arange(ni))
+        assert np.array_equal(pat.order[pat.position], np.arange(ni))
+        rng = np.random.default_rng(3)
+        own = rng.uniform(0.5, 1.5, pat.vertex.size)
+        other = rng.uniform(0.5, 1.5, pat.vertex.size)
+        d_f = rng.uniform(1.0, 2.0, nf)
+        pa, pb = pat.pair
+        m = pat.matrix(np.concatenate([own, -other[pa] * other[pb] / d_f[pat.face[pa]]]))
         assert m.has_canonical_format
+        b = sp.coo_matrix((other, (pat.vertex, pat.face)), shape=(ni, nf)).toarray()
+        ref = np.diag(np.bincount(pat.vertex, weights=own, minlength=ni)) - (b / d_f) @ b.T
         np.testing.assert_allclose(m.toarray(), ref[np.ix_(pat.order, pat.order)],
-                                   rtol=1e-15, atol=1e-15)
+                                   rtol=1e-14, atol=1e-14)
 
     def test_cached_order_cuts_the_fill(self):
-        # the step factor in the cached order must fill less than COLAMD
-        # with partial pivoting on the unpermuted Jacobian (7700 against
-        # 12262 nonzeros in L + U here); taking SuperLU's perm_c itself as
-        # the order instead of its inverse fills 30604
+        # the step factor of S in the cached order must fill at most half
+        # of the vertex-face Jacobian's in symmetric minimum-degree order
+        # (3660 against 7700 nonzeros in L + U here)
         t = truncate(generate_tiling(7, 3, 6), root=0, radius=5)
         pat = t.corner_pattern
-        k = np.count_nonzero(pat.vertex_free)
-        m = pat.matrix(np.concatenate([np.full(pat.vertex_free.size + k, 2.0),
-                                       np.full(2 * k, -1.0)]))
+        # the Jacobian at the first Euclidean step: every weight is 1
+        own = np.ones(t.corner_darts.size)
+        d_f = np.bincount(t.faces.face_of[t.corner_darts])[t.bounded_faces]
+        m = pat.matrix(np.concatenate([own[pat.free], -1.0 / d_f[pat.face[pat.pair[0]]]]))
         lu = spla.splu(m, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
-        ref = spla.splu(m[pat.position][:, pat.position].tocsc())
-        assert lu.L.nnz + lu.U.nnz < 0.75 * (ref.L.nnz + ref.U.nnz)
+        ref = spla.splu(vertex_face_laplacian(t, own, own), permc_spec="MMD_AT_PLUS_A",
+                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        assert lu.L.nnz + lu.U.nnz <= 0.5 * (ref.L.nnz + ref.U.nnz)
 
     def test_one_ordering_per_truncation(self, monkeypatch):
         orderings, factors = [], []
@@ -722,7 +758,7 @@ class TestCornerPattern:
         t = truncate(generate_tiling(7, 3, 5), root=0, radius=4)
         disc = solve_radii(t, boundary_mode="disc")
         prescribed = solve_radii(t, boundary_radii=2.0)
-        assert orderings == ["MMD_AT_PLUS_A"]
+        assert orderings == ["COLAMD"]
         assert factors == ["NATURAL"] * (disc.iterations + prescribed.iterations)
 
     def test_pattern_is_freed_with_its_truncation(self):
