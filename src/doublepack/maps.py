@@ -235,6 +235,10 @@ def build_map(rotations, conductances=None) -> PlanarMap:
     concatenated lists, which holds dart ``2k``.  ``conductances`` may be
     ``None`` (all 1), a scalar, or an iterable of ``(u, v, c)`` triples;
     unlisted edges default to 1.
+
+    The lists are checked here, then flattened once and handed to
+    ``_pair_half_edges``, the one pairing core, which the generators in
+    ``tilings`` call directly on the neighbor arrays they build.
     """
     n = len(rotations)
     if n == 0:
@@ -248,17 +252,25 @@ def build_map(rotations, conductances=None) -> PlanarMap:
     if not entries:
         raise ValueError("map has no edges")
     m = len(entries)
-    src = np.repeat(np.arange(n), lengths)     # origin of each half-edge
     try:
         dst = np.fromiter(map(operator.index, entries), np.int64, m)
     except (TypeError, OverflowError):
         dst = None
     if dst is None or np.any((dst < 0) | (dst >= n)):
+        src = np.repeat(np.arange(n), lengths)
         i, u = next((i, u) for i, u in enumerate(entries)
                     if not (isinstance(u, numbers.Integral) and 0 <= u < n))
         kind = "out-of-range" if isinstance(u, numbers.Integral) else "non-integer"
         raise ValueError(f"vertex {src[i]} lists {kind} neighbor {u}")
+    return _pair_half_edges(dst, np.array(lengths, dtype=np.int64), conductances)
 
+
+def _pair_half_edges(dst: np.ndarray, degrees: np.ndarray, conductances=None) -> PlanarMap:
+    """Planar map from the concatenated neighbor lists ``dst`` (int64, every
+    entry a vertex) split into per-vertex groups of ``degrees``, numbered and
+    weighted as ``build_map`` documents."""
+    n, m = degrees.size, dst.size
+    src = np.repeat(np.arange(n), degrees)     # origin of each half-edge
     # occurrence rank of each half-edge among those from src to dst; the
     # sorts are stable, so ties keep the order of the concatenated lists
     pair = src * n + dst
@@ -289,7 +301,7 @@ def build_map(rotations, conductances=None) -> PlanarMap:
             cond[:] = float(conductances)
         else:
             cond[dart] = _listed_conductances(list(conductances), src, dst, n)
-    return PlanarMap(dart, np.r_[0, np.cumsum(lengths)], cond)
+    return PlanarMap(dart, np.r_[0, np.cumsum(degrees)], cond)
 
 
 def _is_triple(entry) -> bool:

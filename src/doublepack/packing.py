@@ -601,14 +601,14 @@ def geometry_report(pk: DoublePacking) -> GeometryReport:
 
 
 def packing_to_json(pk: DoublePacking) -> dict:
-    def circle(i, kind, z, r):
-        return {"id": int(i), "kind": kind, "radius": float(r),
-                "center": [float(z.real), float(z.imag)]}
-
     bf = pk.trunc.bounded_faces
-    circles = ([circle(v, "vertex", z, r) for v, (z, r) in
-                enumerate(zip(pk.vertex_center, pk.vertex_radius))]
-               + [circle(f, "face", pk.face_center[f], pk.face_radius[f]) for f in bf])
+    ids = [*range(pk.trunc.n_vertices), *bf.tolist()]
+    kinds = ["vertex"] * pk.trunc.n_vertices + ["face"] * bf.size
+    zs = np.concatenate([pk.vertex_center, pk.face_center[bf]])
+    rs = np.concatenate([pk.vertex_radius, pk.face_radius[bf]])
+    circles = [{"id": i, "kind": kind, "radius": r, "center": [x, y]}
+               for i, kind, r, x, y in zip(ids, kinds, rs.tolist(),
+                                           zs.real.tolist(), zs.imag.tolist())]
     doc = {"circles": circles, "layout_residual": pk.layout_residual}
     if pk.delta0 is not None:
         doc["delta0"] = pk.delta0

@@ -31,23 +31,19 @@ def packing_to_svg(pk: DoublePacking, size: int = 720) -> str:
     span = hi - lo
     stroke = span / 900.0
 
+    circle = '<circle cx="{:.6f}" cy="{:.6f}" r="{:.6f}"/>'.format
+    circles = [circle(x, y, r) for x, y, r in zip(xs.tolist(), (-ys).tolist(), rs.tolist())]
+    nv = pk.trunc.n_vertices
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="{_fmt(lo)} {_fmt(lo)} {_fmt(span)} {_fmt(span)}">',
         f'<g fill="#c9ddf0" stroke="#27415e" stroke-width="{_fmt(stroke)}">',
+        *circles[:nv],
+        "</g>",
+        f'<g fill="none" stroke="#a03c32" stroke-width="{_fmt(stroke)}" '
+        f'stroke-dasharray="{_fmt(4 * stroke)} {_fmt(3 * stroke)}">',
+        *circles[nv:],
+        "</g>",
+        "</svg>",
     ]
-    for v in range(pk.trunc.n_vertices):
-        z = pk.vertex_center[v]
-        lines.append(f'<circle cx="{_fmt(z.real)}" cy="{_fmt(-z.imag)}" '
-                     f'r="{_fmt(pk.vertex_radius[v])}"/>')
-    lines.append("</g>")
-    dash = f"{_fmt(4 * stroke)} {_fmt(3 * stroke)}"
-    lines.append(f'<g fill="none" stroke="#a03c32" '
-                 f'stroke-width="{_fmt(stroke)}" stroke-dasharray="{dash}">')
-    for f in bf:
-        z = pk.face_center[f]
-        lines.append(f'<circle cx="{_fmt(z.real)}" cy="{_fmt(-z.imag)}" '
-                     f'r="{_fmt(pk.face_radius[f])}"/>')
-    lines.append("</g>")
-    lines.append("</svg>")
     return "\n".join(lines) + "\n"

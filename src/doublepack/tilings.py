@@ -4,16 +4,32 @@
 ball of radius ``layers`` around a root vertex of the regular tiling whose
 vertices have degree p and whose faces are q-gons.  One growth rule builds
 every Euclidean and hyperbolic pair: faces are attached one at a time to the
-rim of a growing disc, completing vertices in breadth-first order.
-Spherical parameter pairs are rejected.
+rim of a growing disc, completing vertices in breadth-first order.  The
+kept vertices are then renumbered and their rotations turned by whole-array
+steps on one flat neighbor array.  Spherical parameter pairs are rejected.
+``generate_grid`` writes its lattice patch's neighbor table by index
+arithmetic.  Both hand their flat neighbor arrays to ``maps``'s one pairing
+core, the one ``build_map`` uses, without building per-vertex lists for it.
 """
 
 from __future__ import annotations
 
+import operator
+from itertools import chain
+
+import numpy as np
+
 from .linalg import _SIZE_BUDGET
-from .maps import PlanarMap, build_map
+from .maps import PlanarMap, _pair_half_edges
 
 __all__ = ["generate_tiling", "generate_grid"]
+
+
+def _whole(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
 def generate_tiling(p: int, q: int, layers: int) -> PlanarMap:
@@ -33,8 +49,17 @@ def generate_tiling(p: int, q: int, layers: int) -> PlanarMap:
     distances are exact, and the vertices never reached lie beyond the ball.
 
     Each non-root rotation starts one entry before its block of neighbors
-    one step closer to the root.
+    one step closer to the root.  The lists are then flattened once, and
+    whole-array steps find each block (a segment minimum), rotate every list
+    (one scatter), drop the vertices beyond the ball and renumber the rest
+    in creation order; the flat neighbor array goes straight to the pairing
+    core that ``build_map`` uses.
+
+    p, q and ``layers`` must be integers (anything ``operator.index``
+    accepts); a float such as 2.5 raises ``ValueError`` naming the argument
+    before any growth.
     """
+    p, q, layers = _whole(p, "p"), _whole(q, "q"), _whole(layers, "layers")
     if p < 3 or q < 3:
         raise ValueError("p and q must be at least 3")
     if layers < 1:
@@ -52,40 +77,56 @@ def generate_tiling(p: int, q: int, layers: int) -> PlanarMap:
         if dist[v] == layers:
             break
         while not interior[v]:
-            # rim vertices of the new face, in the outer face's direction
-            rim = [nbrs[v][-1], v]
-            while len(nbrs[rim[0]]) == p:
-                rim.insert(0, nbrs[rim[0]][-1])
-            while len(nbrs[rim[-1]]) == p:
-                rim.append(nbrs[rim[-1]][0])
-            for x in rim[1:-1]:
-                interior[x] = True
-            # the face closes from rim[-1] through its new vertices to rim[0]
-            walk = [rim[-1], *range(len(nbrs), len(nbrs) + q - len(rim)), rim[0]]
-            nbrs.extend([a, b] for a, b in zip(walk, walk[2:]))
-            interior.extend([False] * (len(walk) - 2))
-            nbrs[walk[0]].append(walk[1])
-            nbrs[walk[-1]].insert(0, walk[-2])
-        dist.extend([-1] * (len(nbrs) - len(dist)))
+            # the new face's rim runs from a to b in the outer face's
+            # direction; the k - 2 vertices between them become interior
+            a, k = nbrs[v][-1], 2
+            while len(nbrs[a]) == p:
+                interior[a] = True
+                a, k = nbrs[a][-1], k + 1
+            b = v
+            while len(nbrs[b]) == p:
+                interior[b] = True
+                b, k = nbrs[b][0], k + 1
+            # the face closes from b through its new vertices, a path
+            # n0, ..., n1 - 1, to a, or by a chord when there are none
+            n0, n1 = len(nbrs), len(nbrs) + q - k
+            if n1 > n0:
+                nbrs.extend([x - 1, x + 1] for x in range(n0, n1))
+                nbrs[n0][0], nbrs[-1][1] = b, a
+                nbrs[b].append(n0)
+                nbrs[a].insert(0, n1 - 1)
+                interior.extend([False] * (n1 - n0))
+                dist.extend([-1] * (n1 - n0))
+            else:
+                nbrs[b].append(a)
+                nbrs[a].insert(0, b)
         for u in nbrs[v]:
             if dist[u] < 0:
                 dist[u] = dist[v] + 1
                 order.append(u)
 
-    kept = sorted(order)
-    new_id = [-1] * len(nbrs)
-    for i, v in enumerate(kept):
-        new_id[v] = i
-    rotations = []
-    for v in kept:
-        nb = nbrs[v]
-        if v:
-            up = dist[v] - 1
-            i = next((j for j, u in enumerate(nb)
-                      if dist[u] == up and dist[nb[j - 1]] != up), 1)
-            nb = nb[i - 1:] + nb[:i - 1]
-        rotations.append([new_id[u] for u in nb if dist[u] >= 0])
-    return build_map(rotations)
+    n = len(nbrs)
+    deg = np.fromiter(map(len, nbrs), np.int64, n)
+    flat = np.fromiter(chain.from_iterable(nbrs), np.int64, int(deg.sum()))
+    level = np.array(dist)
+    owner = np.repeat(np.arange(n), deg)
+    start = np.r_[0, np.cumsum(deg)[:-1]]
+    local = np.arange(flat.size) - start[owner]
+    # entry j opens the block one step closer to the root when it is that
+    # close and entry j - 1 (cyclically) is not; a list starts one entry
+    # before its first opener, or as it is when none opens (the root's
+    # neighbors are all one step away from it, so it has none)
+    up = level[flat] == level[owner] - 1
+    opens = up & ~up[start[owner] + (local - 1) % deg[owner]]
+    first = np.minimum.reduceat(np.where(opens, local, flat.size), start)
+    shift = np.where(first < flat.size, first - 1, 0)
+    rotated = np.empty_like(flat)
+    rotated[start[owner] + (local - shift[owner]) % deg[owner]] = flat
+    # drop the vertices beyond the ball and renumber the rest in order
+    kept = level >= 0
+    keep = kept[owner] & kept[rotated]
+    return _pair_half_edges((np.cumsum(kept) - 1)[rotated[keep]],
+                            np.bincount(owner[keep], minlength=n)[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -95,23 +136,19 @@ def generate_tiling(p: int, q: int, layers: int) -> PlanarMap:
 def generate_grid(nx: int, ny: int) -> PlanarMap:
     """nx-by-ny patch of the square lattice (vertex (i, j) -> id j*nx + i),
     neighbors in counterclockwise order east, north, west, south.  A patch
-    of more than ``_SIZE_BUDGET`` vertices raises before any allocation."""
+    of more than ``_SIZE_BUDGET`` vertices, or a side that is not an
+    integer, raises before any allocation.
+
+    The east/north/west/south table is written by index arithmetic, and the
+    entries that leave the patch are masked out row by row."""
+    nx, ny = _whole(nx, "nx"), _whole(ny, "ny")
     if nx < 2 or ny < 2:
         raise ValueError("grid patch needs at least 2 vertices per side")
     if nx * ny > _SIZE_BUDGET:
         raise ValueError(f"a {nx}x{ny} grid patch has {nx * ny} vertices; "
                          f"the size budget is {_SIZE_BUDGET}")
-    rotations = []
-    for j in range(ny):
-        for i in range(nx):
-            rot = []
-            if i + 1 < nx:
-                rot.append(j * nx + i + 1)
-            if j + 1 < ny:
-                rot.append((j + 1) * nx + i)
-            if i > 0:
-                rot.append(j * nx + i - 1)
-            if j > 0:
-                rot.append((j - 1) * nx + i)
-            rotations.append(rot)
-    return build_map(rotations)
+    ids = np.arange(nx * ny)
+    i, j = ids % nx, ids // nx
+    table = ids[:, None] + np.array([1, nx, -1, -nx])
+    inside = np.stack([i + 1 < nx, j + 1 < ny, i > 0, j > 0], axis=1)
+    return _pair_half_edges(table[inside], inside.sum(axis=1))

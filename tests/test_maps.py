@@ -179,6 +179,77 @@ def canonical_encoding_reference(pmap):
     return best
 
 
+def generate_tiling_reference(p, q, layers):
+    """List reference for generate_tiling: the same face-by-face growth
+    with the rim gathered into a list, then every kept vertex renumbered
+    and its rotation turned one at a time, and the lists paired by
+    build_map."""
+    nbrs = [[1, q - 1]] + [[(j + 1) % q, j - 1] for j in range(1, q)]
+    interior = [False] * q
+    dist = [0] + [-1] * (q - 1)
+    order = [0]
+    for v in order:
+        if dist[v] == layers:
+            break
+        while not interior[v]:
+            rim = [nbrs[v][-1], v]
+            while len(nbrs[rim[0]]) == p:
+                rim.insert(0, nbrs[rim[0]][-1])
+            while len(nbrs[rim[-1]]) == p:
+                rim.append(nbrs[rim[-1]][0])
+            for x in rim[1:-1]:
+                interior[x] = True
+            walk = [rim[-1], *range(len(nbrs), len(nbrs) + q - len(rim)), rim[0]]
+            nbrs.extend([a, b] for a, b in zip(walk, walk[2:]))
+            interior.extend([False] * (len(walk) - 2))
+            nbrs[walk[0]].append(walk[1])
+            nbrs[walk[-1]].insert(0, walk[-2])
+        dist.extend([-1] * (len(nbrs) - len(dist)))
+        for u in nbrs[v]:
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                order.append(u)
+
+    kept = sorted(order)
+    new_id = [-1] * len(nbrs)
+    for i, v in enumerate(kept):
+        new_id[v] = i
+    rotations = []
+    for v in kept:
+        nb = nbrs[v]
+        if v:
+            up = dist[v] - 1
+            i = next((j for j, u in enumerate(nb)
+                      if dist[u] == up and dist[nb[j - 1]] != up), 1)
+            nb = nb[i - 1:] + nb[:i - 1]
+        rotations.append([new_id[u] for u in nb if dist[u] >= 0])
+    return build_map(rotations)
+
+
+def generate_grid_reference(nx, ny):
+    """List reference for generate_grid: each vertex's east, north, west
+    and south neighbors appended one at a time."""
+    rotations = []
+    for j in range(ny):
+        for i in range(nx):
+            rot = []
+            if i + 1 < nx:
+                rot.append(j * nx + i + 1)
+            if j + 1 < ny:
+                rot.append((j + 1) * nx + i)
+            if i > 0:
+                rot.append(j * nx + i - 1)
+            if j > 0:
+                rot.append((j - 1) * nx + i)
+            rotations.append(rot)
+    return build_map(rotations)
+
+
+def assert_same_map(a, b):
+    for name in ("rotation", "offsets", "conductance"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 def cyclic_rotations(pmap):
     """Rotation lists, each turned to start at its smallest neighbor."""
     out = []
@@ -543,6 +614,37 @@ class TestTilings:
             generate_tiling(2, 6, 2)
         with pytest.raises(ValueError):
             generate_tiling(7, 3, 0)
+
+    @pytest.mark.parametrize("p", range(3, 10))
+    def test_matches_list_reference(self, p):
+        # layer 5 only while the balls stay small (at most 4675 vertices);
+        # the deeper (7,3) and (8,3) balls below cover large ones
+        for q in range(3, 10):
+            if 1.0 / p + 1.0 / q - 0.5 > 1e-12:
+                continue
+            for layers in range(1, 6 if p <= 6 else 5):
+                assert_same_map(generate_tiling(p, q, layers),
+                                generate_tiling_reference(p, q, layers))
+
+    @pytest.mark.parametrize("p,q,layers", [(7, 3, 7), (8, 3, 6)])
+    def test_deep_balls_match_list_reference(self, p, q, layers):
+        assert_same_map(generate_tiling(p, q, layers),
+                        generate_tiling_reference(p, q, layers))
+
+    @pytest.mark.parametrize("nx,ny", [(2, 2), (3, 5), (21, 13), (41, 41)])
+    def test_grid_matches_list_reference(self, nx, ny):
+        assert_same_map(generate_grid(nx, ny), generate_grid_reference(nx, ny))
+
+    @pytest.mark.parametrize("args,name", [((7, 3, 2.5), "layers"), ((7.0, 3, 2), "p"),
+                                           ((7, "3", 2), "q")])
+    def test_non_integer_tiling_sizes_rejected(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            generate_tiling(*args)
+
+    @pytest.mark.parametrize("args,name", [((3.0, 3), "nx"), ((3, 2.5), "ny")])
+    def test_non_integer_grid_sizes_rejected(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            generate_grid(*args)
 
     def test_grid_shape(self):
         m = generate_grid(5, 3)
