@@ -111,8 +111,6 @@ def _parent_map(cfg: RunConfig, depth: int):
 
 
 def _build_truncation(cfg: RunConfig):
-    if cfg.grid is not None:
-        return boundary_truncation(_parent_map(cfg, 0))
     if cfg.tiling is not None:
         return truncate(_parent_map(cfg, cfg.layers + 1), cfg.root, cfg.layers)
     if cfg.radius is not None:
@@ -344,15 +342,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# option -> the one map source it applies to.  The {p,q} tilings are
+# vertex-transitive, so a root other than 0 would add nothing to --tiling.
+_SOURCE_OF = {"layers": "tiling", "radius": "map_file", "root": "map_file"}
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     given = dict(vars(args))
     command = given.pop("command")
-    if "map_file" in _COMMANDS[command][2]:
+    fields = _COMMANDS[command][2]
+    if "map_file" in fields:
         sources = [s for s in ("map_file", "tiling", "grid") if s in given]
         if len(sources) == 0:
             raise ConfigError("provide a map source: --map, --tiling, or --grid")
         if len(sources) > 1:
             raise ConfigError("provide exactly one of --map, --tiling, --grid")
+        # checked on argv: RunConfig cannot tell a given value from a default
+        source = _OPTIONS[sources[0]][0]
+        for name, owner in _SOURCE_OF.items():
+            if name in given and owner != sources[0]:
+                raise ConfigError(f"{_OPTIONS[name][0]} applies to "
+                                  f"{_OPTIONS[owner][0]} only, not to {source}")
+        if "root" in given and "radius" in fields and "radius" not in given:
+            raise ConfigError("--root applies to --map only with --radius: "
+                              "without it the map is cut at its outer face")
     for name, convert in _CONVERT.items():
         if name in given:
             given[name] = convert(given[name])

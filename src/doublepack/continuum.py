@@ -1,15 +1,14 @@
 """Dirichlet machinery on the unit disc.
 
 Harmonic functions are carried as truncated boundary Fourier series, which
-makes evaluation, gradients, and energies exact; Cartesian grid fields serve
-the two jobs Fourier cannot: non-harmonic equilibrium potentials (capacity,
-by a lattice solve: double-precision CG, single-precision multigrid V-cycle)
-and energy checks of sampled data.  The boundary Douglas energy is a double
-quadrature over the circle, summed through the FFT autocorrelation of the
-samples, whose diagonal uses the difference-quotient limit.
+makes evaluation and energies exact; a Cartesian grid serves the one job
+Fourier cannot: non-harmonic equilibrium potentials (capacity, by a lattice
+solve: double-precision CG, single-precision multigrid V-cycle).  The
+boundary Douglas energy is a double quadrature over the circle, summed
+through the FFT autocorrelation of the samples, whose diagonal uses the
+difference-quotient limit.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +17,9 @@ from .linalg import _SIZE_BUDGET, lattice_laplacian, lattice_solve
 from .textio import csv_text, read_csv
 
 __all__ = [
-    "HarmonicDiscField", "GridDiscField", "BoundaryFunction",
-    "poisson_extend", "energy_continuous", "douglas_energy",
-    "inner_product_continuous", "grid_capacity", "oscillation_bound_check",
-    "sample_grid_field", "boundary_function_to_csv", "load_boundary_csv",
+    "HarmonicDiscField", "BoundaryFunction", "poisson_extend",
+    "energy_continuous", "douglas_energy", "grid_capacity",
+    "boundary_function_to_csv", "load_boundary_csv",
 ]
 
 
@@ -58,52 +56,6 @@ class HarmonicDiscField:
         for k in range(self.degree, 0, -1):
             acc = acc * z + c[k - 1]
         return self.a0 + (acc * z).real
-
-    def gradient(self, z):
-        """Complex derivative f'(z); the gradient of H is (Re f', -Im f')
-        and |grad H| = |f'|."""
-        z = np.asarray(z, dtype=complex)
-        d = np.arange(1, self.degree + 1) * (self.a - 1j * self.b)
-        acc = np.zeros_like(z)
-        for k in range(self.degree - 1, -1, -1):
-            acc = acc * z + d[k]
-        return acc
-
-    def boundary_values(self, theta):
-        return _trig_eval(self.a0, self.a, self.b,
-                          np.asarray(theta, dtype=float))
-
-
-@dataclass(frozen=True)
-class GridDiscField:
-    """Field sampled on the square lattice of spacing ``grid_h`` covering
-    [-1, 1]^2; entries outside the closed unit disc are NaN (absent)."""
-
-    values: np.ndarray
-    grid_h: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2 == 0:
-            raise ValueError("grid must be square with an odd side (centered)")
-        if self.grid_h <= 0:
-            raise ValueError("grid spacing must be positive")
-        object.__setattr__(self, "values", v)
-
-    def node_radius_sq(self) -> np.ndarray:
-        n = self.values.shape[0]
-        coords = (np.arange(n) - n // 2) * self.grid_h
-        return coords[None, :] ** 2 + coords[:, None] ** 2
-
-
-def sample_grid_field(field: HarmonicDiscField, grid_h: float) -> GridDiscField:
-    n_half = int(round(1.0 / grid_h))
-    coords = np.arange(-n_half, n_half + 1) * grid_h
-    zz = coords[None, :] + 1j * coords[:, None]
-    inside = np.abs(zz) <= 1.0
-    vals = np.full(zz.shape, np.nan)
-    vals[inside] = field.evaluate(zz[inside])
-    return GridDiscField(vals, grid_h)
 
 
 class BoundaryFunction:
@@ -196,10 +148,8 @@ def poisson_extend(boundary: BoundaryFunction, K_max: int) -> HarmonicDiscField:
 # ---------------------------------------------------------------------------
 
 def energy_continuous(field, inner_radius: float = 1.0) -> float:
-    """Dirichlet energy over the concentric disc of the given radius.
-
-    Exact for harmonic representations (sum of k pi (a_k^2 + b_k^2) rho^{2k});
-    a first-difference sum for grid representations.
+    """Dirichlet energy over the concentric disc of the given radius, exact
+    from the coefficients: the sum of k pi (a_k^2 + b_k^2) rho^{2k}.
     """
     rho = float(inner_radius)
     if not 0 < rho <= 1:
@@ -208,16 +158,6 @@ def energy_continuous(field, inner_radius: float = 1.0) -> float:
         ks = np.arange(1, field.degree + 1)
         return float(np.sum(ks * np.pi * (field.a ** 2 + field.b ** 2)
                             * rho ** (2 * ks)))
-    if isinstance(field, GridDiscField):
-        v = field.values
-        ok = np.isfinite(v) & (field.node_radius_sq() <= rho * rho + 1e-12)
-        dx = v[:, 1:] - v[:, :-1]
-        keep = ok[:, 1:] & ok[:, :-1]
-        e = float(np.sum(dx[keep] ** 2))
-        dy = v[1:, :] - v[:-1, :]
-        keep = ok[1:, :] & ok[:-1, :]
-        e += float(np.sum(dy[keep] ** 2))
-        return e
     raise TypeError(f"not a disc field: {type(field).__name__}")
 
 
@@ -251,36 +191,6 @@ def douglas_energy(boundary: BoundaryFunction, n_theta: int) -> float:
     deriv = (np.roll(vals, -1) - np.roll(vals, 1)) / (2 * w)
     diag = float(np.dot(deriv, deriv))
     return w * w / (2 * np.pi) * (off + diag)
-
-
-def inner_product_continuous(field1, field2, region, n_r: int = 96,
-                             n_theta: int = 192) -> float:
-    """Rooted inner product: the product integral over the disc ``region``
-    (center, radius) plus the gradient pairing over the whole unit disc.
-
-    The gradient term is computed exactly from coefficients; the mass term by
-    midpoint-radial, uniform-angular quadrature.
-    """
-    if not (isinstance(field1, HarmonicDiscField)
-            and isinstance(field2, HarmonicDiscField)):
-        raise TypeError("inner products need harmonic field representations")
-    center, radius = region
-    center = complex(center)
-    radius = float(radius)
-    if radius <= 0:
-        raise ValueError("region radius must be positive")
-    if abs(center) + radius >= 1:
-        raise ValueError("region must be compactly contained in the unit disc")
-    rr = (np.arange(n_r) + 0.5) * (radius / n_r)
-    tt = 2 * np.pi * np.arange(n_theta) / n_theta
-    z = center + rr[:, None] * np.exp(1j * tt)[None, :]
-    weights = rr[:, None] * (radius / n_r) * (2 * np.pi / n_theta)
-    mass = float(np.sum(weights * field1.evaluate(z) * field2.evaluate(z)))
-    kk = min(field1.degree, field2.degree)
-    ks = np.arange(1, kk + 1)
-    grad = float(np.sum(ks * np.pi * (field1.a[:kk] * field2.a[:kk]
-                                      + field1.b[:kk] * field2.b[:kk])))
-    return mass + grad
 
 
 # ---------------------------------------------------------------------------
@@ -335,38 +245,6 @@ def grid_capacity(target, grid_h: float) -> float:
     e = float(np.sum((phi[:, 1:] - phi[:, :-1]) ** 2))
     e += float(np.sum((phi[1:, :] - phi[:-1, :]) ** 2))
     return e
-
-
-# ---------------------------------------------------------------------------
-# oscillation bound
-# ---------------------------------------------------------------------------
-
-def oscillation_bound_check(field: HarmonicDiscField, center, radius: float,
-                            alpha: float, n_r: int = 64,
-                            n_theta: int = 128) -> tuple:
-    """Evaluate both sides of the Harnack-type oscillation estimate: the
-    squared oscillation of the field over B(center, radius) against
-    log(alpha^2/(alpha^2-1))/pi times its gradient energy over the
-    alpha-enlarged disc.  Returns (oscillation_sq, bound)."""
-    center = complex(center)
-    radius = float(radius)
-    alpha = float(alpha)
-    if radius <= 0 or alpha <= 1:
-        raise ValueError("need radius > 0 and alpha > 1")
-    if abs(center) + alpha * radius > 1:
-        raise ValueError("the enlarged disc must stay inside the unit disc")
-    tt = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
-    rr = radius * (np.arange(1, n_r + 1) / n_r)
-    z = center + rr[:, None] * tt[None, :]
-    h0 = float(field.evaluate(np.asarray(center)))
-    osc_sq = float(np.max((field.evaluate(z) - h0) ** 2))
-    rr2 = (np.arange(n_r) + 0.5) * (alpha * radius / n_r)
-    z2 = center + rr2[:, None] * tt[None, :]
-    weights = rr2[:, None] * (alpha * radius / n_r) * (2 * np.pi / n_theta)
-    grad_sq = np.abs(field.gradient(z2)) ** 2
-    integral = float(np.sum(weights * grad_sq))
-    bound = math.log(alpha * alpha / (alpha * alpha - 1)) / math.pi * integral
-    return osc_sq, bound
 
 
 # ---------------------------------------------------------------------------

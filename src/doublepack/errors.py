@@ -4,6 +4,8 @@ The CLI maps these onto distinct process exit codes, so library code should
 raise the most specific type that applies.
 """
 
+__all__ = ["ConfigError", "ConvergenceError", "InvariantViolation"]
+
 
 class ConfigError(ValueError):
     """A run configuration could not be parsed or is self-contradictory."""

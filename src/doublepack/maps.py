@@ -35,7 +35,6 @@ from .textio import read_text
 __all__ = [
     "PlanarMap",
     "FaceStructure",
-    "MapData",
     "DartTree",
     "CornerPattern",
     "Truncation",
@@ -43,7 +42,7 @@ __all__ = [
     "trace_faces",
     "dual_map",
     "is_polyhedral",
-    "map_data",
+    "euler_characteristic",
     "truncate",
     "boundary_truncation",
     "induce_submap",
@@ -444,26 +443,6 @@ def is_polyhedral(pmap: PlanarMap) -> bool:
     left, right = faces.face_of[0::2], faces.face_of[1::2]
     across_edge = np.minimum(left, right) * n_faces + np.maximum(left, right)
     return bool(np.all(np.isin(shared.row[two] * n_faces + shared.col[two], across_edge)))
-
-
-@dataclass(frozen=True)
-class MapData:
-    """Degree/codegree/conductance extremes, recomputable by direct scan."""
-
-    max_degree: int
-    max_codegree: int
-    min_conductance: float
-    max_conductance: float
-
-
-def map_data(pmap: PlanarMap, faces: FaceStructure | None = None,
-             skip_face: int | None = None) -> MapData:
-    faces = trace_faces(pmap) if faces is None else faces
-    deg = faces.degrees
-    if skip_face is not None:
-        deg = np.delete(deg, skip_face)
-    return MapData(int(pmap.degrees.max()), int(deg.max()),
-                   float(pmap.conductance.min()), float(pmap.conductance.max()))
 
 
 # ---------------------------------------------------------------------------

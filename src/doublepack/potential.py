@@ -1,9 +1,9 @@
 """Discrete Dirichlet space on weighted planar maps.
 
-Energies and inner products live on any `PlanarMap`; harmonic extension,
-the harmonic/grounded decomposition, capacities, and the random-walk
-boundary estimator act on a `Truncation`, whose boundary plays the role of
-the grounded sphere in an exhaustion of an infinite graph.  All linear
+The energy lives on any `PlanarMap`; harmonic extension, the
+harmonic/grounded decomposition, capacities, and the random-walk boundary
+estimator act on a `Truncation`, whose boundary plays the role of the
+grounded sphere in an exhaustion of an infinite graph.  All linear
 systems are symmetric positive definite and solved by a sparse direct
 factorization with iterative refinement (``linalg.PinnedSolve``).
 
@@ -26,10 +26,9 @@ from .maps import PlanarMap, Truncation
 from .textio import csv_text, read_csv
 
 __all__ = [
-    "VertexFunction", "RoydenSplit", "CapacityEstimate", "CapacityProfile",
-    "energy", "inner_product", "solve_dirichlet", "royden_project",
-    "capacity", "escape_capacity", "walk_limit_estimate",
-    "quasi_asymptotic_profile", "vertex_function_to_csv",
+    "VertexFunction", "RoydenSplit", "CapacityEstimate", "energy",
+    "solve_dirichlet", "royden_project", "capacity", "escape_capacity",
+    "walk_limit_estimate", "vertex_function_to_csv",
     "load_vertex_function_csv", "capacity_to_json",
 ]
 
@@ -73,16 +72,6 @@ class CapacityEstimate:
     target: np.ndarray = field(repr=False, default=None)
 
 
-@dataclass(frozen=True)
-class CapacityProfile:
-    """Capacity of a superlevel set across a nested truncation sequence."""
-
-    radii: list
-    values: list
-    classification: str
-    eps: float
-
-
 def _coerce(phi, n_vertices, what="function"):
     vals = phi.values if isinstance(phi, VertexFunction) else np.asarray(phi, dtype=float)
     if vals.shape != (n_vertices,):
@@ -98,25 +87,8 @@ def energy(pmap: PlanarMap, phi) -> float:
     """Dirichlet energy: half the sum over darts of c(e) (φ(e-) - φ(e+))²,
     i.e. the sum over unoriented edges."""
     vals = _coerce(phi, pmap.n_vertices)
-    return _cross_energy(pmap, vals, vals)
-
-
-def _cross_energy(pmap: PlanarMap, phi, psi) -> float:
-    d1 = phi[pmap.origin] - phi[pmap.target]
-    d2 = psi[pmap.origin] - psi[pmap.target]
-    return 0.5 * float(np.dot(pmap.conductance * d1, d2))
-
-
-def inner_product(pmap: PlanarMap, phi, psi, o: int) -> float:
-    """Rooted Dirichlet inner product φ(o)ψ(o) + Σ_E c Δφ Δψ.
-
-    Positive definite; different roots give equivalent norms.
-    """
-    f = _coerce(phi, pmap.n_vertices)
-    g = _coerce(psi, pmap.n_vertices, what="second function")
-    if not 0 <= o < pmap.n_vertices:
-        raise ValueError(f"root vertex {o} is not in the map")
-    return float(f[o] * g[o]) + _cross_energy(pmap, f, g)
+    d = vals[pmap.origin] - vals[pmap.target]
+    return 0.5 * float(np.dot(pmap.conductance * d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -286,35 +258,6 @@ def walk_limit_estimate(trunc: Truncation, phi, v: int, samples: int,
     mean = float(out.mean())
     stderr = float(out.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return mean, stderr
-
-
-# ---------------------------------------------------------------------------
-# capacity profiles along an exhaustion
-# ---------------------------------------------------------------------------
-
-def quasi_asymptotic_profile(trunc_sequence, phi_family, eps: float) -> CapacityProfile:
-    """Capacity of {|φ| ≥ eps} per truncation; a bounded profile as the
-    radius grows is the finite-scale signature of a function that is
-    quasi-asymptotically zero, a growing one of uniform mass out to infinity.
-
-    Superlevel sets are intersected with each truncation's interior: boundary
-    vertices are grounded, so they never carry capacity.  Classification
-    compares the last two entries with a 5% growth margin.
-    """
-    if len(trunc_sequence) != len(phi_family):
-        raise ValueError("need one function per truncation")
-    if len(trunc_sequence) < 2:
-        raise ValueError("need at least two truncations to classify a profile")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    radii, values = [], []
-    for trunc, phi in zip(trunc_sequence, phi_family):
-        vals = _coerce(phi, trunc.n_vertices)
-        targets = trunc.interior[np.abs(vals[trunc.interior]) >= eps]
-        values.append(capacity(trunc, targets).value)
-        radii.append(trunc.radius)
-    growing = values[-1] > 1.05 * values[-2]
-    return CapacityProfile(radii, values, "growing" if growing else "bounded", eps)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ A vertex function spreads over the carrier as a piecewise-affine interpolant
 the vertices through the embedding.  ``disc_operator`` and ``cont_operator``
 compose these with harmonic projection in either direction, and the rest of
 the module measures what the finite packing preserves: energy comparability,
-roundtrip defect, capacity matching, interpolant continuity, and an empirical
-Harnack exponent.
+roundtrip defect, capacity matching, and an empirical Harnack exponent.
 """
 
 import math
@@ -15,27 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuum import (BoundaryFunction, GridDiscField, HarmonicDiscField,
-                        energy_continuous, grid_capacity, poisson_extend)
+from .continuum import (BoundaryFunction, HarmonicDiscField, energy_continuous,
+                        grid_capacity, poisson_extend)
 from .maps import Truncation
-from .packing import DoublePacking, compute_delta0
+from .packing import DoublePacking
 from .potential import (VertexFunction, _coerce, capacity, energy,
                         royden_project)
 
 __all__ = [
     "AffineExtension",
     "TransferReport",
-    "ContinuityCheck",
     "HarnackFit",
     "extend_affine",
-    "disc_average",
     "energy_of_extension",
     "disc_operator",
     "cont_operator",
     "roundtrip",
     "capacity_comparison",
     "shrunk_discs",
-    "continuity_bound_check",
     "harnack_fit",
     "transfer_report_to_json",
     "harnack_to_json",
@@ -52,14 +48,6 @@ _MIN_LOG_SPAN = math.log(1.5)
 
 def _vertex_values(trunc: Truncation, phi) -> np.ndarray:
     return _coerce(phi, trunc.n_vertices, what="vertex function")
-
-
-def _evaluate(field, z) -> np.ndarray:
-    if isinstance(field, HarmonicDiscField):
-        return field.evaluate(z)
-    if callable(field):
-        return np.asarray(field(z), dtype=float)
-    raise TypeError(f"cannot evaluate field of type {type(field).__name__}")
 
 
 def _bary(tri: np.ndarray, pts) -> np.ndarray:
@@ -151,44 +139,6 @@ def energy_of_extension(packing: DoublePacking, phi) -> float:
     return float(0.5 * np.sum((gx * gx + gy * gy) * np.abs(det)))
 
 
-def disc_average(packing: DoublePacking, field, v: int, delta: float | None = None,
-                 n_r: int = 24, n_theta: int = 64) -> float:
-    """Mean of a disc field over the shrunk disc around vertex ``v``.
-
-    ``delta`` defaults to the packing's shrinkage level delta0 (computed and
-    cached on first use).  For harmonic fields the result reproduces the
-    field value at the center, so this is mostly a check and a fallback for
-    fields that are not harmonic.
-    """
-    if isinstance(field, GridDiscField):
-        raise TypeError("grid fields cannot be point-evaluated; pass a "
-                        "harmonic field or a callable")
-    v = int(v)
-    if not 0 <= v < packing.trunc.n_vertices:
-        raise ValueError(f"vertex {v} is not in the truncation")
-    if delta is None:
-        if packing.delta0 is None:
-            packing.delta0 = compute_delta0(packing)
-        delta = packing.delta0
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    center = packing.vertex_center[v]
-    rho = delta * packing.vertex_radius[v]
-    if isinstance(field, HarmonicDiscField) and abs(center) + rho > 1.0 + 1e-12:
-        raise ValueError("averaging disc escapes the field's domain "
-                         "(the open unit disc)")
-
-    # Gauss-Legendre in r, uniform in theta; the r weight absorbs the area
-    # element so polynomials integrate exactly
-    x, w = np.polynomial.legendre.leggauss(n_r)
-    r = 0.5 * rho * (x + 1.0)
-    wr = 0.5 * rho * w
-    theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-    vals = _evaluate(field, center + r[:, None] * np.exp(1j * theta)[None, :])
-    integral = float(np.sum(vals * (r * wr)[:, None])) * (2.0 * np.pi / n_theta)
-    return integral / (np.pi * rho * rho)
-
-
 def _check_same_map(trunc: Truncation, packing: DoublePacking):
     mine = packing.trunc
     if not (np.array_equal(mine.graph.offsets, trunc.graph.offsets)
@@ -199,9 +149,19 @@ def _check_same_map(trunc: Truncation, packing: DoublePacking):
 
 def disc_operator(trunc: Truncation, packing: DoublePacking, field) -> VertexFunction:
     """Pull a disc field back through the embedding and keep the harmonic
-    part (boundary values are retained exactly)."""
+    part (boundary values are retained exactly).
+
+    The field is read at the circle centres.  For a harmonic field that is
+    the paper's average over each shrunk vertex disc, by the mean-value
+    property; a callable field is read the same way.
+    """
     _check_same_map(trunc, packing)
-    pulled = _evaluate(field, packing.vertex_center)
+    if isinstance(field, HarmonicDiscField):
+        pulled = field.evaluate(packing.vertex_center)
+    elif callable(field):
+        pulled = np.asarray(field(packing.vertex_center), dtype=float)
+    else:
+        raise TypeError(f"cannot evaluate field of type {type(field).__name__}")
     if not np.all(np.isfinite(pulled)):
         raise ValueError("field is not finite at every vertex center")
     return royden_project(trunc, pulled).harmonic_part
@@ -343,42 +303,6 @@ def shrunk_discs(packing: DoublePacking, target, delta: float) -> list:
         raise ValueError("delta must lie in (0, 1/2]")
     return [(packing.vertex_center[v], delta * packing.vertex_radius[v])
             for v in np.unique(np.asarray(target, dtype=np.int64))]
-
-
-@dataclass(frozen=True)
-class ContinuityCheck:
-    worst_slack: float           # max deviation minus the bound; <= 0 is good
-    max_deviation: float
-    bound: float
-
-
-def continuity_bound_check(packing: DoublePacking, phi, delta: float,
-                           n_rings: int = 3, n_angles: int = 8) -> ContinuityCheck:
-    """Probe the extension inside each interior vertex's delta-disc against
-    the bound delta * (largest oscillation of phi over a single face)."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly between 0 and 1")
-    t = packing.trunc
-    g = t.graph
-    vals = _vertex_values(t, phi)
-
-    nf = t.faces.n_faces
-    fmax = np.full(nf, -np.inf)
-    fmin = np.full(nf, np.inf)
-    np.maximum.at(fmax, t.faces.face_of, vals[g.origin])
-    np.minimum.at(fmin, t.faces.face_of, vals[g.origin])
-    bound = delta * float(np.max(fmax - fmin))
-
-    ext = extend_affine(packing, vals)
-    fractions = delta * np.arange(1, n_rings + 1) / n_rings
-    rays = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
-    offsets = np.concatenate([[0j], np.outer(fractions, rays).ravel()])
-    centers = packing.vertex_center[t.interior]
-    radii = packing.vertex_radius[t.interior]
-    probes = centers[:, None] + radii[:, None] * offsets[None, :]
-    dev = np.abs(ext.evaluate(probes) - vals[t.interior, None])
-    max_dev = float(dev.max())
-    return ContinuityCheck(max_dev - bound, max_dev, bound)
 
 
 @dataclass(frozen=True)

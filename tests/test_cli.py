@@ -347,6 +347,38 @@ class TestExitCodes:
                    "--radius", "2") == 2
         assert "root 999 is not a vertex of the map" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, cause", [
+        (("pack", "--grid", "5", "--layers", "9", "--root", "3", "--radius", "1"),
+         "--layers applies to --tiling only, not to --grid"),
+        (("pack", "--grid", "5", "--root", "100"),
+         "--root applies to --map only, not to --grid"),
+        (("pack", "--grid", "5", "--radius", "1"),
+         "--radius applies to --map only, not to --grid"),
+        (("pack", "--map", "MAP", "--root", "5"),
+         "--root applies to --map only with --radius"),
+        (("pack", "--map", "MAP", "--root", "999"),
+         "--root applies to --map only with --radius"),
+        (("pack", "--map", "MAP", "--layers", "2"),
+         "--layers applies to --tiling only, not to --map"),
+        (("pack", "--tiling", "7,3", "--layers", "2", "--root", "8"),
+         "--root applies to --map only, not to --tiling"),
+        (("capacity", "--tiling", "7,3", "--radius", "2"),
+         "--radius applies to --map only, not to --tiling"),
+        (("roundtrip", "--tiling", "7,3", "--root", "3"),
+         "--root applies to --map only, not to --tiling"),
+    ], ids=["grid-layers", "grid-root", "grid-radius", "map-root", "map-far-root",
+            "map-layers", "tiling-root", "tiling-radius", "roundtrip-tiling-root"])
+    def test_option_the_map_source_ignores_is_bad_input(self, tmp_path, capsys,
+                                                        args, cause):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(map_to_json(generate_tiling(7, 3, 3))))
+        out = tmp_path / "out"
+        argv = [str(path) if a == "MAP" else a for a in args]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and cause in err[0]
+        assert not out.exists()
+
     def test_derived_trace_depth_too_deep_is_bad_input(self, tmp_path, capsys):
         # no --eps-trace: on the radius-1 ball the default, four boundary
         # radii, is past the unit circle, and the message says where it came from

@@ -1,5 +1,5 @@
 """Unit-disc Dirichlet machinery: Fourier harmonic fields, Poisson extension,
-Douglas boundary energy, disc inner products, and grid capacity."""
+Douglas boundary energy, and grid capacity."""
 
 import gc
 import io
@@ -13,17 +13,13 @@ from scipy.sparse.linalg import splu
 from doublepack import continuum, linalg
 from doublepack.continuum import (
     BoundaryFunction,
-    GridDiscField,
     HarmonicDiscField,
     boundary_function_to_csv,
     douglas_energy,
     energy_continuous,
     grid_capacity,
-    inner_product_continuous,
     load_boundary_csv,
-    oscillation_bound_check,
     poisson_extend,
-    sample_grid_field,
 )
 from doublepack.errors import InvariantViolation
 
@@ -122,18 +118,6 @@ class TestEnergyContinuous:
             for k in range(1, 7))
         assert energy_continuous(f, 0.8) == pytest.approx(total)
 
-    def test_grid_field_approximates_analytic(self):
-        field = field_from_single_mode(1, a=1.0)  # Re z, energy pi
-        grid = sample_grid_field(field, grid_h=1 / 128)
-        e = energy_continuous(grid, 1.0)
-        assert e == pytest.approx(math.pi, rel=0.03)
-
-    def test_grid_field_masks_exterior(self):
-        grid = sample_grid_field(field_from_single_mode(1, a=1.0), grid_h=1 / 16)
-        n = grid.values.shape[0]
-        assert not np.isfinite(grid.values[0, 0])
-        assert np.isfinite(grid.values[n // 2, n // 2])
-
 
 def douglas_pairwise_reference(boundary, n):
     """The Douglas sum as a loop over circular distances d, one rolled copy
@@ -185,7 +169,7 @@ class TestDouglasEnergy:
         rng = np.random.default_rng(9)
         a, b = rng.normal(size=(2, 8)) / (1 + np.arange(8))
         f = HarmonicDiscField(0.0, a, b)
-        bf = BoundaryFunction(func=lambda t: f.boundary_values(t))
+        bf = BoundaryFunction(func=lambda t: f.evaluate(np.exp(1j * t)))
         d = douglas_energy(bf, 2048)
         e = energy_continuous(f, 1.0)
         assert abs(d - e) / e <= 1e-2
@@ -203,45 +187,6 @@ class TestDouglasEnergy:
 
         with pytest.raises(ValueError, match="n_theta = 1000000000 samples exceed the size budget"):
             douglas_energy(BoundaryFunction(func=never), 10 ** 9)
-
-
-class TestInnerProduct:
-    def test_constants_give_area(self):
-        one = HarmonicDiscField(2.0, np.zeros(1), np.zeros(1))
-        val = inner_product_continuous(one, one, (0.2 + 0.1j, 0.3))
-        assert val == pytest.approx(4.0 * math.pi * 0.3 ** 2, rel=1e-9)
-
-    def test_orthogonal_first_modes(self):
-        re_z = field_from_single_mode(1, a=1.0)
-        im_z = field_from_single_mode(1, b=1.0)
-        val = inner_product_continuous(re_z, im_z, (0.0, 0.5))
-        assert val == pytest.approx(0.0, abs=1e-12)
-
-    def test_refinement_oracle(self):
-        rng = np.random.default_rng(14)
-        f = HarmonicDiscField(rng.normal(), rng.normal(size=4), rng.normal(size=4))
-        g = HarmonicDiscField(rng.normal(), rng.normal(size=4), rng.normal(size=4))
-        spec = (0.3 - 0.2j, 0.35)
-        coarse = inner_product_continuous(f, g, spec, n_r=48, n_theta=96)
-        fine = inner_product_continuous(f, g, spec, n_r=96, n_theta=192)
-        assert coarse == pytest.approx(fine, abs=1e-4 * max(1, abs(fine)))
-
-    def test_mean_value_property(self):
-        # angular quadrature annihilates every nonconstant mode, so the mass
-        # integral of a harmonic field over a disc is its center value times
-        # the area, to machine precision
-        rng = np.random.default_rng(17)
-        f = HarmonicDiscField(rng.normal(), rng.normal(size=5), rng.normal(size=5))
-        one = HarmonicDiscField(1.0, np.zeros(1), np.zeros(1))
-        center, radius = 0.25 + 0.3j, 0.3
-        mass = inner_product_continuous(f, one, (center, radius))
-        area = math.pi * radius ** 2
-        assert mass / area == pytest.approx(float(f.evaluate(center)), rel=1e-10)
-
-    def test_region_must_sit_inside_disc(self):
-        f = field_from_single_mode(1, a=1.0)
-        with pytest.raises(ValueError, match="disc"):
-            inner_product_continuous(f, f, (0.8, 0.5))
 
 
 class TestGridCapacity:
@@ -423,26 +368,6 @@ class TestLatticeSolve:
         gc.collect()
         grid_capacity(CAPACITY_TARGETS["three"], 1 / 64)
         assert gc.collect() == 0
-
-
-class TestOscillationBound:
-    def test_holds_on_random_fields(self):
-        rng = np.random.default_rng(21)
-        for alpha in (2.0, 4.0):
-            for _ in range(5):
-                f = HarmonicDiscField(rng.normal(),
-                                      rng.normal(size=6), rng.normal(size=6))
-                r = rng.uniform(0.05, 0.2)
-                ang = rng.uniform(0, 2 * np.pi)
-                center = rng.uniform(0, 0.9 - alpha * r) * np.exp(1j * ang)
-                osc_sq, bound = oscillation_bound_check(f, center, r, alpha)
-                assert osc_sq <= bound * (1 + 1e-9)
-                assert bound >= 0
-
-    def test_region_validation(self):
-        f = field_from_single_mode(2, a=1.0)
-        with pytest.raises(ValueError):
-            oscillation_bound_check(f, 0.8, 0.2, 2.0)
 
 
 class TestSerialization:

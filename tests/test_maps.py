@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doublepack.maps import (
-    MapData,
     PlanarMap,
     build_map,
     boundary_truncation,
@@ -22,7 +21,6 @@ from doublepack.maps import (
     induce_submap,
     is_polyhedral,
     load_map_json,
-    map_data,
     map_to_json,
     trace_faces,
     truncate,
@@ -785,12 +783,6 @@ class TestSerialization:
         rotations = [[u for u in range(n) if u != v] for v in range(n)]
         with pytest.raises(ValueError, match=f"not planar.*genus {genus}"):
             load_map_json({"vertices": n, "rotations": rotations})
-
-    def test_map_data(self):
-        m = generate_grid(4, 4)
-        d = map_data(m)
-        assert d == MapData(4, 12, 1.0, 1.0)
-        assert map_data(m, skip_face=int(np.argmax(trace_faces(m).degrees))).max_codegree == 4
 
 
 @settings(max_examples=30, deadline=None)

@@ -26,9 +26,7 @@ from doublepack.potential import (
     capacity_to_json,
     energy,
     escape_capacity,
-    inner_product,
     load_vertex_function_csv,
-    quasi_asymptotic_profile,
     royden_project,
     solve_dirichlet,
     vertex_function_to_csv,
@@ -127,44 +125,6 @@ class TestEnergy:
     def test_domain_mismatch(self):
         with pytest.raises(ValueError, match="9 vertices"):
             energy(generate_grid(3, 3), np.zeros(5))
-
-
-class TestInnerProduct:
-    def test_constant_gives_square(self):
-        g = generate_grid(3, 3)
-        a = np.full(g.n_vertices, 1.7)
-        assert inner_product(g, a, a, o=4) == pytest.approx(1.7 ** 2)
-
-    def test_symmetric_and_bilinear(self):
-        g = generate_tiling(7, 3, 2)
-        rng = np.random.default_rng(3)
-        phi, psi, chi = rng.normal(size=(3, g.n_vertices))
-        assert inner_product(g, phi, psi, 0) == pytest.approx(
-            inner_product(g, psi, phi, 0))
-        assert inner_product(g, 2 * phi + psi, chi, 0) == pytest.approx(
-            2 * inner_product(g, phi, chi, 0) + inner_product(g, psi, chi, 0))
-
-    def test_positive_definite(self):
-        g = build_map(PATH3)
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            phi = rng.normal(size=3)
-            if np.allclose(phi, 0):
-                continue
-            assert inner_product(g, phi, phi, 1) > 0
-
-    def test_root_change_keeps_norms_equivalent(self):
-        # The two roots sit at graph distance 2; ratios of squared norms stay
-        # inside a modest band (measured max ~2.6 over this sample).
-        g = generate_tiling(7, 3, 2)
-        rng = np.random.default_rng(19)
-        worst = 0.0
-        for _ in range(200):
-            phi = rng.normal(size=g.n_vertices)
-            a = inner_product(g, phi, phi, 0)
-            b = inner_product(g, phi, phi, 9)
-            worst = max(worst, a / b, b / a)
-        assert worst < 4.0
 
 
 class TestSolveDirichlet:
@@ -529,38 +489,6 @@ class TestWalkTables:
         tables = vars(t.graph)["walk_tables"]
         walk_limit_estimate(t, phi, t.root, samples=50, seed=2)
         assert vars(t.graph)["walk_tables"] is tables
-
-
-class TestProfile:
-    def test_zero_function(self):
-        seq = [truncate(generate_tiling(7, 3, 4), 0, r) for r in (2, 3)]
-        fam = [np.zeros(t.n_vertices) for t in seq]
-        prof = quasi_asymptotic_profile(seq, fam, eps=0.5)
-        assert prof.values == [0.0, 0.0]
-        assert prof.classification == "bounded"
-
-    def test_constant_one_grows(self):
-        seq = [truncate(generate_tiling(7, 3, 5), 0, r) for r in (2, 3, 4)]
-        fam = [np.ones(t.n_vertices) for t in seq]
-        prof = quasi_asymptotic_profile(seq, fam, eps=0.5)
-        assert prof.radii == [2, 3, 4]
-        assert prof.values[0] > 0
-        assert prof.values[2] > prof.values[1] > prof.values[0]
-        assert prof.classification == "growing"
-
-    def test_equilibrium_potential_is_bounded(self):
-        eps = 0.3
-        seq = [truncate(generate_tiling(7, 3, 5), 0, r) for r in (2, 3, 4)]
-        fam = [capacity(t, [t.root]).equilibrium_potential for t in seq]
-        prof = quasi_asymptotic_profile(seq, fam, eps=eps)
-        for t, vf, val in zip(seq, fam, prof.values):
-            assert val <= energy(t.graph, vf.values) / eps ** 2 + 1e-12
-        assert prof.classification == "bounded"
-
-    def test_needs_two_entries(self):
-        t = truncate(generate_tiling(7, 3, 3), 0, 2)
-        with pytest.raises(ValueError, match="two"):
-            quasi_asymptotic_profile([t], [np.ones(t.n_vertices)], eps=0.5)
 
 
 class TestSerialization:

@@ -1,6 +1,6 @@
 """Operators bridging packed maps and the disc: piecewise-affine extension,
-disc averages, the pullback/pushforward pair, roundtrip diagnostics, capacity
-comparison, and the Harnack exponent fit."""
+the pullback/pushforward pair, roundtrip diagnostics, capacity comparison,
+and the Harnack exponent fit."""
 
 import dataclasses
 import math
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doublepack import packing, transfer
-from doublepack.continuum import HarmonicDiscField, sample_grid_field
+from doublepack.continuum import HarmonicDiscField
 from doublepack.maps import boundary_truncation, build_map, truncate
 from doublepack.packing import Carrier, layout, solve_radii
 from doublepack.potential import energy, royden_project, solve_dirichlet
@@ -19,8 +19,6 @@ from doublepack.tilings import generate_grid, generate_tiling
 from doublepack.transfer import (
     capacity_comparison,
     cont_operator,
-    continuity_bound_check,
-    disc_average,
     disc_operator,
     energy_of_extension,
     extend_affine,
@@ -215,39 +213,6 @@ def test_lookup_matches_brute_force_on_delaunay_packings(n, seed):
         ext.evaluate(np.array([1.5 + 0j]))
 
 
-class TestDiscAverage:
-    def test_constant(self, grid_disc_pk):
-        c = HarmonicDiscField(0.75, np.zeros(1), np.zeros(1))
-        assert disc_average(grid_disc_pk, c, grid_disc_pk.trunc.root) == \
-            pytest.approx(0.75, abs=1e-12)
-
-    def test_mean_value_identity(self, hyp_disc_pk):
-        pk = hyp_disc_pk
-        for v in (pk.trunc.root, int(pk.trunc.interior[3])):
-            got = disc_average(pk, RE_Z, v)
-            assert got == pytest.approx(pk.vertex_center[v].real, abs=1e-10)
-
-    def test_squared_modulus_closed_form(self, grid_disc_pk):
-        pk = grid_disc_pk
-        v = pk.trunc.root
-        rho = 0.4 * pk.vertex_radius[v]
-        got = disc_average(pk, lambda z: np.abs(z) ** 2, v, delta=0.4)
-        want = abs(pk.vertex_center[v]) ** 2 + rho ** 2 / 2
-        assert got == pytest.approx(want, abs=1e-8)
-
-    def test_center_outside_domain(self, grid_disc_pk):
-        shifted = dataclasses.replace(
-            grid_disc_pk, vertex_center=grid_disc_pk.vertex_center + 0.4)
-        far = int(np.argmax(np.abs(shifted.vertex_center)))
-        with pytest.raises(ValueError, match="domain"):
-            disc_average(shifted, RE_Z, far)
-
-    def test_grid_fields_unsupported(self, grid_disc_pk):
-        grid = sample_grid_field(RE_Z, 1 / 32)
-        with pytest.raises(TypeError):
-            disc_average(grid_disc_pk, grid, grid_disc_pk.trunc.root)
-
-
 class TestEnergyOfExtension:
     def test_constant_zero(self, grid_disc_pk):
         e = energy_of_extension(grid_disc_pk,
@@ -430,30 +395,6 @@ class TestCapacityComparison:
         _, c_quarter, _ = capacity_comparison(t, hyp_disc_pk, [t.root],
                                               delta=0.25, grid_h=1 / 64)
         assert c_quarter < c_half
-
-
-class TestContinuityBound:
-    def test_constant(self, grid_disc_pk):
-        t = grid_disc_pk.trunc
-        chk = continuity_bound_check(grid_disc_pk, np.full(t.n_vertices, 4.0), 0.5)
-        assert chk.bound == 0.0
-        assert chk.max_deviation == pytest.approx(0.0, abs=1e-12)
-        assert chk.worst_slack <= 1e-8
-
-    def test_random_no_violations(self, hyp_disc_pk):
-        t = hyp_disc_pk.trunc
-        phi = np.random.default_rng(9).normal(size=t.n_vertices)
-        chk = continuity_bound_check(hyp_disc_pk, phi, 0.5)
-        assert chk.worst_slack <= 1e-8
-
-    def test_indicator_is_reasonably_tight(self, grid_lattice_pk):
-        pk = grid_lattice_pk
-        t = pk.trunc
-        phi = np.zeros(t.n_vertices)
-        phi[t.root] = 1.0
-        chk = continuity_bound_check(pk, phi, 0.9)
-        assert chk.worst_slack <= 1e-8
-        assert chk.max_deviation >= 0.4 * chk.bound
 
 
 class TestHarnackFit:
