@@ -6,6 +6,10 @@ directory (``--out`` or the ``DOUBLEPACK_OUT`` environment variable).  Every
 JSON report embeds its fully resolved configuration, and a fixed seed makes
 reruns byte-identical, so the artifacts double as provenance.
 
+``run`` judges every request, from argv or a library call, by one gate,
+``RunConfig.validate``; it and argparse raise ``ConfigError`` before the
+output directory exists, and ``main`` prints it as one ``error:`` line.
+
 Exit codes: 0 ok, 2 bad input, 3 solver non-convergence, 4 file I/O,
 5 violated invariant.
 """
@@ -37,16 +41,20 @@ __all__ = ["RunConfig", "run", "main"]
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation: what to build, which analysis, where to
-    write.  Serialized verbatim into every report."""
+    """One invocation: what to build, which analysis, where to write.
+    Serialized verbatim, once resolved, into every report.
+
+    ``run`` judges the config as given (``validate``) before it fills in any
+    default: a field left None takes the command's own default, and ``None``
+    in ``layers`` and ``root`` means "not given", resolved to 3 and 0."""
 
     command: str
     out_dir: str
     map_file: str | None = None
     tiling: tuple[int, int] | None = None
     grid: tuple[int, int] | None = None
-    layers: int = 3
-    root: int = 0
+    layers: int | None = None
+    root: int | None = None
     radius: int | None = None
     radii: tuple[int, int] | None = None
     boundary_mode: str = "disc"
@@ -67,13 +75,38 @@ class RunConfig:
     points: str | None = None
 
     def validate(self):
-        positive = {"pack_tol": self.pack_tol, "grid_h": self.grid_h,
-                    "svg_size": self.svg_size, "delta": self.delta}
-        for name in ("n_theta", "k_max", "eps_trace"):
-            if getattr(self, name) is not None:
-                positive[name] = getattr(self, name)
-        for name, value in positive.items():
-            if not 0 < value < math.inf:
+        """Raise ``ConfigError`` naming why this request cannot run: the one
+        judge of a request, from argv and from a library call alike."""
+        if self.command not in _COMMANDS:
+            raise ConfigError(f"unknown command {self.command!r}")
+        reads = _COMMANDS[self.command][2]
+        for field in dataclasses.fields(self):
+            if (field.name not in ("command", "out_dir", *reads)
+                    and getattr(self, field.name) != field.default):
+                raise ConfigError(f"{self.command} does not read {_OPTIONS[field.name][0]}")
+        source = [s for s in ("map_file", "tiling", "grid") if getattr(self, s) is not None]
+        if "map_file" in reads:
+            if not source:
+                raise ConfigError("provide a map source: --map, --tiling, or --grid")
+            if len(source) > 1:
+                raise ConfigError("provide exactly one of --map, --tiling, --grid")
+            if self.command == "roundtrip" and self.grid is not None:
+                raise ConfigError("roundtrip sweeps truncation radii; "
+                                  "provide --tiling or --map")
+            for name, owner in _SOURCE_OF.items():
+                if getattr(self, name) is not None and owner != source[0]:
+                    raise ConfigError(f"{_OPTIONS[name][0]} applies to "
+                                      f"{_OPTIONS[owner][0]} only, not to "
+                                      f"{_OPTIONS[source[0]][0]}")
+            if self.root is not None and "radius" in reads and self.radius is None:
+                raise ConfigError("--root applies to --map only with --radius: "
+                                  "without it the map is cut at its outer face")
+        if "points" in reads and None in (self.boundary_csv, self.points):
+            raise ConfigError("evaluate needs --boundary-csv and --points")
+        for name in ("pack_tol", "grid_h", "svg_size", "delta", "n_theta", "k_max",
+                     "eps_trace"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie strictly between 0 and 1")
@@ -83,31 +116,21 @@ class RunConfig:
             raise ConfigError(f"bad radius sweep {self.radii}")
 
 
+# option -> the one map source it applies to.  The {p,q} tilings are
+# vertex-transitive, so a root other than 0 would add nothing to --tiling.
+_SOURCE_OF = {"layers": "tiling", "radius": "map_file", "root": "map_file"}
+
+
 # ---------------------------------------------------------------------------
 # map sources
 # ---------------------------------------------------------------------------
-
-def _parse_pair(text: str, sep: str, what: str) -> tuple[int, int]:
-    parts = text.split(sep)
-    try:
-        nums = [int(p) for p in parts]
-    except ValueError:
-        nums = []
-    if len(nums) == 1 and sep in ("x", ":"):
-        nums = nums * 2
-    if len(nums) != 2:
-        raise ConfigError(f"cannot parse {what} {text!r}")
-    return nums[0], nums[1]
-
 
 def _parent_map(cfg: RunConfig, depth: int):
     if cfg.map_file is not None:
         return load_map_json(cfg.map_file)
     if cfg.tiling is not None:
-        p, q = cfg.tiling
-        return generate_tiling(p, q, depth)
-    nx, ny = cfg.grid
-    return generate_grid(nx, ny)
+        return generate_tiling(*cfg.tiling, depth)
+    return generate_grid(*cfg.grid)
 
 
 def _build_truncation(cfg: RunConfig):
@@ -131,18 +154,16 @@ def _pack(cfg: RunConfig, mode: str | None = None):
 
 def _cmd_pack(cfg: RunConfig):
     trunc, sol, pk = _pack(cfg)
-    doc = packing_to_json(pk)
-    doc["defect"] = float(sol.defect)
-    doc["iterations"] = int(sol.iterations)
+    doc = {**packing_to_json(pk), "defect": float(sol.defect),
+           "iterations": int(sol.iterations)}
     return {"packing.json": doc, "packing.svg": packing_to_svg(pk, cfg.svg_size)}
 
 
 def _cmd_analyze(cfg: RunConfig):
     trunc, sol, pk = _pack(cfg)
-    doc = dataclasses.asdict(geometry_report(pk))
-    doc["defect"] = float(sol.defect)
-    doc["layout_residual"] = float(pk.layout_residual)
-    return {"geometry.json": doc}
+    return {"geometry.json": {**dataclasses.asdict(geometry_report(pk)),
+                              "defect": float(sol.defect),
+                              "layout_residual": float(pk.layout_residual)}}
 
 
 def _cmd_douglas(cfg: RunConfig):
@@ -173,16 +194,7 @@ def _cmd_capacity(cfg: RunConfig):
     return {"capacity.json": doc}
 
 
-def _sweep_boundary_data(pk, trunc) -> np.ndarray:
-    # fixed low-frequency source: high modes alias on coarse rims
-    zb = pk.vertex_center[trunc.boundary]
-    return zb.real + 0.5 * (zb ** 2).real
-
-
 def _cmd_roundtrip(cfg: RunConfig):
-    if cfg.grid is not None:
-        raise ConfigError("roundtrip sweeps truncation radii; "
-                          "provide --tiling or --map")
     lo, hi = cfg.radii
     parent = _parent_map(cfg, hi + 1)
     rows = []
@@ -190,7 +202,9 @@ def _cmd_roundtrip(cfg: RunConfig):
         trunc = truncate(parent, cfg.root, r)
         sol = solve_radii(trunc, boundary_mode="disc", tol=cfg.pack_tol)
         pk = layout(trunc, sol)
-        h = solve_dirichlet(trunc, _sweep_boundary_data(pk, trunc))
+        # fixed low-frequency source: high modes alias on coarse rims
+        zb = pk.vertex_center[trunc.boundary]
+        h = solve_dirichlet(trunc, zb.real + 0.5 * (zb ** 2).real)
         rep = transfer.roundtrip(trunc, pk, h, eps_trace=cfg.eps_trace,
                                  k_max=cfg.k_max, n_theta=cfg.n_theta)
         row = transfer.transfer_report_to_json(rep)
@@ -219,8 +233,6 @@ def _cmd_harnack(cfg: RunConfig):
 
 
 def _cmd_evaluate(cfg: RunConfig):
-    if cfg.boundary_csv is None or cfg.points is None:
-        raise ConfigError("evaluate needs --boundary-csv and --points")
     bf = load_boundary_csv(cfg.boundary_csv)
     field = poisson_extend(bf, cfg.k_max)
     rows, lines = read_csv(cfg.points, ["x", "y"], "points", headed=False)
@@ -239,7 +251,7 @@ def _cmd_evaluate(cfg: RunConfig):
 
 # command -> (handler, help, the RunConfig fields it reads, and its defaults
 # where they differ from RunConfig's).  Each field read is one option of the
-# command; one that reads map_file needs exactly one map source.
+# command, and every other field must keep RunConfig's default.
 _SOURCE = ("map_file", "tiling", "grid", "layers", "root", "radius")
 _COMMANDS = {
     "pack": (_cmd_pack, "solve radii, lay out circles, draw SVG",
@@ -262,14 +274,14 @@ _COMMANDS = {
 
 
 def run(config: RunConfig) -> list:
-    """Execute one command and return the artifact paths it wrote.  Fields
-    left None take the command's own defaults, and every JSON artifact
-    records the resolved config."""
+    """Execute one command and return the artifact paths it wrote.  The
+    config is validated as given; then fields left None take their defaults,
+    and every JSON artifact records the resolved config."""
+    config.validate()
     handler, _, _, defaults = _COMMANDS[config.command]
     config = dataclasses.replace(config, **{
-        name: value for name, value in defaults.items()
+        name: value for name, value in {"layers": 3, "root": 0, **defaults}.items()
         if getattr(config, name) is None})
-    config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -286,18 +298,31 @@ def run(config: RunConfig) -> list:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _pair(sep: str, what: str):
+    """argparse type: two integers joined by ``sep``, one alone doubled
+    unless ``sep`` is ","."""
+    def parse(text: str) -> tuple[int, int]:
+        parts = text.split(sep)
+        try:
+            p, q = parts * 2 if len(parts) == 1 and sep != "," else parts
+            return int(p), int(q)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"cannot parse {what} {text!r}") from None
+    return parse
+
+
 # RunConfig field -> (flag, add_argument keywords).  No option has a default:
 # an option not given is absent from the namespace and RunConfig supplies it.
 _OPTIONS = {
     "out_dir": ("--out", {"help": "output directory (default $DOUBLEPACK_OUT or .)"}),
     "map_file": ("--map", {"help": "path to a map JSON file"}),
-    "tiling": ("--tiling", {"help": "regular tiling as p,q (e.g. 7,3)"}),
-    "grid": ("--grid", {"help": "square-lattice patch, N or NxM"}),
+    "tiling": ("--tiling", {"type": _pair(",", "tiling"), "help": "regular tiling p,q"}),
+    "grid": ("--grid", {"type": _pair("x", "grid size"), "help": "square patch, N or NxM"}),
     "layers": ("--layers", {"type": int, "help": "truncation radius for --tiling"}),
     "root": ("--root", {"type": int}),
     "radius": ("--radius", {"type": int, "help":
                             "truncation radius for --map (rim-bounded if omitted)"}),
-    "radii": ("--radii", {"help": "radius sweep lo:hi"}),
+    "radii": ("--radii", {"type": _pair(":", "radius sweep"), "help": "sweep lo:hi"}),
     "boundary_mode": ("--boundary-mode", {"choices": ["disc", "prescribed"]}),
     "pack_tol": ("--pack-tol", {"type": float}),
     "grid_h": ("--grid-h", {"type": float}),
@@ -313,23 +338,21 @@ _OPTIONS = {
     "pairs_per_ball": ("--pairs-per-ball", {"type": int}),
     "seed": ("--seed", {"type": int}),
     "svg_size": ("--svg-size", {"type": int}),
-    "boundary_csv": ("--boundary-csv", {"required": True}),
-    "points": ("--points", {"required": True,
-                            "help": "CSV file with one x,y row per point"}),
+    "boundary_csv": ("--boundary-csv", {"help": "boundary samples CSV (required)"}),
+    "points": ("--points", {"help": "CSV file with one x,y row per point (required)"}),
 }
 
-# Parsed after argparse, so a malformed value is a configuration error
-# reported through main (exit 2) like any other.
-_CONVERT = {
-    "tiling": lambda text: _parse_pair(text, ",", "tiling"),
-    "grid": lambda text: _parse_pair(text, "x", "grid size"),
-    "radii": lambda text: _parse_pair(text, ":", "radius sweep"),
-    "target": tuple,
-}
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse error is a ``ConfigError`` like any other bad input, so
+    ``main`` prints it as one line; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="doublepack",
         description="Double circle packings and harmonic analysis on them.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -342,36 +365,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# option -> the one map source it applies to.  The {p,q} tilings are
-# vertex-transitive, so a root other than 0 would add nothing to --tiling.
-_SOURCE_OF = {"layers": "tiling", "radius": "map_file", "root": "map_file"}
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     given = dict(vars(args))
-    command = given.pop("command")
-    fields = _COMMANDS[command][2]
-    if "map_file" in fields:
-        sources = [s for s in ("map_file", "tiling", "grid") if s in given]
-        if len(sources) == 0:
-            raise ConfigError("provide a map source: --map, --tiling, or --grid")
-        if len(sources) > 1:
-            raise ConfigError("provide exactly one of --map, --tiling, --grid")
-        # checked on argv: RunConfig cannot tell a given value from a default
-        source = _OPTIONS[sources[0]][0]
-        for name, owner in _SOURCE_OF.items():
-            if name in given and owner != sources[0]:
-                raise ConfigError(f"{_OPTIONS[name][0]} applies to "
-                                  f"{_OPTIONS[owner][0]} only, not to {source}")
-        if "root" in given and "radius" in fields and "radius" not in given:
-            raise ConfigError("--root applies to --map only with --radius: "
-                              "without it the map is cut at its outer face")
-    for name, convert in _CONVERT.items():
-        if name in given:
-            given[name] = convert(given[name])
+    if "target" in given:
+        given["target"] = tuple(given["target"])
     given["out_dir"] = (given.get("out_dir") or os.environ.get("DOUBLEPACK_OUT")
                         or ".")
-    return RunConfig(command=command, **given)
+    return RunConfig(**given)
 
 
 # Exit code per failure, in match order: ConfigError is a ValueError.  A
@@ -381,11 +381,8 @@ _EXIT_CODES = {ValueError: 2, MemoryError: 2, ConvergenceError: 3,
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        paths = run(cfg)
+        paths = run(_config_from_args(_build_parser().parse_args(argv)))
     except tuple(_EXIT_CODES) as exc:
         message = str(exc)
         if isinstance(exc, MemoryError):

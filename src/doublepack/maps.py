@@ -514,14 +514,7 @@ class CornerPattern:
     order: np.ndarray        # interior vertex at each permuted row and column
     position: np.ndarray     # permuted row and column of each interior vertex
     slot: np.ndarray         # CSC slot of each entry; equal slots sum
-    indptr: np.ndarray       # CSC arrays of the permuted matrix
-    indices: np.ndarray
-
-    def matrix(self, data) -> sp.csc_matrix:
-        """The permuted matrix whose entries are ``data``, summed per slot."""
-        n = self.order.size
-        values = np.bincount(self.slot, weights=data, minlength=self.indices.size)
-        return sp.csc_matrix((values, self.indices, self.indptr), shape=(n, n))
+    matrix: sp.csc_matrix    # the permuted matrix; each step overwrites its data
 
 
 class Truncation:
@@ -693,9 +686,12 @@ class Truncation:
         position = lu.perm_c.astype(np.int64)
         keys, slot = np.unique(position[cols] * ni + position[rows],
                                return_inverse=True)
-        indptr = np.searchsorted(keys // ni, np.arange(ni + 1))
+        # intc indices, as SuperLU takes them, so no factorization copies them
+        indptr = np.searchsorted(keys // ni, np.arange(ni + 1)).astype(np.intc)
+        matrix = sp.csc_matrix((np.zeros(keys.size), (keys % ni).astype(np.intc), indptr),
+                               shape=(ni, ni))
         return CornerPattern(free, vertex, face, pair, np.argsort(position),
-                             position, slot, indptr, keys % ni)
+                             position, slot, matrix)
 
     @cached_property
     def boundary_solver(self) -> PinnedSolve:

@@ -17,7 +17,7 @@ disjoint.  That test does not look at every pair of edges: a k-d tree over
 the edge midpoints keeps only the pairs that could fail below a cap, and the
 bound is exact below the cap.  The cap follows the delta under test: just
 above the largest dyadic delta <= 1/2 that the edge condition admits in
-``compute_delta0``, and just above a preset delta0 in ``geometry_report``.
+``compute_delta0``.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class Carrier:
     vertex_triangles: np.ndarray     # (n_vertices + 1, 2 * largest degree)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DoublePacking:
     """A laid-out double circle packing (normalized to the closed unit disc
     unless built with ``layout(..., normalize=False)``)."""
@@ -94,7 +94,6 @@ class DoublePacking:
     face_center: np.ndarray
     face_radius: np.ndarray
     layout_residual: float
-    delta0: float | None = None
 
     @cached_property
     def carrier(self) -> Carrier:
@@ -259,7 +258,11 @@ def _newton_step(trunc, own, other, resid) -> np.ndarray:
         raise RuntimeError("a bounded face has no positive Jacobian weight")
     w = other[free]
     data = np.concatenate([own[free], -w[pa] * w[pb] / d_f[face[pa]]])
-    lu = spla.splu(pattern.matrix(data), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+    # one matrix per pattern, overwritten at every step: the factor keeps no
+    # reference to it
+    m = pattern.matrix
+    m.data[:] = np.bincount(pattern.slot, weights=data, minlength=m.nnz)
+    lu = spla.splu(m, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
     g_f = resid[ni:] / d_f
     rhs = resid[:ni] + np.bincount(vertex, weights=w * g_f[face], minlength=ni)
@@ -587,17 +590,10 @@ def _sausage_cap(delta: float) -> float:
 def geometry_report(pk: DoublePacking) -> GeometryReport:
     cv, cf = _corner_arrays(pk.trunc)
     ring = float(np.max(pk.vertex_radius[cv] / pk.face_radius[cf]))
-    if pk.delta0 is None:
-        # compute_delta0 returns only a delta whose sausages are clear, so
-        # the sausage test runs once per report
-        delta0, sausage_ok = compute_delta0(pk), True
-    else:
-        delta0 = pk.delta0
-        sausage_ok = _sausages_clear(
-            delta0, _sausage_bound(pk, _sausage_cap(delta0)))
+    # compute_delta0 returns only a delta whose sausages are clear
     return GeometryReport(pk.max_tangency_residual(),
                           pk.max_orthogonality_residual(),
-                          ring, bool(sausage_ok), delta0)
+                          ring, True, compute_delta0(pk))
 
 
 def packing_to_json(pk: DoublePacking) -> dict:
@@ -609,7 +605,4 @@ def packing_to_json(pk: DoublePacking) -> dict:
     circles = [{"id": i, "kind": kind, "radius": r, "center": [x, y]}
                for i, kind, r, x, y in zip(ids, kinds, rs.tolist(),
                                            zs.real.tolist(), zs.imag.tolist())]
-    doc = {"circles": circles, "layout_residual": pk.layout_residual}
-    if pk.delta0 is not None:
-        doc["delta0"] = pk.delta0
-    return doc
+    return {"circles": circles, "layout_residual": pk.layout_residual}

@@ -10,12 +10,70 @@ import pytest
 from conftest import PINCHED_WHEEL, TWO_WHEELS
 from doublepack import cli, potential, transfer
 from doublepack.continuum import BoundaryFunction, boundary_function_to_csv
+from doublepack.errors import ConfigError
 from doublepack.maps import map_to_json
 from doublepack.tilings import generate_tiling
 
 
 def run(tmp_path, *args):
     return cli.main([*args, "--out", str(tmp_path)])
+
+
+def refused(capsys, out, entry, argv, config, cause):
+    """A refused request ends the same way from either entry point: a
+    ConfigError naming ``cause``, raised before ``out`` exists; ``main``
+    returns 2 and prints it as one ``error:`` line."""
+    if entry == "main":
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and cause in err[0]
+    else:
+        with pytest.raises(ConfigError, match=re.escape(cause)):
+            cli.run(cli.RunConfig(out_dir=str(out), **config))
+    assert not out.exists()
+
+
+ENTRIES = ["main", "run"]
+
+
+def both_entries(cases):
+    """Each (id, argv, the same request as RunConfig fields, cause) once per
+    entry point; the argv case keeps the bare id."""
+    return [pytest.param(entry, args, config, cause,
+                         id=name if entry == "main" else f"{name}-run")
+            for entry in ENTRIES for name, args, config, cause in cases]
+
+
+# for both_entries; MAP stands for the path of a (7,3) ball's map file
+MAP_SOURCE_CASES = [
+    ("grid-layers", ("pack", "--grid", "5", "--layers", "9", "--root", "3", "--radius", "1"),
+     {"command": "pack", "grid": (5, 5), "layers": 9, "root": 3, "radius": 1},
+     "--layers applies to --tiling only, not to --grid"),
+    ("grid-root", ("pack", "--grid", "5", "--root", "100"),
+     {"command": "pack", "grid": (5, 5), "root": 100},
+     "--root applies to --map only, not to --grid"),
+    ("grid-radius", ("pack", "--grid", "5", "--radius", "1"),
+     {"command": "pack", "grid": (5, 5), "radius": 1},
+     "--radius applies to --map only, not to --grid"),
+    ("map-root", ("pack", "--map", "MAP", "--root", "5"),
+     {"command": "pack", "map_file": "MAP", "root": 5},
+     "--root applies to --map only with --radius"),
+    ("map-far-root", ("pack", "--map", "MAP", "--root", "999"),
+     {"command": "pack", "map_file": "MAP", "root": 999},
+     "--root applies to --map only with --radius"),
+    ("map-layers", ("pack", "--map", "MAP", "--layers", "2"),
+     {"command": "pack", "map_file": "MAP", "layers": 2},
+     "--layers applies to --tiling only, not to --map"),
+    ("tiling-root", ("pack", "--tiling", "7,3", "--layers", "2", "--root", "8"),
+     {"command": "pack", "tiling": (7, 3), "layers": 2, "root": 8},
+     "--root applies to --map only, not to --tiling"),
+    ("tiling-radius", ("capacity", "--tiling", "7,3", "--radius", "2"),
+     {"command": "capacity", "tiling": (7, 3), "radius": 2},
+     "--radius applies to --map only, not to --tiling"),
+    ("roundtrip-tiling-root", ("roundtrip", "--tiling", "7,3", "--root", "3"),
+     {"command": "roundtrip", "tiling": (7, 3), "root": 3},
+     "--root applies to --map only, not to --tiling"),
+]
 
 
 class TestPack:
@@ -244,11 +302,17 @@ class TestConfig:
 
 
 class TestExitCodes:
-    def test_missing_source_is_config_error(self, tmp_path):
-        assert run(tmp_path, "pack") == 2
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_missing_source_is_config_error(self, tmp_path, capsys, entry):
+        refused(capsys, tmp_path / "out", entry, ["pack"], {"command": "pack"},
+                "provide a map source: --map, --tiling, or --grid")
 
-    def test_two_sources_is_config_error(self, tmp_path):
-        assert run(tmp_path, "pack", "--grid", "4", "--tiling", "7,3") == 2
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_two_sources_is_config_error(self, tmp_path, capsys, entry):
+        refused(capsys, tmp_path / "out", entry,
+                ["pack", "--grid", "4", "--tiling", "7,3"],
+                {"command": "pack", "grid": (4, 4), "tiling": (7, 3)},
+                "provide exactly one of --map, --tiling, --grid")
 
     def test_bad_tolerance_is_config_error(self, tmp_path):
         assert run(tmp_path, "pack", "--grid", "4", "--pack-tol", "-1") == 2
@@ -283,10 +347,30 @@ class TestExitCodes:
         ("roundtrip", "--tiling", "7,3", "--layers", "2"),
         ("roundtrip", "--tiling", "7,3", "--radius", "2"),
     ], ids=lambda args: f"{args[0]}{args[-2]}")
-    def test_option_the_command_ignores_is_usage_error(self, tmp_path, args):
+    def test_option_the_command_ignores_is_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run(out, *args) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: unrecognized arguments: {' '.join(args[-2:])}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, cause", [
+        (("pack", "--tiling", "7,3", "--layers", "abc"),
+         "argument --layers: invalid int value: 'abc'"),
+        (("pack", "--grid", "5", "--boundary-mode", "flat"),
+         "argument --boundary-mode: invalid choice: 'flat'"),
+        (("pack", "--tiling"), "argument --tiling: expected one argument"),
+        (("bend", "--grid", "5"), "argument command: invalid choice: 'bend'"),
+    ], ids=["bad-int", "bad-choice", "no-value", "bad-command"])
+    def test_argparse_error_is_one_line(self, tmp_path, capsys, args, cause):
+        refused(capsys, tmp_path / "out", "main", args, None, cause)
+
+    @pytest.mark.parametrize("args", [("--help",), ("pack", "--help")])
+    def test_help_exits_zero(self, capsys, args):
         with pytest.raises(SystemExit) as exc:
-            run(tmp_path, *args)
-        assert exc.value.code == 2
+            cli.main(list(args))
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: doublepack")
 
     def test_missing_map_file_is_io_error(self, tmp_path):
         assert run(tmp_path, "pack", "--map",
@@ -347,37 +431,39 @@ class TestExitCodes:
                    "--radius", "2") == 2
         assert "root 999 is not a vertex of the map" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("args, cause", [
-        (("pack", "--grid", "5", "--layers", "9", "--root", "3", "--radius", "1"),
-         "--layers applies to --tiling only, not to --grid"),
-        (("pack", "--grid", "5", "--root", "100"),
-         "--root applies to --map only, not to --grid"),
-        (("pack", "--grid", "5", "--radius", "1"),
-         "--radius applies to --map only, not to --grid"),
-        (("pack", "--map", "MAP", "--root", "5"),
-         "--root applies to --map only with --radius"),
-        (("pack", "--map", "MAP", "--root", "999"),
-         "--root applies to --map only with --radius"),
-        (("pack", "--map", "MAP", "--layers", "2"),
-         "--layers applies to --tiling only, not to --map"),
-        (("pack", "--tiling", "7,3", "--layers", "2", "--root", "8"),
-         "--root applies to --map only, not to --tiling"),
-        (("capacity", "--tiling", "7,3", "--radius", "2"),
-         "--radius applies to --map only, not to --tiling"),
-        (("roundtrip", "--tiling", "7,3", "--root", "3"),
-         "--root applies to --map only, not to --tiling"),
-    ], ids=["grid-layers", "grid-root", "grid-radius", "map-root", "map-far-root",
-            "map-layers", "tiling-root", "tiling-radius", "roundtrip-tiling-root"])
-    def test_option_the_map_source_ignores_is_bad_input(self, tmp_path, capsys,
-                                                        args, cause):
+    @pytest.mark.parametrize("entry, args, config, cause", both_entries(MAP_SOURCE_CASES))
+    def test_option_the_map_source_ignores_is_bad_input(self, tmp_path, capsys, entry,
+                                                        args, config, cause):
         path = tmp_path / "map.json"
         path.write_text(json.dumps(map_to_json(generate_tiling(7, 3, 3))))
-        out = tmp_path / "out"
         argv = [str(path) if a == "MAP" else a for a in args]
-        assert cli.main([*argv, "--out", str(out)]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and cause in err[0]
-        assert not out.exists()
+        config = {k: str(path) if v == "MAP" else v for k, v in config.items()}
+        refused(capsys, tmp_path / "out", entry, argv, config, cause)
+
+    @pytest.mark.parametrize("entry, args, config, cause", both_entries([
+        ("roundtrip-grid", ("roundtrip", "--grid", "5"),
+         {"command": "roundtrip", "grid": (5, 5)},
+         "roundtrip sweeps truncation radii; provide --tiling or --map"),
+        ("evaluate-no-files", ("evaluate",), {"command": "evaluate"},
+         "evaluate needs --boundary-csv and --points"),
+        ("evaluate-no-points", ("evaluate", "--boundary-csv", "b.csv"),
+         {"command": "evaluate", "boundary_csv": "b.csv"},
+         "evaluate needs --boundary-csv and --points"),
+    ]) + [
+        # argparse refuses these on argv: a field the command does not read
+        # keeps RunConfig's default, None for layers and root included
+        pytest.param("run", None, {"command": "douglas", "tiling": (7, 3)},
+                     "douglas does not read --tiling", id="douglas-tiling-run"),
+        pytest.param("run", None, {"command": "douglas", "layers": 3},
+                     "douglas does not read --layers", id="douglas-layers-run"),
+        pytest.param("run", None, {"command": "roundtrip", "tiling": (7, 3), "seed": 1},
+                     "roundtrip does not read --seed", id="roundtrip-seed-run"),
+        pytest.param("run", None, {"command": "bend", "grid": (5, 5)},
+                     "unknown command 'bend'", id="unknown-command-run"),
+    ])
+    def test_request_the_command_cannot_run_is_refused(self, tmp_path, capsys, entry,
+                                                       args, config, cause):
+        refused(capsys, tmp_path / "out", entry, args, config, cause)
 
     def test_derived_trace_depth_too_deep_is_bad_input(self, tmp_path, capsys):
         # no --eps-trace: on the radius-1 ball the default, four boundary
