@@ -81,8 +81,11 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         reads = _COMMANDS[self.command][2]
         for field in dataclasses.fields(self):
+            # a value of another type than the default is given, whatever
+            # ``!=`` would make of it (an array compares elementwise)
+            value = getattr(self, field.name)
             if (field.name not in ("command", "out_dir", *reads)
-                    and getattr(self, field.name) != field.default):
+                    and (type(value) is not type(field.default) or value != field.default)):
                 raise ConfigError(f"{self.command} does not read {_OPTIONS[field.name][0]}")
         source = [s for s in ("map_file", "tiling", "grid") if getattr(self, s) is not None]
         if "map_file" in reads:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _SIZE_BUDGET, lattice_laplacian, lattice_solve
+from .linalg import _SIZE_BUDGET, lattice_solve
 from .textio import csv_text, read_csv
 
 __all__ = [
@@ -202,10 +202,13 @@ def grid_capacity(target, grid_h: float) -> float:
     (center, radius) pairs with complex centers, and the unit circle, from
     the 5-point equilibrium potential on a Cartesian grid.
 
-    The potential is 1 on the target nodes and 0 off the open disc; the free
-    nodes are solved by ``lattice_solve`` to a double-precision residual of
-    1e-10 relative (its V-cycle runs in single precision, which changes the
-    work, not the answer), and the capacity is the lattice Dirichlet energy.
+    The potential ``phi`` is 1 on the target nodes and 0 off the open disc,
+    on the square lattice; the free nodes (the mask ``unknown``) are solved
+    by ``lattice_solve``, which takes the mask and the right-hand side (the
+    target neighbours of each free node) and builds the operator from the
+    mask, to a double-precision residual of 1e-10 relative (its V-cycle runs
+    in single precision, which changes the work, not the answer).  The
+    capacity is the lattice Dirichlet energy of ``phi``.
     Targets get a one-cell margin (the continuum definition asks for an open
     neighbourhood); the estimate refines as ``grid_h`` decreases, up to
     ``_SIZE_BUDGET`` nodes, past which it raises before any allocation.
@@ -240,8 +243,8 @@ def grid_capacity(target, grid_h: float) -> float:
     # a free node's right-hand side counts its neighbours on the target
     pad = np.pad(phi, 1)
     rhs = pad[:-2, 1:-1] + pad[2:, 1:-1] + pad[1:-1, :-2] + pad[1:-1, 2:]
-    phi[unknown] = lattice_solve(lattice_laplacian(unknown), unknown, rhs[unknown],
-                                 1e-10, "grid equilibrium solve did not converge")
+    phi[unknown] = lattice_solve(unknown, rhs[unknown], 1e-10,
+                                 "grid equilibrium solve did not converge")
     e = float(np.sum((phi[:, 1:] - phi[:, :-1]) ** 2))
     e += float(np.sum((phi[1:, :] - phi[:-1, :]) ** 2))
     return e

@@ -1,11 +1,10 @@
 """The sparse SPD solves: the pinned-block solve of the discrete Dirichlet
 problems, one LU reused with iterative refinement, and a multigrid-
 preconditioned conjugate gradient for the masked 5-point lattice of the
-continuum capacity: built straight from its mask (only this module numbers
-it), with a single-precision multigrid hierarchy under a double-precision CG.
-"""
+continuum capacity, its levels built as stencil arrays on the square mask."""
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
@@ -13,9 +12,9 @@ from .errors import InvariantViolation
 
 # The most lattice nodes (continuum.grid_capacity), boundary samples
 # (continuum.douglas_energy) or grid patch vertices (tilings.generate_grid)
-# one request may ask for: at about 230 bytes a node and 60 a sample, no
-# lattice or Douglas request within it needs 2 GB, and it admits h = 1/1024
-# and n_theta = 2^23.
+# one request may ask for: at 180 bytes a node (the peak-RSS rise of one
+# h = 1/512 call in a fresh process) and 60 a sample, no request within it
+# needs 1.6 GB, and it admits h = 1/1024 and n_theta = 2^23.
 _SIZE_BUDGET = 2 ** 23
 
 # lattice side at or below which the V-cycle solves directly
@@ -23,17 +22,15 @@ _COARSEST_SIDE = 40
 # damped-Jacobi weight; the Galerkin stencils keep diag^-1 a within [0, 2]
 _OMEGA = 0.8
 _CG_STEPS = 100
+# the 5-point stencil: s[1 + dy, 1 + dx] couples a node to the one (dy, dx) on
+_LAPLACIAN = np.array([[0, -1, 0], [-1, 4, -1], [0, -1, 0]], np.float32)[:, :, None, None]
 
 
 class PinnedSolve:
-    """Values pinned on some unknowns of a sparse SPD system, extended to the
-    free ones by solving the free block, which is factored once.
-
-    ``a`` is a CSR matrix and ``pinned`` a boolean mask over its rows.  The
-    free block ``a_ff`` is kept in CSC form with its ``splu``, the coupling
-    block ``a_fp`` in CSR form; every ``extend`` reuses both, so the
-    factorization is paid once however many value sets are extended.
-    """
+    """Values pinned on some unknowns of a sparse SPD system (``a`` CSR,
+    ``pinned`` a boolean mask over its rows), extended to the free ones by
+    solving the free block ``a_ff`` (CSC, factored once by ``splu``) against
+    the coupling block ``a_fp`` (CSR); every ``extend`` reuses all three."""
 
     def __init__(self, a, pinned):
         self.free = np.flatnonzero(~pinned)
@@ -45,10 +42,9 @@ class PinnedSolve:
 
     def extend(self, values, tol: float, failure: str) -> np.ndarray:
         """A copy of ``values`` whose free entries solve the free rows of
-        ``a x = 0`` against its pinned entries: one solve with the stored
-        factorization, then up to five rounds of iterative refinement until
-        the residual is at most ``tol * |b|``.  Raises
-        ``InvariantViolation(failure)`` when the rounds run out."""
+        ``a x = 0`` against its pinned ones: one solve, then up to five
+        rounds of iterative refinement to a residual of ``tol * |b|``, else
+        ``InvariantViolation(failure)``."""
         full = np.array(values, dtype=float)
         if self.free.size == 0:
             return full
@@ -64,29 +60,21 @@ class PinnedSolve:
         raise InvariantViolation(failure)
 
 
-def lattice_solve(a, free, b, tol: float, failure: str) -> np.ndarray:
-    """Solve ``a x = b`` for an SPD operator on the ``True`` nodes of the
-    square boolean mask ``free``, numbered row-major, by conjugate gradients
-    preconditioned with one symmetric multigrid V-cycle.
-
-    Each coarse level keeps the free nodes at even positions, with the
-    ``lattice_interpolation`` P and the Galerkin operator ``P^T a P``; the
-    V-cycle smooths with two damped-Jacobi sweeps before and after its
-    coarse correction and factorizes the level whose side is at most 40.
-    It runs in single precision, half the memory: a preconditioner need only
-    approximate the inverse, and CG stays double, so its rounding can slow
-    CG but not change the answer.  Stops once the residual is at most
-    ``tol * |b|``; raises ``InvariantViolation(failure)`` after 100 steps.
-    """
-    a = a.tocsr()
-    levels = _hierarchy(a, free)
+def lattice_solve(free, b, tol: float, failure: str) -> np.ndarray:
+    """Solve ``A x = b`` for the 5-point operator A (``4 u`` minus its four
+    neighbours, 0 off the mask) on the ``True`` nodes of the square mask
+    ``free``, ``b`` and ``x`` over them row-major, by double-precision CG
+    preconditioned with one single-precision multigrid V-cycle, to a residual
+    of ``tol * |b|``; raises ``InvariantViolation(failure)`` after 100 steps."""
+    levels = _hierarchy(free)
+    a = levels[0][0].astype(np.float64)
     scale = float(np.linalg.norm(b)) or 1.0
-    x = np.zeros_like(b)
-    r = b.copy()
+    x, r = np.zeros((2, free.size))
+    r[free.ravel()] = b
     p = rz = None
     for _ in range(_CG_STEPS):
         if float(np.linalg.norm(r)) <= tol * scale:
-            return x
+            return x[free.ravel()]
         z = _vcycle(levels, 0, r.astype(np.float32)).astype(np.float64)
         rz_old, rz = rz, float(r @ z)
         p = z if p is None else z + (rz / rz_old) * p
@@ -97,69 +85,81 @@ def lattice_solve(a, free, b, tol: float, failure: str) -> np.ndarray:
     raise InvariantViolation(failure)
 
 
-def lattice_laplacian(free):
-    """The 5-point operator ``4 u - (its four neighbours)`` on the free nodes
-    of the square mask ``free``, numbered row-major (values off it are 0):
-    per row, the free ones of the columns -m, -1, 0, +1, +m, m the side."""
-    w = free.shape[0] + 2
-    at = np.flatnonzero(np.pad(free, 1))[:, None] + np.array([-w, -1, 0, 1, w])
-    return _csr(free, at, np.array([-1.0, -1.0, 4.0, -1.0, -1.0]))
-
-
-def lattice_interpolation(free):
-    """Bilinear interpolation P (single precision) onto the free nodes of
-    ``free`` from those at even positions, both numbered row-major: a fine
-    node takes 0.5^(its odd coordinates) from each free one of its 1, 2 or 4
-    coarse neighbours.  P copies each coarse node onto its own fine node, so
-    its columns are independent and ``P^T a P`` is SPD."""
-    i, j = np.nonzero(free)
-    w = (free.shape[0] + 1) // 2 + 2
-    # padded coarse rows and columns; an even coordinate's second is row 0
-    rows = np.stack([i // 2 + 1, (i // 2 + 2) * (i & 1)], axis=1) * w
-    cols = np.stack([j // 2 + 1, (j // 2 + 2) * (j & 1)], axis=1)
-    at = (rows[:, :, None] + cols[:, None, :]).reshape(-1, 4)
-    weight = np.array([1.0, 0.5, 0.25], dtype=np.float32)[(i & 1) + (j & 1)]
-    return _csr(free[::2, ::2], at, weight[:, None])
-
-
-def _csr(free, at, vals):
-    """CSR matrix of ``vals`` (broadcast against ``at``) in the row-major
-    numbers (in the narrowest type, to keep the tables small) of the free
-    nodes of ``free`` at the ascending flat positions ``at[k]`` in its
-    lattice padded by one node, for each row k."""
-    number = np.full((free.shape[0] + 2,) * 2, -1, dtype=np.min_scalar_type(-free.size))
-    number[1:-1, 1:-1][free] = np.arange(np.count_nonzero(free))
-    cols = number.ravel()[at]
-    keep = cols >= 0
-    indptr = np.r_[0, np.cumsum(np.count_nonzero(keep, axis=1))]
-    return sparse.csr_matrix((np.broadcast_to(vals, cols.shape)[keep], cols[keep], indptr),
-                             shape=(cols.shape[0], int(number.max()) + 1))
-
-
-def _hierarchy(a, free):
-    """Levels ``(a, omega / diag a, P, P^T)`` in single precision from fine
-    to coarse (the finest shares the index arrays of ``a``), ending with the
-    LU factorization of the coarsest operator."""
+def _hierarchy(free):
+    """Levels ``(a, omega / diag a, free)`` from the 5-point operator on the
+    mask ``free`` to coarse, each ``a`` the float32 DIA matrix of the level's
+    stencils ``s`` masked to couple free nodes only (its diagonal at offset
+    ``dy m + dx`` is ``s[1 - dy, 1 - dx]``, by symmetry); last ``(a, LU)``."""
     levels = []
-    a = sparse.csr_matrix((a.data.astype(np.float32), a.indices, a.indptr), shape=a.shape)
-    while free.shape[0] > _COARSEST_SIDE:
-        p = lattice_interpolation(free)
-        pt = p.T.tocsr()
-        levels.append((a, np.float32(_OMEGA) / a.diagonal(), p, pt))
-        a = pt @ a @ p
-        free = free[::2, ::2]
-    levels.append(splu(a.astype(np.float64).tocsc()))
-    return levels
+    s = _LAPLACIAN
+    while True:
+        m = free.shape[0]
+        f = np.pad(free, 1).astype(np.float32)
+        s = s * f[1:-1, 1:-1]
+        s *= sliding_window_view(f, free.shape)
+        dy, dx = np.nonzero(s.any(axis=(2, 3)))
+        a = sparse.dia_matrix((s[2 - dy, 2 - dx].reshape(-1, m * m), (dy - 1) * m + dx - 1),
+                              shape=(m * m, m * m))
+        if m <= _COARSEST_SIDE:
+            return levels + [(a, splu((a + sparse.diags((~free).ravel().astype(float))).tocsc()))]
+        levels.append((a, (np.float32(_OMEGA) / np.where(free, s[1, 1], np.inf)).ravel(), free))
+        free, s = free[::2, ::2], _galerkin(s, (m + 1) // 2)
+
+
+def _galerkin(s, m):
+    """The stencils of ``P^T A P`` on the coarse side ``m``, unmasked, from
+    those ``s`` of A: ``A_c[I, I + O]`` sums ``w(d) w(e) s[o][2 I + d]`` over
+    the offsets d, o and ``e = d + o - 2 O`` in {-1, 0, 1}, with w(t) = 0.5^|t|
+    per axis, one axis at a time.  Every entry is dyadic, so it is exact."""
+    for axis in (2, 3):
+        n = s.shape[axis]
+        out = np.zeros(s.shape[:axis] + (m,) + s.shape[axis + 1:], np.float32)
+        src, dst = (np.moveaxis(v, (axis - 2, axis), (0, 1)) for v in (s, out))
+        for d in (-1, 0, 1):  # fine points 2 c + d, for the coarse c that have one
+            fine, coarse = slice(abs(d), n - (d < 0), 2), slice(d < 0, n // 2 if d > 0 else None)
+            for o, e in ((o, e) for o in (-1, 0, 1) for e in (-1, 0, 1) if not (d + o + e) % 2):
+                dst[(d + o - e) // 2 + 1, coarse] += 0.5 ** (abs(d) + abs(e)) * src[o + 1, fine]
+        s = out
+    return s
+
+
+def _prolong(e, free):
+    """P: the coarse lattice vector ``e`` interpolated onto the fine mask
+    ``free``, one axis at a time: even points copy, odd ones average."""
+    n = free.shape[0]
+    c = e.reshape((n + 1) // 2, -1)
+    for axis in (0, 1):
+        out = np.empty((n, n if axis else c.shape[1]), np.float32)
+        fine, v = out.swapaxes(0, axis), c.swapaxes(0, axis)
+        odd = 0.5 * v[:n // 2]
+        odd[:v.shape[0] - 1] += 0.5 * v[1:]
+        fine[::2], fine[1::2], c = v, odd, out
+    return (c * free).ravel()
+
+
+def _restrict(r, free):
+    """P^T: the fine lattice vector ``r`` (0 off the mask ``free``) summed
+    onto the coarse mask with the weights of P, one axis at a time."""
+    c = r.reshape(free.shape)
+    for axis in (0, 1):
+        fine = c.swapaxes(0, axis)
+        odd = 0.5 * fine[1::2]
+        c = fine[::2].copy(order="K")
+        c[:odd.shape[0]] += odd
+        c[1:] += odd[:c.shape[0] - 1]
+        c = c.swapaxes(0, axis)
+    return (c * free[::2, ::2]).ravel()
 
 
 def _vcycle(levels, k, r):
-    """One single-precision symmetric V-cycle from level ``k`` on ``r``."""
+    """One single-precision symmetric V-cycle from level ``k`` on the full-
+    lattice vector ``r``: two damped-Jacobi sweeps each side of the coarse correction."""
     if k == len(levels) - 1:
-        return levels[k].solve(r).astype(np.float32)
-    a, dinv, p, pt = levels[k]
+        return levels[k][1].solve(r).astype(np.float32)
+    a, dinv, free = levels[k]
     x = dinv * r
     x += dinv * (r - a @ x)
-    x += p @ _vcycle(levels, k + 1, pt @ (r - a @ x))
+    x += _prolong(_vcycle(levels, k + 1, _restrict(r - a @ x, free)), free)
     for _ in range(2):
         x += dinv * (r - a @ x)
     return x

@@ -458,6 +458,8 @@ class TestExitCodes:
                      "douglas does not read --layers", id="douglas-layers-run"),
         pytest.param("run", None, {"command": "roundtrip", "tiling": (7, 3), "seed": 1},
                      "roundtrip does not read --seed", id="roundtrip-seed-run"),
+        pytest.param("run", None, {"command": "douglas", "target": np.array([1, 2])},
+                     "douglas does not read --target", id="douglas-array-target-run"),
         pytest.param("run", None, {"command": "bend", "grid": (5, 5)},
                      "unknown command 'bend'", id="unknown-command-run"),
     ])

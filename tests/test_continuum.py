@@ -275,8 +275,8 @@ def random_mask(side, seed, border=False):
     return free
 
 
-def direct_lattice_solve(a, free, b, tol, failure):
-    return splu(a.tocsc()).solve(b)
+def direct_lattice_solve(free, b, tol, failure):
+    return splu(masked_laplacian(free).tocsc()).solve(b)
 
 
 def disc_mask(n):
@@ -285,38 +285,66 @@ def disc_mask(n):
 
 
 class TestLatticeBuild:
-    @pytest.mark.parametrize("side", [33, 64, 65, 201])
+    # 64 is even at the fine level, 83 -> 42 -> 21 above the coarsest and
+    # 201 -> 101 -> 51 -> 26 at the coarsest
+    @pytest.mark.parametrize("side", [33, 64, 65, 83, 201])
     @pytest.mark.parametrize("border", [False, True], ids=["closed", "open"])
     def test_operator_and_interpolation_match_the_oracles(self, side, border):
         free = random_mask(side, side, border)
-        for built, oracle in ((linalg.lattice_laplacian(free), masked_laplacian(free)),
-                              (linalg.lattice_interpolation(free), kron_interpolation(free))):
-            assert built.shape == oracle.shape
-            assert built.nnz == oracle.nnz
-            assert (built != oracle).nnz == 0
-            assert built.has_canonical_format
+        rng = np.random.default_rng(side)
+        a = masked_laplacian(free)
+        levels = linalg._hierarchy(free)
+        for k, level in enumerate(levels):
+            # every level's operator is the Galerkin product of the oracles,
+            # entry for entry, and couples nothing off the mask
+            on = np.flatnonzero(free)
+            built = level[0].tocsr()
+            assert built.dtype == np.float32
+            assert (built[on][:, on] != a).nnz == 0
+            off = np.flatnonzero(~free)
+            assert built[off].nnz == 0 and built[:, off].nnz == 0
+            if k == len(levels) - 1:
+                break
+            p = kron_interpolation(free)
+            coarse = free[::2, ::2]
+            e = np.zeros(coarse.size, np.float32)
+            e[coarse.ravel()] = rng.normal(size=p.shape[1])
+            fine = linalg._prolong(e, free)
+            assert fine.dtype == np.float32 and not fine[~free.ravel()].any()
+            assert np.allclose(fine[on], p @ e[coarse.ravel()], rtol=1e-6, atol=1e-6)
+            r = np.zeros(free.size, np.float32)
+            r[on] = rng.normal(size=p.shape[0])
+            back = linalg._restrict(r, free)
+            assert back.dtype == np.float32 and not back[~coarse.ravel()].any()
+            assert np.allclose(back[coarse.ravel()], p.T @ r[on], rtol=1e-5, atol=1e-5)
+            a = (p.T @ a @ p).tocsr()
+            free = coarse
 
     @pytest.mark.parametrize("side", [64, 65])
     def test_hierarchy_is_single_precision_and_the_solve_double(self, side):
         free = disc_mask(side)
-        a = linalg.lattice_laplacian(free)
-        levels = linalg._hierarchy(a, free)
+        levels = linalg._hierarchy(free)
         assert len(levels) >= 2
-        for level in levels[:-1]:
-            assert [m.dtype for m in level] == [np.float32] * 4
-        b = np.random.default_rng(side).normal(size=a.shape[0])
-        r = b.astype(np.float32)
+        for a, dinv, mask in levels[:-1]:
+            assert a.dtype == dinv.dtype == np.float32
+            assert a.shape == (mask.size, mask.size) == (dinv.size, dinv.size)
+        assert levels[-1][0].dtype == np.float32
+        r = np.zeros(free.size, np.float32)
+        r[free.ravel()] = np.random.default_rng(side).normal(size=np.count_nonzero(free))
         assert linalg._vcycle(levels, 0, r).dtype == np.float32
-        x = linalg.lattice_solve(a, free, b, 1e-10, "no convergence")
-        assert a.dtype == x.dtype == np.float64
+        a = masked_laplacian(free)
+        b = r[free.ravel()].astype(np.float64)
+        x = linalg.lattice_solve(free, b, 1e-10, "no convergence")
+        assert x.dtype == np.float64
         assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b)
 
 
 class TestLatticeSolve:
-    @pytest.mark.parametrize("h", [1 / 64, 0.01, 1 / 128])
+    @pytest.mark.parametrize("h", [1 / 64, 0.01, 1 / 128, 1 / 41])
     @pytest.mark.parametrize("name", sorted(CAPACITY_TARGETS))
     def test_matches_direct_solve(self, name, h, monkeypatch):
-        # h = 0.01 gives sides 201 -> 101 -> 51 -> 26: an even coarse side
+        # h = 0.01 gives sides 201 -> 101 -> 51 -> 26: an even coarsest side;
+        # h = 1/41 gives 83 -> 42 -> 21: an even side above the coarsest
         target = CAPACITY_TARGETS[name]
         multigrid = grid_capacity(target, h)
         monkeypatch.setattr(continuum, "lattice_solve", direct_lattice_solve)
@@ -344,23 +372,34 @@ class TestLatticeSolve:
         for target in CAPACITY_TARGETS.values():
             steps.append(0)
             grid_capacity(target, h)
-        assert 1 <= min(steps) and max(steps) <= 20
+        assert 1 <= min(steps) and max(steps) <= 10
 
     @pytest.mark.parametrize("side", [33, 64, 101])
     def test_solution_matches_direct(self, side):
         free = disc_mask(side)
         a = masked_laplacian(free)
         b = np.random.default_rng(side).normal(size=a.shape[0])
-        x = linalg.lattice_solve(a, free, b, 1e-12, "no convergence")
+        x = linalg.lattice_solve(free, b, 1e-12, "no convergence")
         assert np.linalg.norm(b - a @ x) <= 1e-12 * np.linalg.norm(b)
         direct = splu(a.tocsc()).solve(b)
         assert np.allclose(x, direct, rtol=0, atol=1e-9 * np.abs(direct).max())
+
+    @pytest.mark.parametrize("side", [65, 83])
+    def test_levels_without_a_free_node(self, side):
+        # free nodes at odd positions only: every coarse level is masked out
+        # entirely, and the isolated nodes solve 4 x = b
+        free = np.zeros((side, side), dtype=bool)
+        free[1::2, 1::2] = True
+        b = np.random.default_rng(side).normal(size=np.count_nonzero(free))
+        x = linalg.lattice_solve(free, b, 1e-12, "no convergence")
+        assert np.allclose(x, b / 4, rtol=1e-12, atol=0)
+        assert linalg.lattice_solve(np.zeros_like(free), np.zeros(0), 1e-12, "none").size == 0
 
     def test_unreachable_tolerance_raises(self):
         free = disc_mask(65)
         a = masked_laplacian(free)
         with pytest.raises(InvariantViolation, match="grid solve gave up"):
-            linalg.lattice_solve(a, free, np.ones(a.shape[0]), 0.0, "grid solve gave up")
+            linalg.lattice_solve(free, np.ones(a.shape[0]), 0.0, "grid solve gave up")
 
     def test_leaves_no_reference_cycles(self):
         # the hierarchy must be freed by reference counting alone: a cycle
