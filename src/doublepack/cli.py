@@ -111,6 +111,11 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
+        for name, least in (("n_fields", 1), ("n_balls", 1), ("pairs_per_ball", 1),
+                            ("seed", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(f"{name} must be at least {least}, got {value}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie strictly between 0 and 1")
         if self.boundary_mode not in ("disc", "prescribed"):

@@ -16,6 +16,7 @@ The walk's step tables are built once per map (``PlanarMap.walk_tables``).
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,6 +212,19 @@ def capacity_to_json(trunc: Truncation, est: CapacityEstimate,
 # ---------------------------------------------------------------------------
 
 _WALK_BLOCK = 32
+_WALK_CHECK = 8  # steps between absorption checks; divides _WALK_BLOCK
+
+
+def _integer(name: str, value, low: int, high: float = math.inf) -> int:
+    """``value`` as an int in [low, high), else a ValueError naming ``name``."""
+    try:
+        i = operator.index(value)
+    except TypeError:
+        i = None
+    if i is None or not low <= i < high:
+        bound = f"of at least {low}" if high == math.inf else f"from {low} to {high - 1}"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return i
 
 
 def walk_limit_estimate(trunc: Truncation, phi, v: int, samples: int,
@@ -219,39 +233,51 @@ def walk_limit_estimate(trunc: Truncation, phi, v: int, samples: int,
     ``v``, with its standard error.
 
     Sample ``i`` consumes a fixed slice of the pseudorandom stream determined
-    by ``(seed, i)`` alone, so results are bitwise reproducible and each
+    by ``(seed, i)`` alone: its step ``32 r + c`` reads column ``c`` of row
+    ``i`` of round ``r``'s ``(samples, 32)`` uniform block, drawn from
+    ``default_rng([seed, r])``.  So results are bitwise reproducible and each
     sample's walk does not depend on how many other samples run.  Aggregation
     is in sample-index order.
+
+    One step of the live walkers is array work over them alone: at vertex
+    ``pos`` a uniform ``u`` picks the dart ``sum_c [u >= cum[pos, c]]`` over
+    the first ``width - 1`` columns of the step table (the last is 1, above
+    every draw), read as ``pos * width + pick`` in the raveled neighbour
+    table.
+    Boundary rows step to themselves, so a walker that hits the boundary
+    stays there and absorption is checked every ``_WALK_CHECK`` steps only.
     """
     vals = _coerce(phi, trunc.n_vertices)
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    v = _integer("v", v, 0, trunc.n_vertices)
+    samples = _integer("samples", samples, 1)
+    seed = _integer("seed", seed, 0)
     if trunc.is_boundary[v]:
         return float(vals[v]), 0.0
 
     nbr, cum = trunc.graph.walk_tables
+    n, width = nbr.shape
     is_b = trunc.is_boundary
-    cur = np.full(samples, v, dtype=np.int64)
+    step = np.where(is_b[:, None], np.arange(n)[:, None], nbr).ravel()
+    cols = cum[:, :-1].T.copy()
+    ids = np.arange(samples)
+    pos = np.full(samples, v, dtype=np.int64)
     out = np.empty(samples)
-    alive = np.arange(samples)
     round_no = 0
-    while alive.size:
+    while ids.size:
         block = np.random.default_rng([seed, round_no]).random((samples, _WALK_BLOCK))
         for col in range(_WALK_BLOCK):
-            if alive.size == 0:
-                break
-            at = cur[alive]
-            u = block[alive, col]
-            pick = (u[:, None] >= cum[at]).sum(axis=1)
-            nv = nbr[at, pick]
-            cur[alive] = nv
-            absorbed = is_b[nv]
-            if absorbed.any():
-                done = alive[absorbed]
-                out[done] = vals[cur[done]]
-                alive = alive[~absorbed]
+            u = block[ids, col]
+            at = pos * width
+            for c in cols:
+                at += u >= c[pos]
+            pos = step[at]
+            if col % _WALK_CHECK == _WALK_CHECK - 1:
+                hit = is_b[pos]
+                if hit.any():
+                    out[ids[hit]] = vals[pos[hit]]
+                    ids, pos = ids[~hit], pos[~hit]
+                    if ids.size == 0:
+                        break
         round_no += 1
         if round_no > 100_000:
             raise ConvergenceError("random walk failed to reach the boundary")

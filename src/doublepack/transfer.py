@@ -18,7 +18,7 @@ from .continuum import (BoundaryFunction, HarmonicDiscField, energy_continuous,
                         grid_capacity, poisson_extend)
 from .maps import Truncation
 from .packing import DoublePacking
-from .potential import (VertexFunction, _coerce, capacity, energy,
+from .potential import (VertexFunction, _coerce, _integer, capacity, energy,
                         royden_project)
 
 __all__ = [
@@ -330,19 +330,34 @@ def harnack_fit(trunc: Truncation, packing: DoublePacking, h_samples,
     is there a fit unless the kept scaled distances span a factor of 1.5
     (``_MIN_LOG_SPAN``): one narrow band fixes no slope, and fits through
     one gave exponents from -0.52 to 0.41 for the same fields.
+
+    The samples are stacked into one (samples, vertices) array, so each
+    ball's oscillations and ratios come for all samples at once; a ball's
+    rows are its pairs for sample 0, then for sample 1, and so on.  The
+    generator seeded with ``seed`` is drawn in a fixed order, so the fit is
+    bitwise reproducible: the ball centres, then per ball the subsample of
+    at most 40 members and the subsample of at most ``pairs_per_ball``
+    pairs.  Every ball's pairs come from the one 40-member pair table
+    ``triu_indices(40, k=1)``, cut to the pairs within the ball's size: that
+    is the pair table of its size, in the same order.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    n_balls = _integer("n_balls", n_balls, 1)
+    pairs_per_ball = _integer("pairs_per_ball", pairs_per_ball, 1)
+    seed = _integer("seed", seed, 0)
     sample_vals = [_vertex_values(trunc, h) for h in h_samples]
     if not sample_vals:
         raise ValueError("at least one harmonic sample is required")
     _check_same_map(trunc, packing)
+    vals = np.stack(sample_vals)
     z = packing.vertex_center
     rng = np.random.default_rng(seed)
     centers = trunc.interior
     if centers.size > n_balls:
         centers = np.sort(rng.choice(centers, size=n_balls, replace=False))
 
+    iu40, iv40 = np.triu_indices(40, k=1)
     xs, ys = [], []
     for w in centers:
         R = 0.9 * (1.0 - abs(z[w]))
@@ -351,25 +366,24 @@ def harnack_fit(trunc: Truncation, packing: DoublePacking, h_samples,
         members = np.flatnonzero(np.abs(z - z[w]) <= R)
         if members.size < 2:
             continue
-        oscs = [float(vals[members].max() - vals[members].min())
-                for vals in sample_vals]
+        ball = vals[:, members]
+        osc = ball.max(axis=1) - ball.min(axis=1)
         sub = members
         if sub.size > 40:
             sub = np.sort(rng.choice(sub, size=40, replace=False))
-        iu, iv = np.triu_indices(sub.size, k=1)
+        keep = iv40 < sub.size
+        iu, iv = iu40[keep], iv40[keep]
         d = np.abs(z[sub[iu]] - z[sub[iv]])
         keep = (d > 0.0) & (d <= alpha * R)
         iu, iv, d = iu[keep], iv[keep], d[keep]
         if d.size > pairs_per_ball:
             pick = np.sort(rng.choice(d.size, size=pairs_per_ball, replace=False))
             iu, iv, d = iu[pick], iv[pick], d[pick]
-        for vals, osc in zip(sample_vals, oscs):
-            if osc > 0.0:
-                ratio = np.abs(vals[sub[iu]] - vals[sub[iv]]) / osc
-            else:
-                ratio = np.zeros(d.size)
-            xs.append(d / R)
-            ys.append(ratio)
+        ratio = np.zeros((osc.size, d.size))
+        np.divide(np.abs(vals[:, sub[iu]] - vals[:, sub[iv]]), osc[:, None],
+                  out=ratio, where=osc[:, None] > 0.0)
+        xs.append(np.broadcast_to(d / R, ratio.shape).ravel())
+        ys.append(ratio.ravel())
 
     x = np.concatenate(xs) if xs else np.empty(0)
     y = np.concatenate(ys) if ys else np.empty(0)

@@ -449,6 +449,18 @@ class TestExitCodes:
         ("evaluate-no-points", ("evaluate", "--boundary-csv", "b.csv"),
          {"command": "evaluate", "boundary_csv": "b.csv"},
          "evaluate needs --boundary-csv and --points"),
+        ("harnack-n-fields", ("harnack", "--tiling", "7,3", "--n-fields", "0"),
+         {"command": "harnack", "tiling": (7, 3), "n_fields": 0},
+         "n_fields must be at least 1, got 0"),
+        ("harnack-n-balls", ("harnack", "--tiling", "7,3", "--n-balls", "-3"),
+         {"command": "harnack", "tiling": (7, 3), "n_balls": -3},
+         "n_balls must be at least 1, got -3"),
+        ("harnack-pairs", ("harnack", "--tiling", "7,3", "--pairs-per-ball", "-2"),
+         {"command": "harnack", "tiling": (7, 3), "pairs_per_ball": -2},
+         "pairs_per_ball must be at least 1, got -2"),
+        ("harnack-seed", ("harnack", "--tiling", "7,3", "--seed", "-1"),
+         {"command": "harnack", "tiling": (7, 3), "seed": -1},
+         "seed must be at least 0, got -1"),
     ]) + [
         # argparse refuses these on argv: a field the command does not read
         # keeps RunConfig's default, None for layers and root included

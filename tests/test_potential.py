@@ -452,6 +452,38 @@ class TestWalkLimit:
         assert abs(mean - 0.75) <= 3 * se
 
 
+def looped_walk(trunc, phi, v, samples, seed):
+    """The walk stepped the plain way: each step compares a live walker's
+    uniform with its whole table row and writes it back into the full
+    position array, absorption checked every step.  Returns the estimate
+    and the number of 32-step rounds drawn."""
+    vals = np.asarray(phi, dtype=float)
+    nbr, cum = trunc.graph.walk_tables
+    is_b = trunc.is_boundary
+    cur = np.full(samples, v, dtype=np.int64)
+    out = np.empty(samples)
+    alive = np.arange(samples)
+    round_no = 0
+    while alive.size:
+        block = np.random.default_rng([seed, round_no]).random((samples, 32))
+        for col in range(32):
+            if alive.size == 0:
+                break
+            at = cur[alive]
+            u = block[alive, col]
+            pick = (u[:, None] >= cum[at]).sum(axis=1)
+            nv = nbr[at, pick]
+            cur[alive] = nv
+            absorbed = is_b[nv]
+            if absorbed.any():
+                done = alive[absorbed]
+                out[done] = vals[cur[done]]
+                alive = alive[~absorbed]
+        round_no += 1
+    stderr = float(out.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+    return (float(out.mean()), stderr), round_no
+
+
 def looped_walk_tables(g):
     """Step tables built vertex by vertex: each row's cumulative
     probabilities over its own conductance total, the last set to 1."""
@@ -489,6 +521,45 @@ class TestWalkTables:
         tables = vars(t.graph)["walk_tables"]
         walk_limit_estimate(t, phi, t.root, samples=50, seed=2)
         assert vars(t.graph)["walk_tables"] is tables
+
+
+class TestWalkKernel:
+    @pytest.mark.parametrize("make", [
+        lambda: grid_trunc(9),
+        lambda: truncate(generate_tiling(7, 3, 5), 0, 4),
+        lambda: weighted_delaunay_truncation(400, 0),
+    ], ids=["grid9", "ball4", "delaunay"])
+    def test_bitwise_equal_to_the_plain_loop(self, make):
+        t = make()
+        rng = np.random.default_rng(7)
+        phi = rng.normal(size=t.n_vertices)
+        starts = [int(t.root), *rng.choice(t.interior, size=3, replace=False).tolist()]
+        rounds = []
+        for v in starts:
+            for samples, seed in ((1, 3), (37, 0), (250, 11), (1000, 2 ** 40)):
+                got = walk_limit_estimate(t, phi, v, samples, seed)
+                want, r = looped_walk(t, phi, v, samples, seed)
+                assert got == want, (v, samples, seed)
+                rounds.append(r)
+        # some walks outlast one 32-step block
+        assert max(rounds) > 1
+
+    def test_boundary_start_takes_no_step(self):
+        t = grid_trunc(5)
+        phi = np.arange(t.n_vertices, dtype=float)
+        v = int(t.boundary[3])
+        assert walk_limit_estimate(t, phi, v, samples=10, seed=0) == (phi[v], 0.0)
+
+    @pytest.mark.parametrize("arg, value", [
+        ("v", -1), ("v", 85), ("v", 2.0), ("samples", 100.5), ("samples", 0),
+        ("seed", 1.5), ("seed", -1),
+    ])
+    def test_bad_argument_names_it(self, arg, value):
+        t = truncate(generate_tiling(7, 3, 4), 0, 3)
+        assert t.n_vertices == 85
+        kwargs = {"v": int(t.root), "samples": 100, "seed": 1, arg: value}
+        with pytest.raises(ValueError, match=f"^{arg} must be an integer"):
+            walk_limit_estimate(t, np.arange(85.0), **kwargs)
 
 
 class TestSerialization:

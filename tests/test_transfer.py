@@ -397,6 +397,61 @@ class TestCapacityComparison:
         assert c_quarter < c_half
 
 
+def looped_harnack_fit(trunc, packing, h_samples, alpha, seed=0, n_balls=40,
+                       pairs_per_ball=60):
+    """The fit computed sample by sample: per ball, each sample's
+    oscillation and ratios on their own, the pair table of the ball's own
+    size."""
+    sample_vals = [np.asarray(h, dtype=float) for h in h_samples]
+    z = packing.vertex_center
+    rng = np.random.default_rng(seed)
+    centers = trunc.interior
+    if centers.size > n_balls:
+        centers = np.sort(rng.choice(centers, size=n_balls, replace=False))
+    xs, ys = [], []
+    for w in centers:
+        R = 0.9 * (1.0 - abs(z[w]))
+        if R <= 0.0:
+            continue
+        members = np.flatnonzero(np.abs(z - z[w]) <= R)
+        if members.size < 2:
+            continue
+        oscs = [float(vals[members].max() - vals[members].min())
+                for vals in sample_vals]
+        sub = members
+        if sub.size > 40:
+            sub = np.sort(rng.choice(sub, size=40, replace=False))
+        iu, iv = np.triu_indices(sub.size, k=1)
+        d = np.abs(z[sub[iu]] - z[sub[iv]])
+        keep = (d > 0.0) & (d <= alpha * R)
+        iu, iv, d = iu[keep], iv[keep], d[keep]
+        if d.size > pairs_per_ball:
+            pick = np.sort(rng.choice(d.size, size=pairs_per_ball, replace=False))
+            iu, iv, d = iu[pick], iv[pick], d[pick]
+        for vals, osc in zip(sample_vals, oscs):
+            if osc > 0.0:
+                ratio = np.abs(vals[sub[iu]] - vals[sub[iv]]) / osc
+            else:
+                ratio = np.zeros(d.size)
+            xs.append(d / R)
+            ys.append(ratio)
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    pairs = np.column_stack([x, y])
+    pos = (x > 0.0) & (y > transfer._RATIO_FLOOR)
+    if int(pos.sum()) < 2 or math.log(x[pos].max() / x[pos].min()) < transfer._MIN_LOG_SPAN:
+        return transfer.HarnackFit(0.0, 0.0, False, pairs, float(alpha))
+    slope, intercept = np.polyfit(np.log(x[pos]), np.log(y[pos]), 1)
+    return transfer.HarnackFit(float(slope), float(math.exp(intercept)), True, pairs,
+                               float(alpha))
+
+
+def ball_sizes(pk):
+    """Members of each interior vertex's sample ball."""
+    z = pk.vertex_center
+    return np.array([np.count_nonzero(np.abs(z - z[w]) <= 0.9 * (1.0 - abs(z[w])))
+                     for w in pk.trunc.interior])
+
+
 class TestHarnackFit:
     def test_constant_samples_skip_fit(self, hyp_disc_pk):
         t = hyp_disc_pk.trunc
@@ -449,6 +504,43 @@ class TestHarnackFit:
         f1 = harnack_fit(pk.trunc, pk, [h], alpha=0.5, seed=3)
         f2 = harnack_fit(pk.trunc, pk, [h], alpha=0.5, seed=3)
         assert f1.beta_hat == f2.beta_hat and f1.C_hat == f2.C_hat
+
+    @pytest.mark.parametrize("instance", ["ball5", "grid9"])
+    def test_bitwise_equal_to_the_sample_loop(self, ball5_cli_samples, grid_disc_pk,
+                                              instance):
+        if instance == "ball5":
+            pk, samples = ball5_cli_samples
+        else:
+            pk = grid_disc_pk
+            rng = np.random.default_rng(4)
+            samples = [disc_operator(pk.trunc, pk, HarmonicDiscField(
+                0.0, rng.normal(size=3), rng.normal(size=3))).values for _ in range(3)]
+        t = pk.trunc
+        # one ball takes the 40-member subsample, the others the pair table
+        # filtered to their size
+        sizes = ball_sizes(pk)
+        assert np.count_nonzero(sizes > 40) == 1 and sizes.min() >= 2
+        # a constant sample has zero oscillation in every ball
+        samples = [*samples, np.full(t.n_vertices, 0.25)]
+        for seed, n_balls, pairs_per_ball in ((0, 40, 60), (3, 80, 80), (5, 1000, 7),
+                                              (9, 1000, 1000)):
+            got = harnack_fit(t, pk, samples, alpha=0.5, seed=seed, n_balls=n_balls,
+                              pairs_per_ball=pairs_per_ball)
+            want = looped_harnack_fit(t, pk, samples, alpha=0.5, seed=seed,
+                                      n_balls=n_balls, pairs_per_ball=pairs_per_ball)
+            assert got.pairs.tobytes() == want.pairs.tobytes()
+            assert (got.beta_hat, got.C_hat, got.fitted) == \
+                (want.beta_hat, want.C_hat, want.fitted)
+
+    @pytest.mark.parametrize("arg, value", [
+        ("n_balls", -3), ("n_balls", 0), ("pairs_per_ball", -2), ("pairs_per_ball", 2.5),
+        ("seed", -1),
+    ])
+    def test_bad_count_names_it(self, hyp_disc_pk, arg, value):
+        pk = hyp_disc_pk
+        h = disc_operator(pk.trunc, pk, RE_Z)
+        with pytest.raises(ValueError, match=f"^{arg} must be an integer"):
+            harnack_fit(pk.trunc, pk, [h], alpha=0.5, **{arg: value})
 
     def test_json_payload(self, hyp_disc_pk):
         pk = hyp_disc_pk
