@@ -3,8 +3,10 @@
 Subcommands build a map (from a file or a generator), pack it, run one of the
 analyses, and return their artifacts; ``run`` alone writes them to the output
 directory (``--out`` or the ``DOUBLEPACK_OUT`` environment variable).  Every
-JSON report embeds its fully resolved configuration, and a fixed seed makes
-reruns byte-identical, so the artifacts double as provenance.
+JSON report records its request (the command, the output directory and the
+options the command reads, defaults filled in), and that block replays
+through ``run(RunConfig(**block))``; a fixed seed makes reruns byte-identical,
+so the artifacts double as provenance.
 
 ``run`` judges every request, from argv or a library call, by one gate,
 ``RunConfig.validate``; it and argparse raise ``ConfigError`` before the
@@ -42,11 +44,16 @@ __all__ = ["RunConfig", "run", "main"]
 @dataclass(frozen=True)
 class RunConfig:
     """One invocation: what to build, which analysis, where to write.
-    Serialized verbatim, once resolved, into every report.
 
     ``run`` judges the config as given (``validate``) before it fills in any
-    default: a field left None takes the command's own default, and ``None``
-    in ``layers`` and ``root`` means "not given", resolved to 3 and 0."""
+    default.  A field left None takes a default only where it is read: the
+    command's own (``_COMMANDS``), ``layers`` 3 for a ``--tiling`` ball, and
+    ``root`` 0 where a ``--map`` is cut around it (``--radius``, or the radii
+    of ``roundtrip``).  A tiling ball is centred at vertex 0: the tilings are
+    vertex-transitive.  Every JSON report records ``command``, ``out_dir``
+    and the fields the command reads, so resolved, and ``RunConfig(**block)``
+    replays them; a field that holds a tuple takes a list too, as
+    ``json.load`` gives it."""
 
     command: str
     out_dir: str
@@ -77,16 +84,22 @@ class RunConfig:
     def validate(self):
         """Raise ``ConfigError`` naming why this request cannot run: the one
         judge of a request, from argv and from a library call alike."""
-        if self.command not in _COMMANDS:
+        if not isinstance(self.command, str) or self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         reads = _COMMANDS[self.command][2]
         for field in dataclasses.fields(self):
+            if field.name == "command":
+                continue
+            value = getattr(self, field.name)
+            flag, option = _OPTIONS[field.name]
+            if field.name in ("out_dir", *reads):
+                kind, accepts = _kind(option)
+                if not (value is None and field.default is None or accepts(value)):
+                    raise ConfigError(f"{flag} must be {kind}, got {value!r}")
             # a value of another type than the default is given, whatever
             # ``!=`` would make of it (an array compares elementwise)
-            value = getattr(self, field.name)
-            if (field.name not in ("command", "out_dir", *reads)
-                    and (type(value) is not type(field.default) or value != field.default)):
-                raise ConfigError(f"{self.command} does not read {_OPTIONS[field.name][0]}")
+            elif type(value) is not type(field.default) or value != field.default:
+                raise ConfigError(f"{self.command} does not read {flag}")
         source = [s for s in ("map_file", "tiling", "grid") if getattr(self, s) is not None]
         if "map_file" in reads:
             if not source:
@@ -129,28 +142,54 @@ class RunConfig:
 _SOURCE_OF = {"layers": "tiling", "radius": "map_file", "root": "map_file"}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _kind(option: dict):
+    """What a field takes from a library call, by its option's converter:
+    ``(description, test)``.  A sequence may be a tuple or a list."""
+    convert = option.get("type", str)
+    if "nargs" in option:
+        return "a list of integers", lambda v: (isinstance(v, (tuple, list))
+                                                and all(map(_is_int, v)))
+    if convert is int:
+        return "an integer", _is_int
+    if convert is float:
+        return "a number", lambda v: _is_int(v) or isinstance(v, float)
+    if convert is str:
+        return "a string", lambda v: isinstance(v, str)
+    # the one other converter, _pair
+    return "a pair of integers", lambda v: (isinstance(v, (tuple, list)) and len(v) == 2
+                                            and all(map(_is_int, v)))
+
+
 # ---------------------------------------------------------------------------
 # map sources
 # ---------------------------------------------------------------------------
 
-def _parent_map(cfg: RunConfig, depth: int):
-    if cfg.map_file is not None:
-        return load_map_json(cfg.map_file)
+def _truncations(cfg: RunConfig):
+    """Yield the truncations a request asks for, all cut from one parent
+    map: a ball per radius of ``roundtrip``'s sweep, else the ball of
+    ``--layers`` or ``--radius``, else the map cut at its outer face.  A
+    tiling is grown once, exactly as deep as its largest ball."""
+    radius = cfg.layers if cfg.tiling is not None else cfg.radius
+    radii = [radius] if cfg.radii is None else range(cfg.radii[0], cfg.radii[1] + 1)
     if cfg.tiling is not None:
-        return generate_tiling(*cfg.tiling, depth)
-    return generate_grid(*cfg.grid)
-
-
-def _build_truncation(cfg: RunConfig):
-    if cfg.tiling is not None:
-        return truncate(_parent_map(cfg, cfg.layers + 1), cfg.root, cfg.layers)
-    if cfg.radius is not None:
-        return truncate(_parent_map(cfg, 0), cfg.root, cfg.radius)
-    return boundary_truncation(_parent_map(cfg, 0))
+        parent, root = generate_tiling(*cfg.tiling, max(radii)), 0
+    elif cfg.map_file is not None:
+        parent, root = load_map_json(cfg.map_file), cfg.root
+    else:
+        parent = generate_grid(*cfg.grid)
+    if radii == [None]:
+        yield boundary_truncation(parent)
+    else:
+        for r in radii:
+            yield truncate(parent, root, r)
 
 
 def _pack(cfg: RunConfig, mode: str | None = None):
-    trunc = _build_truncation(cfg)
+    trunc = next(_truncations(cfg))
     sol = solve_radii(trunc, boundary_mode=mode or cfg.boundary_mode,
                       tol=cfg.pack_tol)
     return trunc, sol, layout(trunc, sol)
@@ -203,11 +242,8 @@ def _cmd_capacity(cfg: RunConfig):
 
 
 def _cmd_roundtrip(cfg: RunConfig):
-    lo, hi = cfg.radii
-    parent = _parent_map(cfg, hi + 1)
     rows = []
-    for r in range(lo, hi + 1):
-        trunc = truncate(parent, cfg.root, r)
+    for trunc in _truncations(cfg):
         sol = solve_radii(trunc, boundary_mode="disc", tol=cfg.pack_tol)
         pk = layout(trunc, sol)
         # fixed low-frequency source: high modes alias on coarse rims
@@ -216,7 +252,7 @@ def _cmd_roundtrip(cfg: RunConfig):
         rep = transfer.roundtrip(trunc, pk, h, eps_trace=cfg.eps_trace,
                                  k_max=cfg.k_max, n_theta=cfg.n_theta)
         row = transfer.transfer_report_to_json(rep)
-        row["radius"] = r
+        row["radius"] = trunc.radius
         row["n_vertices"] = trunc.n_vertices
         rows.append(row)
     cols = ["radius", "n_vertices", "roundtrip_residual", "asymptotic_gap",
@@ -283,19 +319,25 @@ _COMMANDS = {
 
 def run(config: RunConfig) -> list:
     """Execute one command and return the artifact paths it wrote.  The
-    config is validated as given; then fields left None take their defaults,
-    and every JSON artifact records the resolved config."""
+    config is validated as given; then fields left None take their defaults
+    where they are read, and every JSON artifact records the request so
+    resolved: ``command``, ``out_dir`` and the fields the command reads."""
     config.validate()
-    handler, _, _, defaults = _COMMANDS[config.command]
+    handler, _, reads, defaults = _COMMANDS[config.command]
+    defaults = dict(defaults)
+    if config.tiling is not None and "layers" in reads:
+        defaults["layers"] = 3
+    if config.map_file is not None and (config.radius is not None or "radii" in reads):
+        defaults["root"] = 0
     config = dataclasses.replace(config, **{
-        name: value for name, value in {"layers": 3, "root": 0, **defaults}.items()
-        if getattr(config, name) is None})
+        name: value for name, value in defaults.items() if getattr(config, name) is None})
+    request = {name: getattr(config, name) for name in ("command", "out_dir", *reads)}
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for name, artifact in handler(config).items():
         if isinstance(artifact, dict):  # tuples in the config become lists
-            artifact = json_text({**artifact, "config": dataclasses.asdict(config)})
+            artifact = json_text({**artifact, "config": request})
         path = out / name
         path.write_text(artifact, encoding="utf-8")
         paths.append(path)
@@ -375,8 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     given = dict(vars(args))
-    if "target" in given:
-        given["target"] = tuple(given["target"])
     given["out_dir"] = (given.get("out_dir") or os.environ.get("DOUBLEPACK_OUT")
                         or ".")
     return RunConfig(**given)

@@ -240,31 +240,80 @@ class TestEvaluate:
         assert not any(out.iterdir())
 
 
-# A report's config block with every field at RunConfig's default; each case
-# below names the fields that differ.
+# RunConfig's defaults; a report's config block holds command, out_dir and
+# the fields the command reads, each case below naming those that differ.
 BASE_CONFIG = {
     "alpha": 0.5, "boundary_csv": None, "boundary_mode": "disc", "delta": 0.5,
     "eps_trace": None, "grid": None, "grid_h": 0.00390625, "k_max": None,
-    "layers": 3, "map_file": None, "n_balls": 40, "n_fields": 6,
+    "layers": None, "map_file": None, "n_balls": 40, "n_fields": 6,
     "n_theta": None, "pack_tol": 1e-10, "pairs_per_ball": 60, "points": None,
-    "radii": None, "radius": None, "root": 0, "seed": 0, "svg_size": 720,
+    "radii": None, "radius": None, "root": None, "seed": 0, "svg_size": 720,
     "target": [], "tiling": None,
 }
 
 
+def request_block(command, **fields):
+    return {**{name: BASE_CONFIG[name] for name in cli._COMMANDS[command][2]},
+            "command": command, **fields}
+
+
+# the commands of CI's rerun step, run where write_inputs left their files
+RERUN_COMMANDS = [
+    ("pack", "--grid", "5"),
+    ("pack", "--tiling", "7,3", "--layers", "3"),
+    ("pack", "--tiling", "6,3", "--layers", "4"),
+    ("pack", "--tiling", "8,3", "--layers", "4"),
+    ("pack", "--map", "map.json"),
+    ("analyze", "--grid", "5"),
+    ("analyze", "--tiling", "7,3", "--layers", "6"),
+    ("capacity", "--tiling", "7,3", "--layers", "4"),
+    ("capacity", "--tiling", "7,3", "--layers", "4", "--grid-h", "0.0244"),
+    ("douglas", "--kmax", "5", "--ntheta", "2048"),
+    ("roundtrip", "--tiling", "7,3", "--radii", "3:8"),
+    ("harnack", "--tiling", "7,3", "--seed", "7"),
+    ("harnack", "--grid", "9", "--seed", "3"),
+    ("evaluate", "--boundary-csv", "theta_samples.csv", "--points", "pts.csv"),
+]
+
+
+def write_inputs(directory):
+    """The input files of RERUN_COMMANDS: a (7,3) ball's map, boundary
+    samples and points."""
+    (directory / "map.json").write_text(json.dumps(map_to_json(generate_tiling(7, 3, 3))))
+    bf = BoundaryFunction(func=np.cos)
+    (directory / "theta_samples.csv").write_text(boundary_function_to_csv(bf, 64))
+    (directory / "pts.csv").write_text("0.3,0.0\n0.0,0.25\n-0.5,0.0\n")
+
+
 class TestConfig:
-    @pytest.mark.parametrize("args, artifact, fields", [
+    @pytest.mark.parametrize("args, artifact, block", [
         (("pack", "--grid", "5"), "packing.json",
-         {"command": "pack", "grid": [5, 5]}),
+         {"command": "pack", "map_file": None, "tiling": None, "grid": [5, 5],
+          "layers": None, "root": None, "radius": None, "pack_tol": 1e-10,
+          "boundary_mode": "disc", "svg_size": 720}),
+        (("pack", "--tiling", "7,3"), "packing.json",
+         {"command": "pack", "map_file": None, "tiling": [7, 3], "grid": None,
+          "layers": 3, "root": None, "radius": None, "pack_tol": 1e-10,
+          "boundary_mode": "disc", "svg_size": 720}),
+        (("pack", "--map", "map.json", "--radius", "2"), "packing.json",
+         {"command": "pack", "map_file": "map.json", "tiling": None, "grid": None,
+          "layers": None, "root": 0, "radius": 2, "pack_tol": 1e-10,
+          "boundary_mode": "disc", "svg_size": 720}),
         (("douglas", "--kmax", "2", "--ntheta", "256"), "douglas.json",
          {"command": "douglas", "k_max": 2, "n_theta": 256}),
         (("roundtrip", "--tiling", "7,3", "--radii", "3:4"), "roundtrip.json",
-         {"command": "roundtrip", "tiling": [7, 3], "radii": [3, 4]}),
-    ], ids=["pack", "douglas", "roundtrip"])
-    def test_config_block(self, tmp_path, args, artifact, fields):
+         {"command": "roundtrip", "map_file": None, "tiling": [7, 3], "grid": None,
+          "root": None, "pack_tol": 1e-10, "radii": [3, 4], "eps_trace": None,
+          "k_max": None, "n_theta": None}),
+    ], ids=["pack", "pack-tiling", "pack-map-radius", "douglas", "roundtrip"])
+    def test_config_block(self, tmp_path, monkeypatch, args, artifact, block):
+        # layers resolves to 3 for a tiling alone, root to 0 for a map cut
+        # around it; a grid is cut at its rim, so neither is recorded
+        monkeypatch.chdir(tmp_path)
+        write_inputs(tmp_path)
         assert run(tmp_path, *args) == 0
         doc = json.loads((tmp_path / artifact).read_text())
-        assert doc["config"] == {**BASE_CONFIG, **fields, "out_dir": str(tmp_path)}
+        assert doc["config"] == {**block, "out_dir": str(tmp_path)}
 
     @pytest.mark.parametrize("args, fields", [
         (("pack", "--grid", "5"), {"grid": [5, 5]}),
@@ -274,20 +323,19 @@ class TestConfig:
          {"grid": [5, 5], "grid_h": 0.015625}),
         (("roundtrip", "--tiling", "7,3", "--radii", "3:4"),
          {"tiling": [7, 3], "radii": [3, 4]}),
-        (("harnack", "--tiling", "7,3", "--seed", "1"), {"tiling": [7, 3], "seed": 1}),
-        (("evaluate", "--boundary-csv", "bdry.csv", "--points", "pts.csv"),
-         {"boundary_csv": "bdry.csv", "points": "pts.csv", "k_max": 16}),
+        (("harnack", "--tiling", "7,3", "--seed", "1"),
+         {"tiling": [7, 3], "layers": 3, "seed": 1}),
+        (("evaluate", "--boundary-csv", "theta_samples.csv", "--points", "pts.csv"),
+         {"boundary_csv": "theta_samples.csv", "points": "pts.csv", "k_max": 16}),
     ], ids=["pack", "analyze", "douglas", "capacity", "roundtrip", "harnack",
             "evaluate"])
     def test_every_json_artifact_records_the_config(self, tmp_path, monkeypatch,
                                                     args, fields):
         monkeypatch.chdir(tmp_path)
-        bf = BoundaryFunction(func=np.cos)
-        (tmp_path / "bdry.csv").write_text(boundary_function_to_csv(bf, 64))
-        (tmp_path / "pts.csv").write_text("0.3,0.0\n")
+        write_inputs(tmp_path)
         out = tmp_path / "out"
         assert run(out, *args) == 0
-        expected = {**BASE_CONFIG, **fields, "command": args[0], "out_dir": str(out)}
+        expected = {**request_block(args[0], **fields), "out_dir": str(out)}
         docs = sorted(out.glob("*.json"))
         assert docs
         for path in docs:
@@ -297,8 +345,40 @@ class TestConfig:
         cli.run(cli.RunConfig(command="douglas", out_dir=str(tmp_path)))
         doc = json.loads((tmp_path / "douglas.json").read_text())
         assert len(doc["rows"]) == 5
-        assert doc["config"] == {**BASE_CONFIG, "command": "douglas", "k_max": 5,
-                                 "n_theta": 2048, "out_dir": str(tmp_path)}
+        assert doc["config"] == {"command": "douglas", "k_max": 5, "n_theta": 2048,
+                                 "out_dir": str(tmp_path)}
+
+    @pytest.mark.parametrize("args", RERUN_COMMANDS, ids=" ".join)
+    def test_recorded_config_replays(self, tmp_path, monkeypatch, args):
+        # the block alone, as json.load gives it, rewrites every artifact
+        monkeypatch.chdir(tmp_path)
+        write_inputs(tmp_path)
+        out = tmp_path / "out"
+        assert run(out, *args) == 0
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+        doc = next(name for name in sorted(first) if name.endswith(".json"))
+        cli.run(cli.RunConfig(**json.loads(first[doc])["config"]))
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+
+
+class TestTilingBall:
+    @pytest.mark.parametrize("args, depth", [
+        (("pack", "--tiling", "7,3", "--layers", "4"), 4),
+        (("analyze", "--tiling", "6,3", "--layers", "3"), 3),
+        (("capacity", "--tiling", "7,3", "--layers", "3", "--grid-h", "0.03125"), 3),
+        (("harnack", "--tiling", "7,3"), 3),
+        (("roundtrip", "--tiling", "7,3", "--radii", "3:5"), 5),
+    ], ids=["pack", "analyze", "capacity", "harnack", "roundtrip"])
+    def test_grown_once_to_the_largest_radius(self, tmp_path, monkeypatch, args, depth):
+        depths = []
+
+        def recording(p, q, layers):
+            depths.append(layers)
+            return generate_tiling(p, q, layers)
+
+        monkeypatch.setattr(cli, "generate_tiling", recording)
+        assert run(tmp_path, *args) == 0
+        assert depths == [depth]
 
 
 class TestExitCodes:
@@ -474,6 +554,17 @@ class TestExitCodes:
                      "douglas does not read --target", id="douglas-array-target-run"),
         pytest.param("run", None, {"command": "bend", "grid": (5, 5)},
                      "unknown command 'bend'", id="unknown-command-run"),
+        pytest.param("run", None, {"command": ["pack"], "grid": (5, 5)},
+                     "unknown command ['pack']", id="list-command-run"),
+        # a field the command reads takes its option's type, a list for a tuple
+        pytest.param("run", None, {"command": "capacity", "tiling": (7, 3),
+                                   "target": np.array([0, 1])},
+                     "--target must be a list of integers, got array([0, 1])",
+                     id="capacity-array-target-run"),
+        pytest.param("run", None, {"command": "pack", "grid": "5"},
+                     "--grid must be a pair of integers, got '5'", id="pack-str-grid-run"),
+        pytest.param("run", None, {"command": "pack", "tiling": (7, 3), "layers": 2.5},
+                     "--layers must be an integer, got 2.5", id="pack-float-layers-run"),
     ])
     def test_request_the_command_cannot_run_is_refused(self, tmp_path, capsys, entry,
                                                        args, config, cause):

@@ -594,6 +594,13 @@ class TestTilings:
                 # the smaller ball is this one's induced ball, ids included
                 sub, _ = induce_submap(m, dist < layers)
                 assert cyclic_rotations(sub) == cyclic_rotations(smaller)
+                # and its balls are cut from it exactly, rotations unshifted,
+                # so a ball of radius r needs only r layers grown
+                for r in range(1, layers):
+                    a, b = truncate(m, 0, r), truncate(smaller, 0, r)
+                    assert_same_map(a.graph, b.graph)
+                    assert np.array_equal(a.boundary, b.boundary)
+                    assert a.root == b.root
             smaller = m
 
     def test_quad_tilings(self):
