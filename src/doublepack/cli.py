@@ -9,8 +9,12 @@ through ``run(RunConfig(**block))``; a fixed seed makes reruns byte-identical,
 so the artifacts double as provenance.
 
 ``run`` judges every request, from argv or a library call, by one gate,
-``RunConfig.validate``; it and argparse raise ``ConfigError`` before the
-output directory exists, and ``main`` prints it as one ``error:`` line.
+``RunConfig.validate``, which reads each option's type and range from its
+row of ``_OPTIONS``, the table that also configures argparse.  Only once
+every artifact is rendered does ``run`` touch the output directory, and each
+artifact replaces its file whole once all are written: every failed request
+leaves ``--out`` as it was, and ``main`` prints the error as one ``error:``
+line.
 
 Exit codes: 0 ok, 2 bad input, 3 solver non-convergence, 4 file I/O,
 5 violated invariant.
@@ -21,6 +25,7 @@ import dataclasses
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,10 +55,8 @@ class RunConfig:
     command's own (``_COMMANDS``), ``layers`` 3 for a ``--tiling`` ball, and
     ``root`` 0 where a ``--map`` is cut around it (``--radius``, or the radii
     of ``roundtrip``).  A tiling ball is centred at vertex 0: the tilings are
-    vertex-transitive.  Every JSON report records ``command``, ``out_dir``
-    and the fields the command reads, so resolved, and ``RunConfig(**block)``
-    replays them; a field that holds a tuple takes a list too, as
-    ``json.load`` gives it."""
+    vertex-transitive.  A field that holds a tuple takes a list too, as
+    ``json.load`` gives a recorded request."""
 
     command: str
     out_dir: str
@@ -88,18 +91,19 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         reads = _COMMANDS[self.command][2]
         for field in dataclasses.fields(self):
-            if field.name == "command":
-                continue
             value = getattr(self, field.name)
-            flag, option = _OPTIONS[field.name]
-            if field.name in ("out_dir", *reads):
-                kind, accepts = _kind(option)
-                if not (value is None and field.default is None or accepts(value)):
-                    raise ConfigError(f"{flag} must be {kind}, got {value!r}")
-            # a value of another type than the default is given, whatever
-            # ``!=`` would make of it (an array compares elementwise)
-            elif type(value) is not type(field.default) or value != field.default:
-                raise ConfigError(f"{self.command} does not read {flag}")
+            if field.name == "command" or value is None and field.default is None:
+                continue
+            flag, kind, bound, _ = _OPTIONS[field.name]
+            if field.name not in ("out_dir", *reads):
+                # a value of another type than the default is given, whatever
+                # ``!=`` would make of it (an array compares elementwise)
+                if type(value) is not type(field.default) or value != field.default:
+                    raise ConfigError(f"{self.command} does not read {flag}")
+            elif not kind.test(value):
+                raise ConfigError(f"{flag} must be {kind.what}, got {value!r}")
+            elif bound is not None and not bound[0](value):
+                raise ConfigError(f"{field.name} {bound[1]}, got {value}")
         source = [s for s in ("map_file", "tiling", "grid") if getattr(self, s) is not None]
         if "map_file" in reads:
             if not source:
@@ -119,20 +123,6 @@ class RunConfig:
                                   "without it the map is cut at its outer face")
         if "points" in reads and None in (self.boundary_csv, self.points):
             raise ConfigError("evaluate needs --boundary-csv and --points")
-        for name in ("pack_tol", "grid_h", "svg_size", "delta", "n_theta", "k_max",
-                     "eps_trace"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
-        for name, least in (("n_fields", 1), ("n_balls", 1), ("pairs_per_ball", 1),
-                            ("seed", 0)):
-            value = getattr(self, name)
-            if value < least:
-                raise ConfigError(f"{name} must be at least {least}, got {value}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must lie strictly between 0 and 1")
-        if self.boundary_mode not in ("disc", "prescribed"):
-            raise ConfigError(f"unknown boundary mode {self.boundary_mode!r}")
         if self.radii is not None and not 1 <= self.radii[0] <= self.radii[1]:
             raise ConfigError(f"bad radius sweep {self.radii}")
 
@@ -140,28 +130,6 @@ class RunConfig:
 # option -> the one map source it applies to.  The {p,q} tilings are
 # vertex-transitive, so a root other than 0 would add nothing to --tiling.
 _SOURCE_OF = {"layers": "tiling", "radius": "map_file", "root": "map_file"}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _kind(option: dict):
-    """What a field takes from a library call, by its option's converter:
-    ``(description, test)``.  A sequence may be a tuple or a list."""
-    convert = option.get("type", str)
-    if "nargs" in option:
-        return "a list of integers", lambda v: (isinstance(v, (tuple, list))
-                                                and all(map(_is_int, v)))
-    if convert is int:
-        return "an integer", _is_int
-    if convert is float:
-        return "a number", lambda v: _is_int(v) or isinstance(v, float)
-    if convert is str:
-        return "a string", lambda v: isinstance(v, str)
-    # the one other converter, _pair
-    return "a pair of integers", lambda v: (isinstance(v, (tuple, list)) and len(v) == 2
-                                            and all(map(_is_int, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +286,10 @@ _COMMANDS = {
 
 
 def run(config: RunConfig) -> list:
-    """Execute one command and return the artifact paths it wrote.  The
-    config is validated as given; then fields left None take their defaults
-    where they are read, and every JSON artifact records the request so
-    resolved: ``command``, ``out_dir`` and the fields the command reads."""
+    """Execute one command and return the artifact paths it wrote: validate
+    the config as given, fill in the defaults of the fields the command
+    reads, render every artifact, then write each under a temporary name and
+    rename them over their files once all are written."""
     config.validate()
     handler, _, reads, defaults = _COMMANDS[config.command]
     defaults = dict(defaults)
@@ -332,25 +300,46 @@ def run(config: RunConfig) -> list:
     config = dataclasses.replace(config, **{
         name: value for name, value in defaults.items() if getattr(config, name) is None})
     request = {name: getattr(config, name) for name in ("command", "out_dir", *reads)}
+    # tuples in the config become lists
+    texts = {name: json_text({**artifact, "config": request})
+             if isinstance(artifact, dict) else artifact
+             for name, artifact in handler(config).items()}
     out = Path(config.out_dir)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    temps = {out / name: out / f".{name}.{os.getpid()}.tmp" for name in texts}
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, artifact in handler(config).items():
-        if isinstance(artifact, dict):  # tuples in the config become lists
-            artifact = json_text({**artifact, "config": request})
-        path = out / name
-        path.write_text(artifact, encoding="utf-8")
-        paths.append(path)
-    return paths
+    try:
+        for temp, text in zip(temps.values(), texts.values()):
+            temp.write_text(text, encoding="utf-8")
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        for directory in made:
+            directory.rmdir()
+        raise
+    return list(temps)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# An option's kind: what the gate asks of a library call, its test, and the
+# add_argument keywords that parse it from argv.  A tuple may be a list.
+_Kind = namedtuple("_Kind", "what test keywords")
+_INT = _Kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool),
+             {"type": int})
+_NUMBER = _Kind("a number", lambda v: _INT.test(v) or isinstance(v, float), {"type": float})
+_STRING = _Kind("a string", lambda v: isinstance(v, str), {})
+_INTS = _Kind("a list of integers",
+              lambda v: isinstance(v, (tuple, list)) and all(map(_INT.test, v)),
+              {"type": int, "nargs": "*"})
+
+
 def _pair(sep: str, what: str):
-    """argparse type: two integers joined by ``sep``, one alone doubled
-    unless ``sep`` is ","."""
+    """Two integers joined by ``sep``; one alone is doubled unless ``sep`` is ","."""
     def parse(text: str) -> tuple[int, int]:
         parts = text.split(sep)
         try:
@@ -358,38 +347,52 @@ def _pair(sep: str, what: str):
             return int(p), int(q)
         except ValueError:
             raise argparse.ArgumentTypeError(f"cannot parse {what} {text!r}") from None
-    return parse
+    return _Kind("a pair of integers", lambda v: _INTS.test(v) and len(v) == 2,
+                 {"type": parse})
 
 
-# RunConfig field -> (flag, add_argument keywords).  No option has a default:
-# an option not given is absent from the namespace and RunConfig supplies it.
+def _choice(*names: str):
+    return _Kind(" or ".join(map(repr, names)),
+                 lambda v: isinstance(v, str) and v in names, {"choices": names})
+
+
+# bounds: (test, what a value that fails it must be)
+_POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and positive")
+_UNIT = (lambda v: 0 < v < 1, "must lie strictly between 0 and 1")
+_NATURAL = (lambda v: v >= 0, "must be at least 0")
+_COUNT = (lambda v: v >= 1, "must be at least 1")
+
+
+# RunConfig field -> (flag, kind, bound, help): one row gives argparse its
+# type=, choices= or nargs=, and the gate (RunConfig.validate) its type and
+# range rules.  No option has a default: an option not given is absent from
+# the namespace and RunConfig supplies it.
 _OPTIONS = {
-    "out_dir": ("--out", {"help": "output directory (default $DOUBLEPACK_OUT or .)"}),
-    "map_file": ("--map", {"help": "path to a map JSON file"}),
-    "tiling": ("--tiling", {"type": _pair(",", "tiling"), "help": "regular tiling p,q"}),
-    "grid": ("--grid", {"type": _pair("x", "grid size"), "help": "square patch, N or NxM"}),
-    "layers": ("--layers", {"type": int, "help": "truncation radius for --tiling"}),
-    "root": ("--root", {"type": int}),
-    "radius": ("--radius", {"type": int, "help":
-                            "truncation radius for --map (rim-bounded if omitted)"}),
-    "radii": ("--radii", {"type": _pair(":", "radius sweep"), "help": "sweep lo:hi"}),
-    "boundary_mode": ("--boundary-mode", {"choices": ["disc", "prescribed"]}),
-    "pack_tol": ("--pack-tol", {"type": float}),
-    "grid_h": ("--grid-h", {"type": float}),
-    "n_theta": ("--ntheta", {"type": int}),
-    "k_max": ("--kmax", {"type": int}),
-    "eps_trace": ("--eps-trace", {"type": float}),
-    "delta": ("--delta", {"type": float}),
-    "alpha": ("--alpha", {"type": float}),
-    "target": ("--target", {"type": int, "nargs": "*",
-                            "help": "target vertex ids (default: the root)"}),
-    "n_fields": ("--n-fields", {"type": int}),
-    "n_balls": ("--n-balls", {"type": int}),
-    "pairs_per_ball": ("--pairs-per-ball", {"type": int}),
-    "seed": ("--seed", {"type": int}),
-    "svg_size": ("--svg-size", {"type": int}),
-    "boundary_csv": ("--boundary-csv", {"help": "boundary samples CSV (required)"}),
-    "points": ("--points", {"help": "CSV file with one x,y row per point (required)"}),
+    "out_dir": ("--out", _STRING, None, "output directory (default $DOUBLEPACK_OUT or .)"),
+    "map_file": ("--map", _STRING, None, "path to a map JSON file"),
+    "tiling": ("--tiling", _pair(",", "tiling"), None, "regular tiling p,q"),
+    "grid": ("--grid", _pair("x", "grid size"), None, "square patch, N or NxM"),
+    "layers": ("--layers", _INT, _COUNT, "truncation radius for --tiling"),
+    "root": ("--root", _INT, _NATURAL, None),
+    "radius": ("--radius", _INT, _COUNT,
+               "truncation radius for --map (rim-bounded if omitted)"),
+    "radii": ("--radii", _pair(":", "radius sweep"), None, "sweep lo:hi"),
+    "boundary_mode": ("--boundary-mode", _choice("disc", "prescribed"), None, None),
+    "pack_tol": ("--pack-tol", _NUMBER, _POSITIVE, None),
+    "grid_h": ("--grid-h", _NUMBER, _POSITIVE, None),
+    "n_theta": ("--ntheta", _INT, _POSITIVE, None),
+    "k_max": ("--kmax", _INT, _POSITIVE, None),
+    "eps_trace": ("--eps-trace", _NUMBER, _POSITIVE, None),
+    "delta": ("--delta", _NUMBER, _POSITIVE, None),
+    "alpha": ("--alpha", _NUMBER, _UNIT, None),
+    "target": ("--target", _INTS, None, "target vertex ids (default: the root)"),
+    "n_fields": ("--n-fields", _INT, _COUNT, None),
+    "n_balls": ("--n-balls", _INT, _COUNT, None),
+    "pairs_per_ball": ("--pairs-per-ball", _INT, _COUNT, None),
+    "seed": ("--seed", _INT, _NATURAL, None),
+    "svg_size": ("--svg-size", _INT, _POSITIVE, None),
+    "boundary_csv": ("--boundary-csv", _STRING, None, "boundary samples CSV (required)"),
+    "points": ("--points", _STRING, None, "CSV file with one x,y row per point (required)"),
 }
 
 
@@ -410,16 +413,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text,
                            argument_default=argparse.SUPPRESS)
         for field in ("out_dir", *fields):
-            flag, kwargs = _OPTIONS[field]
-            p.add_argument(flag, dest=field, **kwargs)
+            flag, kind, _, help_text = _OPTIONS[field]
+            p.add_argument(flag, dest=field, help=help_text, **kind.keywords)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    given = dict(vars(args))
-    given["out_dir"] = (given.get("out_dir") or os.environ.get("DOUBLEPACK_OUT")
-                        or ".")
-    return RunConfig(**given)
 
 
 # Exit code per failure, in match order: ConfigError is a ValueError.  A
@@ -430,7 +426,9 @@ _EXIT_CODES = {ValueError: 2, MemoryError: 2, ConvergenceError: 3,
 
 def main(argv=None) -> int:
     try:
-        paths = run(_config_from_args(_build_parser().parse_args(argv)))
+        given = vars(_build_parser().parse_args(argv))
+        given["out_dir"] = given.get("out_dir") or os.environ.get("DOUBLEPACK_OUT") or "."
+        paths = run(RunConfig(**given))
     except tuple(_EXIT_CODES) as exc:
         message = str(exc)
         if isinstance(exc, MemoryError):

@@ -1,8 +1,10 @@
 """End-to-end checks of the command-line interface: artifacts, determinism,
 and the exit-code contract."""
 
+import errno
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,7 +239,7 @@ class TestEvaluate:
                          "--points", str(tmp_path / "pts.csv"), "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and cause in err[0]
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 # RunConfig's defaults; a report's config block holds command, out_dir and
@@ -357,8 +359,10 @@ class TestConfig:
         assert run(out, *args) == 0
         first = {path.name: path.read_bytes() for path in out.iterdir()}
         doc = next(name for name in sorted(first) if name.endswith(".json"))
-        cli.run(cli.RunConfig(**json.loads(first[doc])["config"]))
+        paths = cli.run(cli.RunConfig(**json.loads(first[doc])["config"]))
         assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+        # no temporary name is left beside the artifacts
+        assert sorted(first) == sorted(path.name for path in paths)
 
 
 class TestTilingBall:
@@ -495,7 +499,7 @@ class TestExitCodes:
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "outer face rim" in err[0]
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_non_planar_map_is_bad_input(self, tmp_path, capsys):
         path = tmp_path / "k5.json"
@@ -565,10 +569,63 @@ class TestExitCodes:
                      "--grid must be a pair of integers, got '5'", id="pack-str-grid-run"),
         pytest.param("run", None, {"command": "pack", "tiling": (7, 3), "layers": 2.5},
                      "--layers must be an integer, got 2.5", id="pack-float-layers-run"),
-    ])
+    ] + both_entries([
+        # a ball of radius 0 is no truncation, and a root below 0 no vertex;
+        # both are refused before the map file is read
+        ("layers-0", ("pack", "--tiling", "7,3", "--layers", "0"),
+         {"command": "pack", "tiling": (7, 3), "layers": 0},
+         "layers must be at least 1, got 0"),
+        ("radius-0", ("pack", "--map", "m.json", "--radius", "0"),
+         {"command": "pack", "map_file": "m.json", "radius": 0},
+         "radius must be at least 1, got 0"),
+        ("root-negative", ("pack", "--map", "m.json", "--radius", "2", "--root", "-1"),
+         {"command": "pack", "map_file": "m.json", "radius": 2, "root": -1},
+         "root must be at least 0, got -1"),
+    ]))
     def test_request_the_command_cannot_run_is_refused(self, tmp_path, capsys, entry,
                                                        args, config, cause):
         refused(capsys, tmp_path / "out", entry, args, config, cause)
+
+    @pytest.mark.parametrize("args, code", [
+        (("pack", "--tiling", "4,4", "--layers", "3"), 2),
+        (("roundtrip", "--map", "MAP", "--radii", "5:5"), 2),
+        (("pack", "--grid", "31", "--pack-tol", "1e-14"), 3),
+        (("evaluate", "--boundary-csv", "missing.csv", "--points", "missing.csv"), 4),
+    ], ids=["rim-not-boundary", "radius-past-the-map", "stall", "missing-file"])
+    def test_failed_handler_leaves_no_output_directory(self, tmp_path, capsys, args,
+                                                       code):
+        # the handler runs before --out is made, so its failure leaves none
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(map_to_json(generate_tiling(7, 3, 3))))
+        out = tmp_path / "out"
+        assert run(out, *[str(path) if a == "MAP" else a for a in args]) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
+    def test_failed_write_leaves_the_output_directory_as_it_was(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        out = tmp_path / "out"
+        assert run(out, "douglas", "--kmax", "2", "--ntheta", "256") == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        write_text, written = Path.write_text, []
+
+        def full_disk(path, *args, **kwargs):
+            written.append(path)
+            if len(written) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        assert run(out, "douglas", "--kmax", "3", "--ntheta", "256") == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        # both artifacts as the first run left them, and no temporary name
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        # an output directory the failed request made, parents included, is gone
+        written.clear()
+        assert run(tmp_path / "new" / "out", "douglas", "--kmax", "3") == 4
+        assert not (tmp_path / "new").exists()
 
     def test_derived_trace_depth_too_deep_is_bad_input(self, tmp_path, capsys):
         # no --eps-trace: on the radius-1 ball the default, four boundary
@@ -592,7 +649,7 @@ class TestExitCodes:
         assert cli.main([*args, "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and cause in err[0]
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_out_of_memory_is_bad_input(self, tmp_path, capsys, monkeypatch):
         def exhausted(config):
