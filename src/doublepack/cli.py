@@ -22,7 +22,6 @@ Exit codes: 0 ok, 2 bad input, 3 solver non-convergence, 4 file I/O,
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 from collections import namedtuple
@@ -35,7 +34,8 @@ from . import transfer
 from .continuum import (BoundaryFunction, HarmonicDiscField, douglas_energy,
                         energy_continuous, grid_capacity, load_boundary_csv,
                         poisson_extend)
-from .errors import ConfigError, ConvergenceError, InvariantViolation
+from .errors import (HALF, POSITIVE, QUARTER, UNIT, ConfigError, ConvergenceError,
+                     InvariantViolation)
 from .maps import boundary_truncation, load_map_json, truncate
 from .packing import geometry_report, layout, packing_to_json, solve_radii
 from .potential import capacity, capacity_to_json, solve_dirichlet
@@ -307,6 +307,9 @@ def run(config: RunConfig) -> list:
     out = Path(config.out_dir)
     made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     temps = {out / name: out / f".{name}.{os.getpid()}.tmp" for name in texts}
+    for path in temps:  # a rename onto a directory fails: refuse it before any write
+        if path.is_dir():
+            raise IsADirectoryError(f"the artifact name {path} is taken by a directory")
     out.mkdir(parents=True, exist_ok=True)
     try:
         for temp, text in zip(temps.values(), texts.values()):
@@ -356,9 +359,7 @@ def _choice(*names: str):
                  lambda v: isinstance(v, str) and v in names, {"choices": names})
 
 
-# bounds: (test, what a value that fails it must be)
-_POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and positive")
-_UNIT = (lambda v: 0 < v < 1, "must lie strictly between 0 and 1")
+# integer bounds, (test, what a value that fails it must be) like errors.POSITIVE
 _NATURAL = (lambda v: v >= 0, "must be at least 0")
 _COUNT = (lambda v: v >= 1, "must be at least 1")
 
@@ -378,19 +379,19 @@ _OPTIONS = {
                "truncation radius for --map (rim-bounded if omitted)"),
     "radii": ("--radii", _pair(":", "radius sweep"), None, "sweep lo:hi"),
     "boundary_mode": ("--boundary-mode", _choice("disc", "prescribed"), None, None),
-    "pack_tol": ("--pack-tol", _NUMBER, _POSITIVE, None),
-    "grid_h": ("--grid-h", _NUMBER, _POSITIVE, None),
-    "n_theta": ("--ntheta", _INT, _POSITIVE, None),
-    "k_max": ("--kmax", _INT, _POSITIVE, None),
-    "eps_trace": ("--eps-trace", _NUMBER, _POSITIVE, None),
-    "delta": ("--delta", _NUMBER, _POSITIVE, None),
-    "alpha": ("--alpha", _NUMBER, _UNIT, None),
+    "pack_tol": ("--pack-tol", _NUMBER, POSITIVE, None),
+    "grid_h": ("--grid-h", _NUMBER, QUARTER, None),
+    "n_theta": ("--ntheta", _INT, POSITIVE, None),
+    "k_max": ("--kmax", _INT, POSITIVE, None),
+    "eps_trace": ("--eps-trace", _NUMBER, UNIT, None),
+    "delta": ("--delta", _NUMBER, HALF, None),
+    "alpha": ("--alpha", _NUMBER, UNIT, None),
     "target": ("--target", _INTS, None, "target vertex ids (default: the root)"),
     "n_fields": ("--n-fields", _INT, _COUNT, None),
     "n_balls": ("--n-balls", _INT, _COUNT, None),
     "pairs_per_ball": ("--pairs-per-ball", _INT, _COUNT, None),
     "seed": ("--seed", _INT, _NATURAL, None),
-    "svg_size": ("--svg-size", _INT, _POSITIVE, None),
+    "svg_size": ("--svg-size", _INT, POSITIVE, None),
     "boundary_csv": ("--boundary-csv", _STRING, None, "boundary samples CSV (required)"),
     "points": ("--points", _STRING, None, "CSV file with one x,y row per point (required)"),
 }

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import QUARTER, integer, number
 from .linalg import _SIZE_BUDGET, lattice_solve
 from .textio import csv_text, read_csv
 
@@ -81,9 +82,7 @@ class BoundaryFunction:
         return None if self._samples is None else self._samples.size
 
     def sample(self, n: int) -> np.ndarray:
-        n = int(n)
-        if n < 4:
-            raise ValueError("need at least 4 sample points")
+        n = integer("n", n, 4)
         theta = 2 * np.pi * np.arange(n) / n
         if self._func is not None:
             vals = np.asarray(self._func(theta), dtype=float)
@@ -125,9 +124,7 @@ def poisson_extend(boundary: BoundaryFunction, K_max: int) -> HarmonicDiscField:
     Sampled boundary data must oversample the target band: at least
     4 * K_max points.
     """
-    K = int(K_max)
-    if K < 0:
-        raise ValueError("K_max must be nonnegative")
+    K = integer("K_max", K_max, 0)
     m = boundary.native_size
     if m is not None:
         if m < 4 * K:
@@ -147,17 +144,13 @@ def poisson_extend(boundary: BoundaryFunction, K_max: int) -> HarmonicDiscField:
 # energies
 # ---------------------------------------------------------------------------
 
-def energy_continuous(field, inner_radius: float = 1.0) -> float:
-    """Dirichlet energy over the concentric disc of the given radius, exact
-    from the coefficients: the sum of k pi (a_k^2 + b_k^2) rho^{2k}.
+def energy_continuous(field) -> float:
+    """Dirichlet energy over the unit disc, exact from the coefficients: the
+    sum of k pi (a_k^2 + b_k^2).
     """
-    rho = float(inner_radius)
-    if not 0 < rho <= 1:
-        raise ValueError("inner_radius must lie in (0, 1]")
     if isinstance(field, HarmonicDiscField):
         ks = np.arange(1, field.degree + 1)
-        return float(np.sum(ks * np.pi * (field.a ** 2 + field.b ** 2)
-                            * rho ** (2 * ks)))
+        return float(np.sum(ks * np.pi * (field.a ** 2 + field.b ** 2)))
     raise TypeError(f"not a disc field: {type(field).__name__}")
 
 
@@ -175,9 +168,9 @@ def douglas_energy(boundary: BoundaryFunction, n_theta: int) -> float:
     continuously to the diagonal with value phi'(theta)^2, estimated by the
     symmetric difference quotient.  Past ``_SIZE_BUDGET`` samples it raises.
     """
-    n = int(n_theta)
-    if n < 64 or n % 2:
-        raise ValueError("n_theta must be even and at least 64")
+    n = integer("n_theta", n_theta, 64)
+    if n % 2:
+        raise ValueError(f"n_theta must be even, got {n}")
     if n > _SIZE_BUDGET:
         raise ValueError(f"n_theta = {n} samples exceed the size budget {_SIZE_BUDGET}")
     vals = boundary.sample(n)
@@ -213,9 +206,7 @@ def grid_capacity(target, grid_h: float) -> float:
     neighbourhood); the estimate refines as ``grid_h`` decreases, up to
     ``_SIZE_BUDGET`` nodes, past which it raises before any allocation.
     """
-    h = float(grid_h)
-    if not 0 < h <= 0.25:
-        raise ValueError("grid_h must be in (0, 1/4]")
+    h = number("grid_h", grid_h, QUARTER)
     discs = [(complex(c), float(r)) for c, r in target]
     if any(r < 0 for _, r in discs):
         raise ValueError("disc radius cannot be negative")
@@ -255,6 +246,7 @@ def grid_capacity(target, grid_h: float) -> float:
 # ---------------------------------------------------------------------------
 
 def boundary_function_to_csv(bf: BoundaryFunction, n_theta: int) -> str:
+    n_theta = integer("n_theta", n_theta, 4)
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
     return csv_text(["theta", "value"], zip(theta, bf.sample(n_theta)))
 

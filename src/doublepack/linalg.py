@@ -17,6 +17,11 @@ from .errors import InvariantViolation
 # needs 1.6 GB, and it admits h = 1/1024 and n_theta = 2^23.
 _SIZE_BUDGET = 2 ** 23
 
+# the residual every harmonic solve of ``PinnedSolve.extend`` reaches
+_SOLVE_TOL = 1e-10
+_SOLVE_FAILURE = ("harmonic solve did not reach its residual tolerance; "
+                  "the system should be well conditioned at this scale")
+
 # lattice side at or below which the V-cycle solves directly
 _COARSEST_SIDE = 40
 # damped-Jacobi weight; the Galerkin stencils keep diag^-1 a within [0, 2]
@@ -40,11 +45,11 @@ class PinnedSolve:
         self.a_fp = rows[:, self.pinned]
         self.lu = splu(self.a_ff) if self.free.size else None
 
-    def extend(self, values, tol: float, failure: str) -> np.ndarray:
+    def extend(self, values) -> np.ndarray:
         """A copy of ``values`` whose free entries solve the free rows of
         ``a x = 0`` against its pinned ones: one solve, then up to five
-        rounds of iterative refinement to a residual of ``tol * |b|``, else
-        ``InvariantViolation(failure)``."""
+        rounds of iterative refinement to a residual of ``_SOLVE_TOL * |b|``,
+        else ``InvariantViolation(_SOLVE_FAILURE)``."""
         full = np.array(values, dtype=float)
         if self.free.size == 0:
             return full
@@ -53,11 +58,11 @@ class PinnedSolve:
         scale = float(np.linalg.norm(b)) or 1.0
         for _ in range(5):
             r = b - self.a_ff @ x
-            if float(np.linalg.norm(r)) <= tol * scale:
+            if float(np.linalg.norm(r)) <= _SOLVE_TOL * scale:
                 full[self.free] = x
                 return full
             x = x + self.lu.solve(r)
-        raise InvariantViolation(failure)
+        raise InvariantViolation(_SOLVE_FAILURE)
 
 
 def lattice_solve(free, b, tol: float, failure: str) -> np.ndarray:

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 from scipy.sparse.linalg import splu
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, integer, integers
 from .linalg import PinnedSolve
 from .textio import read_text
 
@@ -52,13 +52,6 @@ __all__ = [
 ]
 
 
-def _integer_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.size and arr.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be an integer array, not {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
-
-
 class PlanarMap:
     """Rotation-system encoding of a finite connected planar map.
 
@@ -80,8 +73,8 @@ class PlanarMap:
     """
 
     def __init__(self, rotation, offsets, conductance=None):
-        self.rotation = _integer_array(rotation, "rotation")
-        self.offsets = _integer_array(offsets, "offsets")
+        self.rotation = integers("rotation", rotation)
+        self.offsets = integers("offsets", offsets)
         m = self.rotation.size
         if conductance is None:
             self.conductance = np.ones(m)
@@ -531,9 +524,9 @@ class Truncation:
                  radius: int, parent: PlanarMap | None = None,
                  parent_vertices: np.ndarray | None = None):
         self.graph = graph
-        self.boundary = np.sort(np.asarray(boundary_ids, dtype=np.int64))
-        self.root = int(root)
-        self.radius = int(radius)
+        self.boundary = np.sort(integers("boundary_ids", boundary_ids, graph.n_vertices))
+        self.root = _check_root(graph, root)
+        self.radius = integer("radius", radius, 1)
         self.parent = parent
         self.parent_vertices = parent_vertices
 
@@ -709,18 +702,20 @@ class Truncation:
                 f"radius={self.radius})")
 
 
-def _check_root(pmap: PlanarMap, root: int):
+def _check_root(pmap: PlanarMap, root) -> int:
+    """``root`` as an int, if it is an integer that names a vertex of ``pmap``."""
+    root = integer("root", root)
     if not 0 <= root < pmap.n_vertices:
         raise ValueError(f"root {root} is not a vertex of the map, whose "
                          f"{pmap.n_vertices} vertices are numbered from 0")
+    return root
 
 
 def truncate(pmap: PlanarMap, root: int, radius: int) -> Truncation:
     """Graph-distance ball of the given radius: interior is the open ball,
     boundary the radius-sphere; discarded vertices are dropped entirely."""
-    if radius < 1:
-        raise ValueError("radius must be at least 1")
-    _check_root(pmap, root)
+    radius = integer("radius", radius, 1)
+    root = _check_root(pmap, root)
     dist = _bfs_distances(pmap, root)
     if not np.any(dist == radius):
         raise ValueError(f"radius {radius} exceeds the map's reach from the root "
@@ -743,7 +738,7 @@ def boundary_truncation(pmap: PlanarMap, root: int | None = None) -> Truncation:
     if inner.size == 0:
         raise ValueError("map has no interior vertex inside its rim")
     if root is not None:
-        _check_root(pmap, root)
+        root = _check_root(pmap, root)
     else:
         # deepest interior vertex: maximize distance to the rim
         dist = _bfs_distances(pmap, boundary)
@@ -774,7 +769,7 @@ def load_map_json(source) -> PlanarMap:
     higher genus are rejected."""
     data = source if isinstance(source, dict) else json.loads(read_text(source))
     try:
-        n = int(data["vertices"])
+        n = integer("vertices", data["vertices"])
         rotations = data["rotations"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"map JSON must contain 'vertices' and 'rotations': {exc}")

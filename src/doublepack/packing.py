@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
-from .errors import ConvergenceError
+from .errors import POSITIVE, ConvergenceError, integer, number
 from .maps import Truncation
 
 __all__ = [
@@ -394,11 +394,8 @@ def solve_radii(trunc: Truncation, boundary_mode: str = "prescribed",
     walk of the dart tree.  ``defect`` is the returned radii's angle defect.
     A truncation that cannot pack raises ``ValueError`` before any solve.
     """
+    tol, max_iter = number("tol", tol, POSITIVE), integer("max_iter", max_iter, 0)
     _check_packable(trunc)
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     if boundary_mode == "prescribed":
         rb = 1.0 if boundary_radii is None else boundary_radii
         rb = np.broadcast_to(np.asarray(rb, dtype=float), trunc.boundary.shape).copy()

@@ -16,12 +16,11 @@ The walk's step tables are built once per map (``PlanarMap.walk_tables``).
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, integer, integers
 from .linalg import PinnedSolve
 from .maps import PlanarMap, Truncation
 from .textio import csv_text, read_csv
@@ -32,10 +31,6 @@ __all__ = [
     "walk_limit_estimate", "vertex_function_to_csv",
     "load_vertex_function_csv", "capacity_to_json",
 ]
-
-_SOLVE_TOL = 1e-10
-_SOLVE_FAILURE = ("harmonic solve did not reach its residual tolerance; "
-                  "the system should be well conditioned at this scale")
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,7 @@ def _target_solve(trunc: Truncation, A: np.ndarray, full: np.ndarray) -> np.ndar
     the graph is connected and the boundary pinned."""
     fixed = trunc.is_boundary.copy()
     fixed[A] = True
-    return PinnedSolve(trunc.graph.laplacian, fixed).extend(full, _SOLVE_TOL, _SOLVE_FAILURE)
+    return PinnedSolve(trunc.graph.laplacian, fixed).extend(full)
 
 
 def solve_dirichlet(trunc: Truncation, boundary_values) -> VertexFunction:
@@ -127,7 +122,7 @@ def solve_dirichlet(trunc: Truncation, boundary_values) -> VertexFunction:
         raise ValueError("boundary data has non-finite values")
     full = np.zeros(trunc.n_vertices)
     full[trunc.boundary] = bv
-    out = trunc.boundary_solver.extend(full, _SOLVE_TOL, _SOLVE_FAILURE)
+    out = trunc.boundary_solver.extend(full)
     return VertexFunction(trunc, out)
 
 
@@ -146,10 +141,8 @@ def royden_project(trunc: Truncation, phi) -> RoydenSplit:
 # ---------------------------------------------------------------------------
 
 def _target_set(trunc: Truncation, target) -> np.ndarray:
-    A = np.unique(np.asarray(target, dtype=np.int64)) if len(target) else \
-        np.empty(0, dtype=np.int64)
-    if A.size and (A.min() < 0 or A.max() >= trunc.n_vertices):
-        raise ValueError("target set contains a vertex id outside the truncation")
+    """The distinct ids in ``target``, if they are interior vertices of ``trunc``."""
+    A = np.unique(integers("target", target, trunc.n_vertices))
     if np.any(trunc.is_boundary[A]):
         raise ValueError("target set must consist of interior vertices")
     return A
@@ -188,8 +181,7 @@ def escape_capacity(trunc: Truncation, target) -> float:
     return float(np.sum(g.conductance[mask] * qbar[g.target[mask]]))
 
 
-def capacity_to_json(trunc: Truncation, est: CapacityEstimate,
-                     tolerance: float = 1e-8) -> dict:
+def capacity_to_json(trunc: Truncation, est: CapacityEstimate) -> dict:
     """Report payload: the value plus the worst relative harmonicity defect
     of the equilibrium potential away from its pinned vertices."""
     g = trunc.graph
@@ -204,7 +196,7 @@ def capacity_to_json(trunc: Truncation, est: CapacityEstimate,
     if free.any():
         residual = float(np.max(np.abs(net[free]) / g.vertex_conductance[free]))
     return {"value": float(est.value), "residual": residual,
-            "tolerance": float(tolerance)}
+            "tolerance": 1e-8}
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +205,6 @@ def capacity_to_json(trunc: Truncation, est: CapacityEstimate,
 
 _WALK_BLOCK = 32
 _WALK_CHECK = 8  # steps between absorption checks; divides _WALK_BLOCK
-
-
-def _integer(name: str, value, low: int, high: float = math.inf) -> int:
-    """``value`` as an int in [low, high), else a ValueError naming ``name``."""
-    try:
-        i = operator.index(value)
-    except TypeError:
-        i = None
-    if i is None or not low <= i < high:
-        bound = f"of at least {low}" if high == math.inf else f"from {low} to {high - 1}"
-        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
-    return i
 
 
 def walk_limit_estimate(trunc: Truncation, phi, v: int, samples: int,
@@ -248,9 +228,8 @@ def walk_limit_estimate(trunc: Truncation, phi, v: int, samples: int,
     stays there and absorption is checked every ``_WALK_CHECK`` steps only.
     """
     vals = _coerce(phi, trunc.n_vertices)
-    v = _integer("v", v, 0, trunc.n_vertices)
-    samples = _integer("samples", samples, 1)
-    seed = _integer("seed", seed, 0)
+    v = integer("v", v, 0, trunc.n_vertices)
+    samples, seed = integer("samples", samples, 1), integer("seed", seed, 0)
     if trunc.is_boundary[v]:
         return float(vals[v]), 0.0
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import integer
 from .packing import DoublePacking
 
 __all__ = ["packing_to_svg"]
@@ -18,8 +19,9 @@ def packing_to_svg(pk: DoublePacking, size: int = 720) -> str:
 
     Vertex circles are drawn solid and filled, face circles dashed and
     unfilled; the y-axis is flipped so the mathematical orientation matches
-    the picture.
+    the picture.  ``size`` is the width and height in pixels.
     """
+    size = integer("size", size, 1)
     bf = pk.trunc.bounded_faces
     xs = np.concatenate([pk.vertex_center.real, pk.face_center[bf].real])
     ys = np.concatenate([pk.vertex_center.imag, pk.face_center[bf].imag])

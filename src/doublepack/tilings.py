@@ -14,22 +14,15 @@ core, the one ``build_map`` uses, without building per-vertex lists for it.
 
 from __future__ import annotations
 
-import operator
 from itertools import chain
 
 import numpy as np
 
+from .errors import integer
 from .linalg import _SIZE_BUDGET
 from .maps import PlanarMap, _pair_half_edges
 
 __all__ = ["generate_tiling", "generate_grid"]
-
-
-def _whole(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
 def generate_tiling(p: int, q: int, layers: int) -> PlanarMap:
@@ -55,15 +48,11 @@ def generate_tiling(p: int, q: int, layers: int) -> PlanarMap:
     in creation order; the flat neighbor array goes straight to the pairing
     core that ``build_map`` uses.
 
-    p, q and ``layers`` must be integers (anything ``operator.index``
-    accepts); a float such as 2.5 raises ``ValueError`` naming the argument
-    before any growth.
+    p and q must be integers of at least 3 and ``layers`` one of at least 1
+    (``errors.integer``); anything else raises ``ValueError`` naming the
+    argument before any growth.
     """
-    p, q, layers = _whole(p, "p"), _whole(q, "q"), _whole(layers, "layers")
-    if p < 3 or q < 3:
-        raise ValueError("p and q must be at least 3")
-    if layers < 1:
-        raise ValueError("layers must be at least 1")
+    p, q, layers = integer("p", p, 3), integer("q", q, 3), integer("layers", layers, 1)
     curvature = 1.0 / p + 1.0 / q - 0.5
     if curvature > 1e-12:
         raise ValueError(f"({p},{q}) is spherical; only Euclidean and hyperbolic "
@@ -137,13 +126,11 @@ def generate_grid(nx: int, ny: int) -> PlanarMap:
     """nx-by-ny patch of the square lattice (vertex (i, j) -> id j*nx + i),
     neighbors in counterclockwise order east, north, west, south.  A patch
     of more than ``_SIZE_BUDGET`` vertices, or a side that is not an
-    integer, raises before any allocation.
+    integer of at least 2, raises before any allocation.
 
     The east/north/west/south table is written by index arithmetic, and the
     entries that leave the patch are masked out row by row."""
-    nx, ny = _whole(nx, "nx"), _whole(ny, "ny")
-    if nx < 2 or ny < 2:
-        raise ValueError("grid patch needs at least 2 vertices per side")
+    nx, ny = integer("nx", nx, 2), integer("ny", ny, 2)
     if nx * ny > _SIZE_BUDGET:
         raise ValueError(f"a {nx}x{ny} grid patch has {nx * ny} vertices; "
                          f"the size budget is {_SIZE_BUDGET}")

@@ -16,9 +16,10 @@ import numpy as np
 
 from .continuum import (BoundaryFunction, HarmonicDiscField, energy_continuous,
                         grid_capacity, poisson_extend)
+from .errors import HALF, UNIT, integer, number
 from .maps import Truncation
 from .packing import DoublePacking
-from .potential import (VertexFunction, _coerce, _integer, capacity, energy,
+from .potential import (VertexFunction, _coerce, _target_set, capacity, energy,
                         royden_project)
 
 __all__ = [
@@ -173,7 +174,9 @@ def _resolve_trace_params(trunc, packing, eps_trace, k_max, n_theta):
     if reach.max() > 1.0 + 1e-6 or reach.min() < 0.9:
         raise ValueError("carrier must fill the unit disc (pack with "
                          "boundary_mode='disc') before tracing")
-    if eps_trace is None:
+    if eps_trace is not None:
+        eps_trace = number("eps_trace", eps_trace, UNIT)
+    else:
         # keep the trace clear of the outermost circle layer
         r_max = float(np.max(packing.vertex_radius[trunc.boundary]))
         eps_trace = 4.0 * r_max
@@ -182,27 +185,17 @@ def _resolve_trace_params(trunc, packing, eps_trace, k_max, n_theta):
                 f"the derived eps_trace {eps_trace:.4g} (4 times the largest "
                 f"boundary circle radius, {r_max:.4g}) is not below 1; use a "
                 "larger truncation radius")
-    eps_trace = float(eps_trace)
-    if not 0.0 < eps_trace < 1.0:
-        raise ValueError("eps_trace must lie strictly between 0 and 1")
-    if k_max is None:
-        # keep the per-mode rescaling factor rho^-K within one decade: higher
-        # modes carry more interpolation noise than signal once amplified
-        k_max = min(math.floor(math.log(10.0) / -math.log1p(-eps_trace)), 64)
-        k_max = max(int(k_max), 1)
-    k_max = int(k_max)
-    if k_max < 1:
-        raise ValueError("k_max must be positive")
+    # by default, keep the per-mode rescaling factor rho^-K within one decade:
+    # higher modes carry more interpolation noise than signal once amplified
+    k_max = (max(min(math.floor(math.log(10.0) / -math.log1p(-eps_trace)), 64), 1)
+             if k_max is None else integer("k_max", k_max, 1))
     amp = (1.0 - eps_trace) ** (-k_max)
     if amp > 1e4:
         raise ValueError(f"recovering mode {k_max} from radius "
                          f"{1.0 - eps_trace:.4f} would amplify trace noise by "
                          f"{amp:.1e}; lower k_max or eps_trace")
-    if n_theta is None:
-        n_theta = max(256, 4 * k_max)
-    n_theta = int(n_theta)
-    if n_theta < 4 * k_max:
-        raise ValueError("n_theta must be at least 4*k_max")
+    n_theta = (max(256, 4 * k_max) if n_theta is None
+               else integer("n_theta", n_theta, 4 * k_max))
     return eps_trace, k_max, n_theta
 
 
@@ -291,18 +284,18 @@ def capacity_comparison(trunc: Truncation, packing: DoublePacking, target,
     """Discrete capacity of a vertex set against the continuum capacity of
     the union of its shrunk discs.  Returns (discrete, continuum, ratio)."""
     _check_same_map(trunc, packing)
+    discs = shrunk_discs(packing, target, delta)
     est = capacity(trunc, target)
-    cont = grid_capacity(shrunk_discs(packing, target, delta), grid_h)
+    cont = grid_capacity(discs, grid_h)
     return est.value, cont, cont / est.value if est.value > 0.0 else float("nan")
 
 
 def shrunk_discs(packing: DoublePacking, target, delta: float) -> list:
-    """The discs of the target vertices shrunk by ``delta`` in (0, 1/2], as
-    (center, radius) pairs: the continuum target of ``capacity_comparison``."""
-    if not 0.0 < delta <= 0.5:
-        raise ValueError("delta must lie in (0, 1/2]")
+    """The discs of the target vertices, interior ones, shrunk by ``delta`` in
+    (0, 1/2], as (center, radius) pairs: the target of ``capacity_comparison``."""
+    delta = number("delta", delta, HALF)
     return [(packing.vertex_center[v], delta * packing.vertex_radius[v])
-            for v in np.unique(np.asarray(target, dtype=np.int64))]
+            for v in _target_set(packing.trunc, target)]
 
 
 @dataclass(frozen=True)
@@ -341,11 +334,9 @@ def harnack_fit(trunc: Truncation, packing: DoublePacking, h_samples,
     ``triu_indices(40, k=1)``, cut to the pairs within the ball's size: that
     is the pair table of its size, in the same order.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    n_balls = _integer("n_balls", n_balls, 1)
-    pairs_per_ball = _integer("pairs_per_ball", pairs_per_ball, 1)
-    seed = _integer("seed", seed, 0)
+    alpha, seed = number("alpha", alpha, UNIT), integer("seed", seed, 0)
+    n_balls = integer("n_balls", n_balls, 1)
+    pairs_per_ball = integer("pairs_per_ball", pairs_per_ball, 1)
     sample_vals = [_vertex_values(trunc, h) for h in h_samples]
     if not sample_vals:
         raise ValueError("at least one harmonic sample is required")
@@ -393,10 +384,9 @@ def harnack_fit(trunc: Truncation, packing: DoublePacking, h_samples,
     pairs = np.column_stack([x, y])
     pos = (x > 0.0) & (y > _RATIO_FLOOR)
     if int(pos.sum()) < 2 or math.log(x[pos].max() / x[pos].min()) < _MIN_LOG_SPAN:
-        return HarnackFit(0.0, 0.0, False, pairs, float(alpha))
+        return HarnackFit(0.0, 0.0, False, pairs, alpha)
     slope, intercept = np.polyfit(np.log(x[pos]), np.log(y[pos]), 1)
-    return HarnackFit(float(slope), float(math.exp(intercept)), True, pairs,
-                      float(alpha))
+    return HarnackFit(float(slope), float(math.exp(intercept)), True, pairs, alpha)
 
 
 def transfer_report_to_json(report: TransferReport) -> dict:

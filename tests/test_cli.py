@@ -401,17 +401,19 @@ class TestExitCodes:
     def test_bad_tolerance_is_config_error(self, tmp_path):
         assert run(tmp_path, "pack", "--grid", "4", "--pack-tol", "-1") == 2
 
-    @pytest.mark.parametrize("args,name", [
-        (("pack", "--grid", "5", "--pack-tol", "inf"), "pack_tol"),
-        (("pack", "--grid", "5", "--pack-tol", "nan"), "pack_tol"),
-        (("capacity", "--grid", "5", "--delta", "inf"), "delta"),
-        (("capacity", "--grid", "5", "--grid-h", "inf"), "grid_h"),
-        (("roundtrip", "--tiling", "7,3", "--eps-trace", "inf"), "eps_trace"),
+    @pytest.mark.parametrize("args,cause", [
+        (("pack", "--grid", "5", "--pack-tol", "inf"), "pack_tol must be finite and positive"),
+        (("pack", "--grid", "5", "--pack-tol", "nan"), "pack_tol must be finite and positive"),
+        (("capacity", "--grid", "5", "--delta", "inf"), "delta must lie in (0, 1/2], got inf"),
+        (("capacity", "--grid", "5", "--grid-h", "inf"),
+         "grid_h must lie in (0, 1/4], got inf"),
+        (("roundtrip", "--tiling", "7,3", "--eps-trace", "inf"),
+         "eps_trace must lie strictly between 0 and 1, got inf"),
     ], ids=["pack-tol-inf", "pack-tol-nan", "delta-inf", "grid-h-inf", "eps-trace-inf"])
-    def test_non_finite_value_is_config_error(self, tmp_path, capsys, args, name):
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, args, cause):
         # an infinite tolerance would pass a packing that does not pack
         assert run(tmp_path, *args) == 2
-        assert f"{name} must be finite and positive" in capsys.readouterr().err
+        assert cause in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_malformed_tiling_is_config_error(self, tmp_path, capsys):
@@ -581,9 +583,21 @@ class TestExitCodes:
         ("root-negative", ("pack", "--map", "m.json", "--radius", "2", "--root", "-1"),
          {"command": "pack", "map_file": "m.json", "radius": 2, "root": -1},
          "root must be at least 0, got -1"),
+        # the library's own ranges and wording, before the ball is packed
+        ("capacity-delta", ("capacity", "--tiling", "7,3", "--delta", "0.7"),
+         {"command": "capacity", "tiling": (7, 3), "delta": 0.7},
+         "delta must lie in (0, 1/2], got 0.7"),
+        ("capacity-grid-h", ("capacity", "--tiling", "7,3", "--grid-h", "0.3"),
+         {"command": "capacity", "tiling": (7, 3), "grid_h": 0.3},
+         "grid_h must lie in (0, 1/4], got 0.3"),
+        ("roundtrip-eps-trace", ("roundtrip", "--tiling", "7,3", "--eps-trace", "1.5"),
+         {"command": "roundtrip", "tiling": (7, 3), "eps_trace": 1.5},
+         "eps_trace must lie strictly between 0 and 1, got 1.5"),
     ]))
-    def test_request_the_command_cannot_run_is_refused(self, tmp_path, capsys, entry,
-                                                       args, config, cause):
+    def test_request_the_command_cannot_run_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                       entry, args, config, cause):
+        # the gate refuses before any map is built: building one would fail here
+        monkeypatch.setattr(cli, "_truncations", None)
         refused(capsys, tmp_path / "out", entry, args, config, cause)
 
     @pytest.mark.parametrize("args, code", [
@@ -626,6 +640,21 @@ class TestExitCodes:
         written.clear()
         assert run(tmp_path / "new" / "out", "douglas", "--kmax", "3") == 4
         assert not (tmp_path / "new").exists()
+
+    def test_artifact_name_taken_by_a_directory_leaves_the_output_as_it_was(self, tmp_path,
+                                                                           capsys):
+        out = tmp_path / "out"
+        assert run(out, "pack", "--grid", "5") == 0
+        before = (out / "packing.json").read_bytes()
+        (out / "packing.svg").unlink()
+        (out / "packing.svg").mkdir()
+        capsys.readouterr()
+        assert run(out, "pack", "--grid", "6") == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "packing.svg" in err[0]
+        # nothing replaced, and no temporary name left
+        assert (out / "packing.json").read_bytes() == before
+        assert sorted(path.name for path in out.iterdir()) == ["packing.json", "packing.svg"]
 
     def test_derived_trace_depth_too_deep_is_bad_input(self, tmp_path, capsys):
         # no --eps-trace: on the radius-1 ball the default, four boundary

@@ -106,17 +106,22 @@ class TestEnergyContinuous:
         # k^2 r^(2k-2), integrating to k^2 * 2pi/(2k).
         for k in range(1, 7):
             field = field_from_single_mode(k, a=1.0)
-            assert energy_continuous(field, 1.0) == pytest.approx(k * math.pi)
+            assert energy_continuous(field) == pytest.approx(k * math.pi)
 
     def test_monotone_in_radius_and_additive(self):
+        # the energy over the disc of radius rho is that of z -> H(rho z)
+        # over the unit disc, whose coefficients are rho^k a_k and rho^k b_k
+        def dilated(f, rho):
+            scale = rho ** np.arange(1, f.degree + 1)
+            return HarmonicDiscField(f.a0, f.a * scale, f.b * scale)
+
         rng = np.random.default_rng(4)
         f = HarmonicDiscField(0.5, rng.normal(size=6), rng.normal(size=6))
-        energies = [energy_continuous(f, rho) for rho in (0.4, 0.7, 1.0)]
+        energies = [energy_continuous(dilated(f, rho)) for rho in (0.4, 0.7, 1.0)]
         assert energies[0] <= energies[1] <= energies[2]
-        total = sum(
-            energy_continuous(field_from_single_mode(k, f.a[k - 1], f.b[k - 1]), 0.8)
-            for k in range(1, 7))
-        assert energy_continuous(f, 0.8) == pytest.approx(total)
+        total = sum(energy_continuous(dilated(
+            field_from_single_mode(k, f.a[k - 1], f.b[k - 1]), 0.8)) for k in range(1, 7))
+        assert energy_continuous(dilated(f, 0.8)) == pytest.approx(total)
 
 
 def douglas_pairwise_reference(boundary, n):
@@ -171,7 +176,7 @@ class TestDouglasEnergy:
         f = HarmonicDiscField(0.0, a, b)
         bf = BoundaryFunction(func=lambda t: f.evaluate(np.exp(1j * t)))
         d = douglas_energy(bf, 2048)
-        e = energy_continuous(f, 1.0)
+        e = energy_continuous(f)
         assert abs(d - e) / e <= 1e-2
 
     def test_odd_or_small_grid_rejected(self):

@@ -4,6 +4,7 @@ tilings, truncations, serialization."""
 import hashlib
 import io
 import json
+import re
 from collections import defaultdict
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from doublepack.maps import (
     PlanarMap,
+    Truncation,
     build_map,
     boundary_truncation,
     canonical_encoding,
@@ -641,15 +643,21 @@ class TestTilings:
         assert_same_map(generate_grid(nx, ny), generate_grid_reference(nx, ny))
 
     @pytest.mark.parametrize("args,name", [((7, 3, 2.5), "layers"), ((7.0, 3, 2), "p"),
-                                           ((7, "3", 2), "q")])
+                                           ((7, "3", 2), "q"), ((7, 3, True), "layers")])
     def test_non_integer_tiling_sizes_rejected(self, args, name):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             generate_tiling(*args)
 
-    @pytest.mark.parametrize("args,name", [((3.0, 3), "nx"), ((3, 2.5), "ny")])
+    @pytest.mark.parametrize("args,name", [((3.0, 3), "nx"), ((3, 2.5), "ny"),
+                                           ((True, 3), "nx"), ((3, "3"), "ny")])
     def test_non_integer_grid_sizes_rejected(self, args, name):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             generate_grid(*args)
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert_same_map(generate_tiling(np.int64(7), np.int32(3), np.uint8(2)),
+                        generate_tiling(7, 3, 2))
+        assert_same_map(generate_grid(np.int64(3), np.int16(4)), generate_grid(3, 4))
 
     def test_grid_shape(self):
         m = generate_grid(5, 3)
@@ -689,6 +697,22 @@ class TestTruncation:
         with pytest.raises(ValueError, match=rf"root {root} is not a vertex "
                            rf"of the map, whose {parent.n_vertices} vertices"):
             cut(parent, root)
+
+    @pytest.mark.parametrize("given, cause", [
+        ({"boundary_ids": [0.5]}, "boundary_ids must be an integer array, not float64"),
+        ({"boundary_ids": [1, 7]}, "boundary_ids must hold integers from 0 to 6, got 7"),
+        ({"root": 1.0}, "root must be an integer, got 1.0"),
+        ({"root": -1}, "root -1 is not a vertex of the map"),
+        ({"radius": 0}, "radius must be an integer of at least 1, got 0"),
+        ({"radius": True}, "radius must be an integer of at least 1, got True"),
+    ], ids=["float-boundary", "far-boundary", "float-root", "negative-root", "radius-0",
+            "bool-radius"])
+    def test_bad_truncation_argument_names_it(self, given, cause):
+        flower = generate_tiling(6, 3, 1)
+        base = {"boundary_ids": range(1, 7), "root": np.int64(0), "radius": np.int64(1)}
+        assert Truncation(flower, **base).root == 0
+        with pytest.raises(ValueError, match="^" + re.escape(cause)):
+            Truncation(flower, **{**base, **given})
 
     def test_distances_from_several_sources(self):
         m = generate_grid(5, 4)

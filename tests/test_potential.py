@@ -11,7 +11,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from conftest import delaunay_rotations
-from doublepack import linalg, potential
+from doublepack import linalg
 from doublepack.errors import InvariantViolation
 from doublepack.maps import (
     Truncation,
@@ -292,7 +292,7 @@ class TestFactorizationCache:
     ], ids=["dirichlet", "capacity"])
     def test_refinement_failure_keeps_its_message(self, solve, monkeypatch):
         t = truncate(generate_tiling(7, 3, 5), 0, 4)
-        monkeypatch.setattr(potential, "_SOLVE_TOL", 0.0)
+        monkeypatch.setattr(linalg, "_SOLVE_TOL", 0.0)
         with pytest.raises(InvariantViolation, match=(
                 "^harmonic solve did not reach its residual tolerance; the "
                 "system should be well conditioned at this scale$")):
@@ -552,7 +552,7 @@ class TestWalkKernel:
 
     @pytest.mark.parametrize("arg, value", [
         ("v", -1), ("v", 85), ("v", 2.0), ("samples", 100.5), ("samples", 0),
-        ("seed", 1.5), ("seed", -1),
+        ("seed", 1.5), ("seed", -1), ("v", True), ("samples", "3"),
     ])
     def test_bad_argument_names_it(self, arg, value):
         t = truncate(generate_tiling(7, 3, 4), 0, 3)
@@ -560,6 +560,12 @@ class TestWalkKernel:
         kwargs = {"v": int(t.root), "samples": 100, "seed": 1, arg: value}
         with pytest.raises(ValueError, match=f"^{arg} must be an integer"):
             walk_limit_estimate(t, np.arange(85.0), **kwargs)
+
+    def test_numpy_integer_arguments_accepted(self):
+        t = truncate(generate_tiling(7, 3, 4), 0, 3)
+        phi = np.arange(85.0)
+        assert walk_limit_estimate(t, phi, np.int64(5), np.uint16(50), np.int32(2)) == \
+            walk_limit_estimate(t, phi, 5, 50, 2)
 
 
 class TestSerialization:

@@ -11,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doublepack import packing, transfer
-from doublepack.continuum import HarmonicDiscField
+from doublepack.continuum import (BoundaryFunction, HarmonicDiscField, douglas_energy,
+                                  grid_capacity, poisson_extend)
 from doublepack.maps import boundary_truncation, build_map, truncate
 from doublepack.packing import Carrier, layout, solve_radii
-from doublepack.potential import energy, royden_project, solve_dirichlet
+from doublepack.potential import (capacity, energy, escape_capacity, royden_project,
+                                  solve_dirichlet)
+from doublepack.render import packing_to_svg
 from doublepack.tilings import generate_grid, generate_tiling
 from doublepack.transfer import (
     capacity_comparison,
@@ -25,6 +28,7 @@ from doublepack.transfer import (
     harnack_fit,
     harnack_to_json,
     roundtrip,
+    shrunk_discs,
     transfer_report_to_json,
 )
 
@@ -316,8 +320,8 @@ class TestTraceParams:
     @pytest.mark.parametrize("eps_trace", [1.0, 1.5])
     def test_given_depth_keeps_its_message(self, hyp_disc_pk, eps_trace):
         t = hyp_disc_pk.trunc
-        with pytest.raises(ValueError,
-                           match="^eps_trace must lie strictly between 0 and 1$"):
+        with pytest.raises(ValueError, match=(
+                f"^eps_trace must lie strictly between 0 and 1, got {eps_trace}$")):
             roundtrip(t, hyp_disc_pk, np.zeros(t.n_vertices), eps_trace=eps_trace)
 
 
@@ -534,13 +538,23 @@ class TestHarnackFit:
 
     @pytest.mark.parametrize("arg, value", [
         ("n_balls", -3), ("n_balls", 0), ("pairs_per_ball", -2), ("pairs_per_ball", 2.5),
-        ("seed", -1),
+        ("seed", -1), ("n_balls", True), ("seed", "3"),
     ])
     def test_bad_count_names_it(self, hyp_disc_pk, arg, value):
         pk = hyp_disc_pk
         h = disc_operator(pk.trunc, pk, RE_Z)
         with pytest.raises(ValueError, match=f"^{arg} must be an integer"):
             harnack_fit(pk.trunc, pk, [h], alpha=0.5, **{arg: value})
+
+    def test_numpy_integer_counts_accepted(self, hyp_disc_pk):
+        pk = hyp_disc_pk
+        h = disc_operator(pk.trunc, pk, RE_Z)
+        want = harnack_fit(pk.trunc, pk, [h], alpha=0.5, seed=3, n_balls=20,
+                           pairs_per_ball=30)
+        got = harnack_fit(pk.trunc, pk, [h], alpha=np.float64(0.5), seed=np.int64(3),
+                          n_balls=np.int64(20), pairs_per_ball=np.uint8(30))
+        assert got.pairs.tobytes() == want.pairs.tobytes()
+        assert type(got.alpha) is float
 
     def test_json_payload(self, hyp_disc_pk):
         pk = hyp_disc_pk
@@ -549,3 +563,43 @@ class TestHarnackFit:
         payload = harnack_to_json(fit)
         assert {"beta_hat", "C_hat", "fitted", "pairs"} <= set(payload)
         assert len(payload["pairs"]) == len(fit.pairs)
+
+
+COS = BoundaryFunction(func=np.cos)
+
+
+# one call per argument check of the library: each bad value is refused by a
+# ValueError whose message starts with the argument's name
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda pk: capacity(pk.trunc, [0.5]), "target", id="capacity-float-target"),
+    pytest.param(lambda pk: escape_capacity(pk.trunc, [1.9]), "target",
+                 id="escape-capacity-float-target"),
+    pytest.param(lambda pk: shrunk_discs(pk, [0.5], 0.5), "target",
+                 id="shrunk-discs-float-target"),
+    pytest.param(lambda pk: shrunk_discs(pk, [10 ** 6], 0.5), "target",
+                 id="shrunk-discs-far-target"),
+    pytest.param(lambda pk: capacity_comparison(pk.trunc, pk, [0.5]), "target",
+                 id="capacity-comparison-float-target"),
+    pytest.param(lambda pk: douglas_energy(COS, "2048"), "n_theta", id="douglas-str-n-theta"),
+    pytest.param(lambda pk: grid_capacity([(0j, 0.25)], "0.125"), "grid_h",
+                 id="grid-capacity-str-h"),
+    pytest.param(lambda pk: poisson_extend(COS, 2.9), "K_max", id="poisson-float-k-max"),
+    pytest.param(lambda pk: cont_operator(pk.trunc, pk, np.zeros(pk.trunc.n_vertices),
+                                          eps_trace=0.2, k_max=3.9), "k_max",
+                 id="cont-operator-float-k-max"),
+    pytest.param(lambda pk: roundtrip(pk.trunc, pk, np.zeros(pk.trunc.n_vertices),
+                                      eps_trace=0.2, n_theta=256.5), "n_theta",
+                 id="roundtrip-float-n-theta"),
+    pytest.param(lambda pk: COS.sample(64.5), "n", id="sample-float-n"),
+    pytest.param(lambda pk: generate_tiling(7, 3, True), "layers", id="tiling-bool-layers"),
+    pytest.param(lambda pk: truncate(generate_tiling(7, 3, 3), 1.0, 2), "root",
+                 id="truncate-float-root"),
+    pytest.param(lambda pk: packing_to_svg(pk, True), "size", id="svg-bool-size"),
+    pytest.param(lambda pk: solve_radii(pk.trunc, max_iter=2.5), "max_iter",
+                 id="solve-radii-float-max-iter"),
+    pytest.param(lambda pk: harnack_fit(pk.trunc, pk, [np.zeros(pk.trunc.n_vertices)],
+                                        alpha="0.5"), "alpha", id="harnack-str-alpha"),
+])
+def test_bad_argument_is_refused_by_name(hyp_disc_pk, call, name):
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        call(hyp_disc_pk)
