@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QUARTER, integer, number
+from .errors import FINITE, NONNEGATIVE, QUARTER, integer, number
 from .linalg import _SIZE_BUDGET, lattice_solve
 from .textio import csv_text, read_csv
 
@@ -39,11 +39,11 @@ class HarmonicDiscField:
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if a.shape != b.shape or a.ndim != 1:
             raise ValueError("cosine and sine coefficient arrays must match")
-        if not (np.isfinite(self.a0) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("non-finite Fourier coefficient")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a0", float(self.a0))
+        object.__setattr__(self, "a0", number("a0", self.a0, FINITE))
 
     @property
     def degree(self) -> int:
@@ -207,9 +207,7 @@ def grid_capacity(target, grid_h: float) -> float:
     ``_SIZE_BUDGET`` nodes, past which it raises before any allocation.
     """
     h = number("grid_h", grid_h, QUARTER)
-    discs = [(complex(c), float(r)) for c, r in target]
-    if any(r < 0 for _, r in discs):
-        raise ValueError("disc radius cannot be negative")
+    discs = [(complex(c), number("target radius", r, NONNEGATIVE)) for c, r in target]
     if not discs:
         return 0.0
     for c, r in discs:

@@ -55,7 +55,9 @@ def integers(name: str, values, high: float = math.inf) -> np.ndarray:
 
 
 # ranges of real arguments: (test, what a value outside the range must be)
+FINITE = (math.isfinite, "must be finite")
 POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and positive")
+NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and non-negative")
 UNIT = (lambda v: 0 < v < 1, "must lie strictly between 0 and 1")
 HALF = (lambda v: 0 < v <= 0.5, "must lie in (0, 1/2]")
 QUARTER = (lambda v: 0 < v <= 0.25, "must lie in (0, 1/4]")

@@ -13,16 +13,18 @@ circles along the same tree and checks every closing constraint in one
 vectorized pass; ``compute_delta0`` extracts the shrinkage level.
 
 The shrinkage level needs the delta-sausages of non-adjacent edges to be
-disjoint.  That test does not look at every pair of edges: a k-d tree over
-the edge midpoints keeps only the pairs that could fail below a cap, and the
-bound is exact below the cap.  The cap follows the delta under test: just
-above the largest dyadic delta <= 1/2 that the edge condition admits in
-``compute_delta0``.
+disjoint.  That test does not look at every pair of edges, only at the pairs
+whose midpoints are close enough to fail below a cap, and the bound is exact
+below the cap.  The edges are grouped into octave classes of that closeness
+radius, each with a k-d tree over its midpoints; searching every pair of
+classes at the sum of their largest radii finds a superset of those pairs a
+block at a time, in memory bounded by the largest block.  The cap follows
+the delta under test: just above the largest dyadic delta <= 1/2 that the
+edge condition admits in ``compute_delta0``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -499,18 +501,50 @@ def _edge_condition_bound(pk: DoublePacking) -> float:
     return float(np.min(d / (4.0 * pk.vertex_radius[g.origin])))
 
 
+def _close_pairs(mid: np.ndarray, rho: np.ndarray):
+    """Blocks (i, j) of index pairs that hold every unordered pair of points
+    ``mid`` closer than rho_i + rho_j, each once, among others no farther
+    than twice that.
+
+    Class k holds the points with floor(log2(max rho / rho)) = k, each class
+    has a k-d tree, and ``top`` is a class's largest rho.  A pair in classes
+    ci and cj has rho_i + rho_j <= top_ci + top_cj, so one block searches each
+    class against itself at twice its top and one each later class at
+    top_ci + top_cj.  Every rho exceeds half its class's top, so no search
+    reaches past twice the distance it must cover: a point of large rho does
+    not sweep up the many small ones beyond it.
+    """
+    octave = np.floor(np.log2(rho.max() / rho))
+    order = np.argsort(octave, kind="stable")
+    members = np.split(order, np.flatnonzero(np.diff(octave[order])) + 1)
+    trees = [cKDTree(np.column_stack([mid[m].real, mid[m].imag])) for m in members]
+    top = [float(rho[m].max()) for m in members]
+    for ci, (mi, ti) in enumerate(zip(members, trees)):
+        pairs = ti.query_pairs(2.0 * top[ci], output_type="ndarray")
+        yield mi[pairs[:, 0]], mi[pairs[:, 1]]
+        for cj in range(ci + 1, len(members)):
+            hits = ti.sparse_distance_matrix(trees[cj], top[ci] + top[cj],
+                                             output_type="ndarray")
+            yield mi[hits["i"]], members[cj][hits["j"]]
+
+
 def _sausage_bound(pk: DoublePacking, cap: float) -> float:
     """Largest delta below which all non-adjacent edge sausages are disjoint,
     by a conservative capsule test: the segment-to-segment distance must
     exceed delta times the sum of the larger endpoint radii.
 
     Exact below ``cap``: the smallest pair ratio when it is below ``cap``,
-    else ``math.inf``.  A pair whose ratio is below ``cap`` has midpoints
-    closer than rho_i + rho_j <= 2 max(rho), where rho is the half length
-    plus ``cap`` times the larger endpoint radius.  So a k-d tree query at
-    twice its rho around each midpoint finds the candidates, each pair once
-    from its side with the larger rho; only disjoint candidates with
-    midpoints closer than rho_i + rho_j are tested.  Callers pass
+    else ``math.inf``.  Let rho be an edge's half length plus ``cap`` times
+    its larger endpoint radius.  A pair whose ratio is below ``cap`` has a
+    point on each segment closer than ``cap`` times the radius sum, so its
+    midpoints are closer than rho_i + rho_j; ``_close_pairs`` finds those,
+    and only the disjoint ones are tested, block by block against a running
+    minimum (which does not depend on the order of the blocks; the test is
+    symmetric in the two edges).  rho carries a 1e-6 relative margin, a
+    million times the rounding in the ratio and in these distances, so no
+    pair whose computed ratio is below ``cap`` can fall outside the test,
+    while a pair at the test's rounding edge has a ratio of at least ``cap``
+    and cannot change a result below it.  Callers pass
     ``_sausage_cap(delta)`` for the largest delta they test.
     """
     g = pk.trunc.graph
@@ -520,18 +554,7 @@ def _sausage_bound(pk: DoublePacking, cap: float) -> float:
     b = pk.vertex_center[v]
     rmax = np.maximum(pk.vertex_radius[u], pk.vertex_radius[v])
     mid = 0.5 * (a + b)
-    # the margin keeps rounding from dropping a pair whose ratio is below cap
     rho = (0.5 * np.abs(b - a) + cap * rmax) * (1.0 + 1e-6)
-    tree = cKDTree(np.column_stack([mid.real, mid.imag]))
-    hits = tree.query_ball_point(tree.data, 2.0 * rho)
-    ii = np.repeat(np.arange(u.size), [len(h) for h in hits])
-    jj = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp,
-                     count=ii.size)
-    ok = (rho[ii] > rho[jj]) | ((rho[ii] == rho[jj]) & (ii < jj))
-    ok &= (u[ii] != u[jj]) & (u[ii] != v[jj])
-    ok &= (v[ii] != u[jj]) & (v[ii] != v[jj])
-    ok &= np.abs(mid[ii] - mid[jj]) < rho[ii] + rho[jj]
-    ii, jj = ii[ok], jj[ok]
 
     def seg_point(p, sa, sb):
         ab = sb - sa
@@ -542,17 +565,22 @@ def _sausage_bound(pk: DoublePacking, cap: float) -> float:
     def cross(o, p, q):
         return ((p - o) * (q - o).conj()).imag
 
-    ai, bi = a[ii], b[ii]
-    aj, bj = a[jj], b[jj]
-    d = np.minimum(
-        np.minimum(seg_point(ai, aj, bj), seg_point(bi, aj, bj)),
-        np.minimum(seg_point(aj, ai, bi), seg_point(bj, ai, bi)))
-    # proper crossings have distance zero
-    s1 = cross(ai, bi, aj) * cross(ai, bi, bj)
-    s2 = cross(aj, bj, ai) * cross(aj, bj, bi)
-    d = np.where((s1 < 0) & (s2 < 0), 0.0, d)
-    ratio = d / (rmax[ii] + rmax[jj])
-    best = float(ratio.min()) if ratio.size else math.inf
+    best = math.inf
+    for ii, jj in _close_pairs(mid, rho):
+        ok = (u[ii] != u[jj]) & (u[ii] != v[jj])
+        ok &= (v[ii] != u[jj]) & (v[ii] != v[jj])
+        ok &= np.abs(mid[ii] - mid[jj]) < rho[ii] + rho[jj]
+        ii, jj = ii[ok], jj[ok]
+        ai, bi = a[ii], b[ii]
+        aj, bj = a[jj], b[jj]
+        d = np.minimum(
+            np.minimum(seg_point(ai, aj, bj), seg_point(bi, aj, bj)),
+            np.minimum(seg_point(aj, ai, bi), seg_point(bj, ai, bi)))
+        # proper crossings have distance zero
+        s1 = cross(ai, bi, aj) * cross(ai, bi, bj)
+        s2 = cross(aj, bj, ai) * cross(aj, bj, bi)
+        d = np.where((s1 < 0) & (s2 < 0), 0.0, d)
+        best = min(best, float(np.min(d / (rmax[ii] + rmax[jj]), initial=math.inf)))
     return best if best < cap else math.inf
 
 

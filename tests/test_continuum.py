@@ -97,6 +97,12 @@ class TestPoissonExtend:
             poisson_extend(BoundaryFunction(samples=np.cos(theta)), K_max=5)
 
 
+class TestHarmonicDiscField:
+    def test_string_a0_rejected(self):
+        with pytest.raises(ValueError, match="a0 must be finite, got '1'"):
+            HarmonicDiscField("1", [1.0], [0.0])
+
+
 class TestEnergyContinuous:
     def test_constant_zero(self):
         assert energy_continuous(HarmonicDiscField(3.0, np.zeros(2), np.zeros(2))) == 0.0
@@ -216,6 +222,11 @@ class TestGridCapacity:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             grid_capacity([(0.1j, -0.1)], 1 / 64)
+
+    @pytest.mark.parametrize("radius, shown", [("0.25", "'0.25'"), (True, "True")])
+    def test_radius_that_is_not_a_real_rejected(self, radius, shown):
+        with pytest.raises(ValueError, match=f"target radius .* got {shown}"):
+            grid_capacity([(0j, radius)], 1 / 32)
 
     @pytest.mark.parametrize("h, nodes", [(2e-5, "1e\\+10"), (1e-320, "inf")])
     def test_oversized_lattice_rejected_before_allocation(self, h, nodes):

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -811,8 +812,9 @@ class TestDelta0:
             u, v = int(g.origin[e]), int(g.target[e])
             assert 0.25 * abs(z[u] - z[v]) >= d0 * r[u] * (1 - 1e-12)
 
-    def test_matches_the_all_pairs_reference(self, disc_packing):
-        assert compute_delta0(disc_packing) == reference_delta0(disc_packing)
+    def test_matches_the_all_pairs_reference(self, sausage_packing):
+        pk, _ = sausage_packing
+        assert compute_delta0(pk) == reference_delta0(pk)
 
     def test_sausages_set_delta0_on_the_delaunay_map(self, monkeypatch):
         # the edges admit 1/4 (m_edge 0.262) but the sausages only 1/16:
@@ -854,30 +856,90 @@ class TestDelta0:
         assert compute_delta0(pk1) == compute_delta0(pk2)
 
 
+def split_lattice_packing():
+    """The 9x9 grid on the exact lattice of spacing 2, with unit vertex
+    circles on its right half and quarter circles on its left.  Edge lengths
+    and radii are exact, so rho takes two values, each shared by many edges:
+    3 (1 + 1e-6) where an edge reaches the right half and 1.5 (1 + 1e-6) on
+    the left at cap 2, where the octave split falls exactly between them."""
+    t = boundary_truncation(generate_grid(9, 9))
+    pk = layout(t, solve_radii(t))
+    spacing = 2.0 * pk.vertex_radius[0]
+    z = 2.0 * np.round(pk.vertex_center / spacing)
+    return dataclasses.replace(pk, vertex_center=z,
+                               vertex_radius=np.where(z.real > 0, 1.0, 0.25))
+
+
+def packed(t, mode="disc"):
+    return layout(t, solve_radii(t, boundary_mode=mode))
+
+
 @pytest.fixture(scope="module", params=[
-    lambda: truncate(generate_tiling(7, 3, 5), root=0, radius=4),
-    lambda: boundary_truncation(generate_grid(11, 11)),
-    lambda: delaunay_truncation(100, seed=5),
-], ids=["ball4", "grid11", "delaunay100"])
-def disc_packing(request):
-    t = request.param()
-    return layout(t, solve_radii(t, boundary_mode="disc"))
+    lambda: packed(truncate(generate_tiling(7, 3, 5), root=0, radius=4)),
+    lambda: packed(boundary_truncation(generate_grid(11, 11))),
+    lambda: packed(delaunay_truncation(100, seed=5)),
+    # rho spans about 5.6 octave classes
+    lambda: packed(truncate(generate_tiling(7, 3, 5), root=0, radius=5)),
+    # all circles equal, so every rho falls in one class
+    lambda: packed(boundary_truncation(generate_grid(11, 11)), "prescribed"),
+    split_lattice_packing,
+], ids=["ball4", "grid11", "delaunay100", "ball5", "prescribed_grid11",
+        "split_lattice"])
+def sausage_packing(request):
+    """A laid-out packing and its all-pairs sausage bound."""
+    pk = request.param()
+    return pk, brute_sausage_bound(pk)
 
 
 class TestSausageBound:
-    @pytest.mark.parametrize("cap", [0.1, _sausage_cap(0.5), 1.0, 2.0])
-    def test_matches_all_pairs_below_cap(self, disc_packing, cap):
-        ref = brute_sausage_bound(disc_packing)
-        got = _sausage_bound(disc_packing, cap)
+    # those of compute_delta0 for 1/4 (the balls) and 1/2, and values on
+    # both sides
+    @pytest.mark.parametrize("cap", [0.1, _sausage_cap(0.5), 1.0, 2.0, 0.05,
+                                     _sausage_cap(0.25)])
+    def test_matches_all_pairs_below_cap(self, sausage_packing, cap):
+        pk, ref = sausage_packing
+        got = _sausage_bound(pk, cap)
         if ref < cap:
             assert got == ref
         else:
             assert got >= cap
 
-    def test_exact_at_the_cap(self, disc_packing):
-        ref = brute_sausage_bound(disc_packing)
-        assert _sausage_bound(disc_packing, ref * (1 + 1e-12)) == ref
-        assert _sausage_bound(disc_packing, ref) >= ref
+    def test_exact_at_the_cap(self, sausage_packing):
+        pk, ref = sausage_packing
+        assert _sausage_bound(pk, ref * (1 + 1e-12)) == ref
+        assert _sausage_bound(pk, ref) >= ref
+
+    @pytest.mark.parametrize("spread", ["octaves", "equal", "split"])
+    def test_close_pairs_holds_every_close_pair_once(self, spread):
+        rng = np.random.default_rng(3)
+        mid = rng.random(600) + 1j * rng.random(600)
+        rho = {"octaves": 0.05 * 2.0 ** -rng.uniform(0, 6, 600),
+               "equal": np.full(600, 0.03),
+               # a factor of exactly 2 puts the octave split between two
+               # groups of equal rho
+               "split": np.where(rng.random(600) < 0.5, 0.04, 0.02)}[spread]
+        ii, jj = (np.concatenate(x) for x in zip(*packing._close_pairs(mid, rho)))
+        found = {(min(i, j), max(i, j)) for i, j in zip(ii.tolist(), jj.tolist())}
+        assert len(found) == ii.size  # each pair once
+        gap = np.abs(mid[ii] - mid[jj])
+        assert np.all(gap <= 2.0 * (rho[ii] + rho[jj]))
+        i, j = np.triu_indices(mid.size, k=1)
+        close = np.abs(mid[i] - mid[j]) < rho[i] + rho[j]
+        assert set(zip(i[close].tolist(), j[close].tolist())) <= found
+
+    def test_delta0_in_bounded_memory(self):
+        # one class pair's candidates at a time: on the r=7 ball the traced
+        # peak of compute_delta0 is about 2.4 MB, against 33 MB for a hit
+        # list per edge
+        t = truncate(generate_tiling(7, 3, 7), 0, 7)
+        pk = layout(t, solve_radii(t, boundary_mode="disc"))
+        tracemalloc.start()
+        try:
+            assert compute_delta0(pk) == 0.25
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_no_candidate_pairs(self):
         t = honeycomb_truncation()
