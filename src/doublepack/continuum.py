@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FINITE, NONNEGATIVE, QUARTER, integer, number
+from .errors import FINITE, NONNEGATIVE, QUARTER, complex_number, integer, number
 from .linalg import _SIZE_BUDGET, lattice_solve
 from .textio import csv_text, read_csv
 
@@ -82,9 +82,12 @@ class BoundaryFunction:
         return None if self._samples is None else self._samples.size
 
     def sample(self, n: int) -> np.ndarray:
+        """Values at theta_j = 2 pi j / n: the callable's, or a copy of the
+        samples when ``n`` is their count (any other ``n`` raises
+        ``ValueError``)."""
         n = integer("n", n, 4)
-        theta = 2 * np.pi * np.arange(n) / n
         if self._func is not None:
+            theta = 2 * np.pi * np.arange(n) / n
             vals = np.asarray(self._func(theta), dtype=float)
             if vals.shape == ():
                 vals = np.full(n, float(vals))
@@ -93,29 +96,10 @@ class BoundaryFunction:
             if not np.all(np.isfinite(vals)):
                 raise ValueError("boundary callable produced non-finite values")
             return vals
-        s = self._samples
-        if n == s.size:
-            return s.copy()
-        # trigonometric resampling through modes strictly below the original
-        # Nyquist frequency
-        a0, a, b = _fourier_coefficients(s, (s.size - 1) // 2)
-        return _trig_eval(a0, a, b, theta)
-
-
-def _fourier_coefficients(samples: np.ndarray, k_max: int):
-    m = samples.size
-    if k_max > (m - 1) // 2:
-        raise ValueError(f"{m} samples resolve modes only up to {(m - 1) // 2}")
-    spec = np.fft.rfft(samples)
-    a0 = float(spec[0].real) / m
-    a = 2.0 * spec[1:k_max + 1].real / m
-    b = -2.0 * spec[1:k_max + 1].imag / m
-    return a0, a, b
-
-
-def _trig_eval(a0, a, b, theta):
-    ang = np.multiply.outer(theta, np.arange(1, a.size + 1))
-    return a0 + np.cos(ang) @ a + np.sin(ang) @ b
+        if n != self._samples.size:
+            raise ValueError(f"the boundary data holds {self._samples.size} "
+                             f"samples, not {n}")
+        return self._samples.copy()
 
 
 def poisson_extend(boundary: BoundaryFunction, K_max: int) -> HarmonicDiscField:
@@ -134,7 +118,11 @@ def poisson_extend(boundary: BoundaryFunction, K_max: int) -> HarmonicDiscField:
         vals = boundary.sample(m)
     else:
         vals = boundary.sample(max(4 * K, 64))
-    a0, a, b = _fourier_coefficients(vals, K)
+    n = vals.size
+    spec = np.fft.rfft(vals)
+    a0 = float(spec[0].real) / n
+    a = 2.0 * spec[1:K + 1].real / n
+    b = -2.0 * spec[1:K + 1].imag / n
     if K == 0:
         a = b = np.zeros(1)
     return HarmonicDiscField(a0, a, b)
@@ -207,7 +195,8 @@ def grid_capacity(target, grid_h: float) -> float:
     ``_SIZE_BUDGET`` nodes, past which it raises before any allocation.
     """
     h = number("grid_h", grid_h, QUARTER)
-    discs = [(complex(c), number("target radius", r, NONNEGATIVE)) for c, r in target]
+    discs = [(complex_number("target center", c), number("target radius", r, NONNEGATIVE))
+             for c, r in target]
     if not discs:
         return 0.0
     for c, r in discs:

@@ -3,10 +3,12 @@
 The CLI maps the exception types onto distinct process exit codes, so library
 code should raise the most specific type that applies.  Every integer
 argument of the library passes ``integer`` (a list of vertex ids
-``integers``), and every real argument of a fixed range ``number`` with one
-of the ranges below, which the CLI's gate reads too: a bad argument raises
-``ValueError`` naming it before any work."""
+``integers``), every real argument of a fixed range ``number`` with one of
+the ranges below, which the CLI's gate reads too, and every point of the
+plane ``complex_number``: a bad argument raises ``ValueError`` naming it
+before any work."""
 
+import cmath
 import math
 import numbers
 import operator
@@ -70,3 +72,12 @@ def number(name: str, value, bound) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not test(value):
         raise ValueError(f"{name} {what}, got {value!r}")
     return float(value)
+
+
+def complex_number(name: str, value) -> complex:
+    """``value``, a finite Python or numpy number (not a bool), as a complex;
+    else a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex) \
+            or not cmath.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return complex(value)

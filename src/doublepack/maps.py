@@ -48,7 +48,6 @@ __all__ = [
     "induce_submap",
     "load_map_json",
     "map_to_json",
-    "canonical_encoding",
 ]
 
 
@@ -195,14 +194,6 @@ class PlanarMap:
             nbr[vs, :d] = self.target[darts]
             cum[vs, :d] = p
         return nbr, cum
-
-    def copy_with_conductance(self, conductance) -> "PlanarMap":
-        """Same map with new weights, given per edge (length n_edges) or per
-        dart (length n_darts)."""
-        c = np.asarray(conductance, dtype=float)
-        if c.size == self.n_edges:
-            c = np.repeat(c, 2)
-        return PlanarMap(self.rotation, self.offsets, c)
 
     def __repr__(self):
         return f"PlanarMap(n_vertices={self.n_vertices}, n_edges={self.n_edges})"
@@ -750,7 +741,7 @@ def boundary_truncation(pmap: PlanarMap, root: int | None = None) -> Truncation:
 
 
 # ---------------------------------------------------------------------------
-# serialization and canonical form
+# serialization
 # ---------------------------------------------------------------------------
 
 def map_to_json(pmap: PlanarMap) -> dict:
@@ -782,25 +773,3 @@ def load_map_json(source) -> PlanarMap:
         raise ValueError(f"map is not planar: V - E + F = {chi}, so its "
                          f"rotations embed it in a surface of genus {(2 - chi) // 2}")
     return pmap
-
-
-def canonical_encoding(pmap: PlanarMap) -> tuple:
-    """Canonical form of the rotation system under orientation-preserving
-    relabeling; two maps are isomorphic iff their encodings match.  Each
-    start numbers the darts breadth-first along ``nxt[e]``, then ``e ^ 1``;
-    the least list of those numbers, dart by dart, is kept."""
-    m = pmap.n_darts
-    darts = np.arange(m)
-    succ = np.stack([pmap.nxt, darts ^ 1], axis=1)
-    graph = sp.csr_matrix((np.ones(2 * m), succ.ravel(), np.arange(0, 2 * m + 1, 2)),
-                          shape=(m, m))
-    label = np.empty(m, dtype=np.int64)
-    best = np.full(2 * m, m)    # above every encoding
-    for start in range(m):
-        order = breadth_first_order(graph, start, return_predecessors=False)
-        label[order] = darts
-        enc = label[succ[order]].ravel()
-        diff = np.flatnonzero(enc != best)
-        if diff.size and enc[diff[0]] < best[diff[0]]:
-            best = enc
-    return tuple(zip(best[0::2].tolist(), best[1::2].tolist()))

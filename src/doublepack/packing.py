@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -45,6 +46,10 @@ _TWO_PI = 2.0 * math.pi
 # walks in a row without a new least walked defect after which a disc solve
 # stops: past the rounding floor the walked defects only scatter
 _STALLED_WALKS = 3
+# Shewchuk's bound on the rounding error of a cross product of two
+# differences of doubles, relative to the sum of its two products' sizes
+# (Shewchuk, Discrete Comput. Geom. 18, 1997)
+_CROSS_ERR = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -87,8 +92,8 @@ class Carrier:
 
 @dataclass(frozen=True)
 class DoublePacking:
-    """A laid-out double circle packing (normalized to the closed unit disc
-    unless built with ``layout(..., normalize=False)``)."""
+    """A laid-out double circle packing, scaled into the closed unit disc
+    around the root circle at 0."""
 
     trunc: Truncation
     vertex_center: np.ndarray
@@ -421,8 +426,7 @@ def solve_radii(trunc: Truncation, boundary_mode: str = "prescribed",
 # layout
 # ---------------------------------------------------------------------------
 
-def layout(trunc: Truncation, radii: RadiiSolution,
-           normalize: bool = True) -> DoublePacking:
+def layout(trunc: Truncation, radii: RadiiSolution) -> DoublePacking:
     """Place the circles along the truncation's cached breadth-first dart
     tree (``Truncation.dart_tree``).
 
@@ -434,9 +438,10 @@ def layout(trunc: Truncation, radii: RadiiSolution,
     then gives a closing constraint, for its target vertex and, where it
     borders a bounded face, for that face; all are checked at once and the
     largest mismatch must stay below 10*sqrt(tol).  The tree starts at the
-    root's first dart, so the root center is 0; ``normalize`` scales the
-    packing into the closed unit disc.  ``solve_radii``'s packability test
-    runs first, and a truncation that passes it has every circle reached.
+    root's first dart, so the root center is 0, and the packing is scaled
+    into the closed unit disc: by 1 up to rounding for disc-mode radii,
+    which fill it already.  ``solve_radii``'s packability test runs first,
+    and a truncation that passes it has every circle reached.
     """
     _check_packable(trunc)
     g = trunc.graph
@@ -483,10 +488,8 @@ def layout(trunc: Truncation, radii: RadiiSolution,
             f"layout closing residual {worst:.3e} exceeds tolerance; "
             "the radii do not fit together")
 
-    scale = 1.0
-    if normalize:
-        scale = max(float(np.max(np.abs(zv) + vr)),
-                    float(np.max(np.abs(zf[bf]) + fr[bf])))
+    scale = max(float(np.max(np.abs(zv) + vr)),
+                float(np.max(np.abs(zf[bf]) + fr[bf])))
     return DoublePacking(trunc, zv / scale, vr / scale, zf / scale, fr / scale,
                          worst)
 
@@ -555,6 +558,11 @@ def _sausage_bound(pk: DoublePacking, cap: float) -> float:
     rmax = np.maximum(pk.vertex_radius[u], pk.vertex_radius[v])
     mid = 0.5 * (a + b)
     rho = (0.5 * np.abs(b - a) + cap * rmax) * (1.0 + 1e-6)
+    # a static filter: no coordinate exceeds s in size, so neither product
+    # in a cross product below exceeds 4 s^2 (up to rounding), and a cross
+    # product larger than ``sure`` has the sign of its exact value
+    s = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    sure = 9.0 * s * s * _CROSS_ERR
 
     def seg_point(p, sa, sb):
         ab = sb - sa
@@ -576,12 +584,31 @@ def _sausage_bound(pk: DoublePacking, cap: float) -> float:
         d = np.minimum(
             np.minimum(seg_point(ai, aj, bj), seg_point(bi, aj, bj)),
             np.minimum(seg_point(aj, ai, bi), seg_point(bj, ai, bi)))
-        # proper crossings have distance zero
-        s1 = cross(ai, bi, aj) * cross(ai, bi, bj)
-        s2 = cross(aj, bj, ai) * cross(aj, bj, bi)
-        d = np.where((s1 < 0) & (s2 < 0), 0.0, d)
+        # proper crossings have distance zero: each segment's ends lie
+        # strictly on both sides of the other's line.  That is read from the
+        # signs of the four cross products where all are certain, and
+        # settled exactly for the few pairs where one is not.
+        c1, c2 = cross(ai, bi, aj), cross(ai, bi, bj)
+        c3, c4 = cross(aj, bj, ai), cross(aj, bj, bi)
+        crossing = (c1 * c2 < 0) & (c3 * c4 < 0)
+        least = np.minimum(np.minimum(np.abs(c1), np.abs(c2)),
+                           np.minimum(np.abs(c3), np.abs(c4)))
+        for k in np.flatnonzero(least <= sure):
+            crossing[k] = _crosses_exactly(ai[k], bi[k], aj[k], bj[k])
+        d = np.where(crossing, 0.0, d)
         best = min(best, float(np.min(d / (rmax[ii] + rmax[jj]), initial=math.inf)))
     return best if best < cap else math.inf
+
+
+def _crosses_exactly(a, b, c, d) -> bool:
+    """Whether segments ab and cd cross properly, in exact rational
+    arithmetic on the doubles: for the pairs whose signs are not certain."""
+    a, b, c, d = ((Fraction(z.real), Fraction(z.imag)) for z in (a, b, c, d))
+
+    def side(o, p, q):
+        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+    return side(a, b, c) * side(a, b, d) < 0 and side(c, d, a) * side(c, d, b) < 0
 
 
 def compute_delta0(pk: DoublePacking) -> float:

@@ -23,13 +23,11 @@ import numpy as np
 from .errors import ConvergenceError, integer, integers
 from .linalg import PinnedSolve
 from .maps import PlanarMap, Truncation
-from .textio import csv_text, read_csv
 
 __all__ = [
     "VertexFunction", "RoydenSplit", "CapacityEstimate", "energy",
     "solve_dirichlet", "royden_project", "capacity", "escape_capacity",
-    "walk_limit_estimate", "vertex_function_to_csv",
-    "load_vertex_function_csv", "capacity_to_json",
+    "walk_limit_estimate", "capacity_to_json",
 ]
 
 
@@ -44,9 +42,6 @@ class VertexFunction:
         vals = _coerce(self.values, self.trunc.n_vertices, what="vertex function")
         object.__setattr__(self, "values", vals)
 
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
-
 
 @dataclass(frozen=True)
 class RoydenSplit:
@@ -60,12 +55,13 @@ class RoydenSplit:
 
 @dataclass(frozen=True)
 class CapacityEstimate:
-    """Energy of the equilibrium potential of a target set: 1 on the set,
-    0 on the boundary, harmonic in between."""
+    """Energy of the equilibrium potential of a target set (``target``, its
+    distinct vertex ids): 1 on the set, 0 on the boundary, harmonic in
+    between."""
 
     value: float
     equilibrium_potential: VertexFunction
-    target: np.ndarray = field(repr=False, default=None)
+    target: np.ndarray = field(repr=False)
 
 
 def _coerce(phi, n_vertices, what="function"):
@@ -101,23 +97,14 @@ def _target_solve(trunc: Truncation, A: np.ndarray, full: np.ndarray) -> np.ndar
 
 
 def solve_dirichlet(trunc: Truncation, boundary_values) -> VertexFunction:
-    """Unique conductance-harmonic extension of boundary data.
-
-    ``boundary_values`` is either an array aligned with ``trunc.boundary``
-    (ascending vertex ids) or a mapping from boundary vertex id to value.
-    """
+    """Unique conductance-harmonic extension of boundary data, given as an
+    array of one value per vertex of ``trunc.boundary`` (ascending vertex
+    ids)."""
     nb = trunc.boundary.size
-    if hasattr(boundary_values, "keys"):
-        try:
-            bv = np.array([boundary_values[int(v)] for v in trunc.boundary],
-                          dtype=float)
-        except KeyError as exc:
-            raise ValueError(f"missing boundary value for vertex {exc}")
-    else:
-        bv = np.asarray(boundary_values, dtype=float)
-        if bv.shape != (nb,):
-            raise ValueError(
-                f"expected one value per boundary vertex ({nb}), got shape {bv.shape}")
+    bv = np.asarray(boundary_values, dtype=float)
+    if bv.shape != (nb,):
+        raise ValueError(
+            f"expected one value per boundary vertex ({nb}), got shape {bv.shape}")
     if not np.all(np.isfinite(bv)):
         raise ValueError("boundary data has non-finite values")
     full = np.zeros(trunc.n_vertices)
@@ -189,8 +176,7 @@ def capacity_to_json(trunc: Truncation, est: CapacityEstimate) -> dict:
     flow = g.conductance * (q[g.origin] - q[g.target])
     net = np.bincount(g.origin, weights=flow, minlength=g.n_vertices)
     pinned = trunc.is_boundary.copy()
-    if est.target is not None:
-        pinned[est.target] = True
+    pinned[est.target] = True
     free = ~pinned
     residual = 0.0
     if free.any():
@@ -263,31 +249,3 @@ def walk_limit_estimate(trunc: Truncation, phi, v: int, samples: int,
     mean = float(out.mean())
     stderr = float(out.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return mean, stderr
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def vertex_function_to_csv(vf: VertexFunction) -> str:
-    return csv_text(["vertex_id", "value"], enumerate(vf.values))
-
-
-def load_vertex_function_csv(trunc: Truncation, source) -> VertexFunction:
-    """Read a vertex function for ``trunc`` from a CSV file (a path or an
-    open text file)."""
-    rows, lines = read_csv(source, ["vertex_id", "value"], "vertex function")
-    vals = np.full(trunc.n_vertices, np.nan)
-    line_of = {}
-    for (i, x), line in zip(rows, lines):
-        where = f"vertex function CSV line {line}"
-        if not (i.is_integer() and 0 <= i < trunc.n_vertices):
-            raise ValueError(f"{where}: {i:g} is not a vertex id of the truncation")
-        if i in line_of:
-            raise ValueError(f"{where}: vertex id {i:g} repeats, first on line {line_of[i]}")
-        line_of[i] = line
-        vals[int(i)] = x
-    if len(line_of) < trunc.n_vertices:
-        missing = min(set(range(trunc.n_vertices)) - set(line_of))
-        raise ValueError(f"no value for vertex {missing}")
-    return VertexFunction(trunc, vals)

@@ -20,7 +20,7 @@ from .errors import HALF, UNIT, integer, number
 from .maps import Truncation
 from .packing import DoublePacking
 from .potential import (VertexFunction, _coerce, _target_set, capacity, energy,
-                        royden_project)
+                        solve_dirichlet)
 
 __all__ = [
     "AffineExtension",
@@ -45,10 +45,6 @@ _BARY_TOL = 1e-9
 # Harnack ratios at or below the floor are rounding noise (see harnack_fit)
 _RATIO_FLOOR = 1e-9
 _MIN_LOG_SPAN = math.log(1.5)
-
-
-def _vertex_values(trunc: Truncation, phi) -> np.ndarray:
-    return _coerce(phi, trunc.n_vertices, what="vertex function")
 
 
 def _bary(tri: np.ndarray, pts) -> np.ndarray:
@@ -111,7 +107,7 @@ def extend_affine(packing: DoublePacking, phi) -> AffineExtension:
     """Spread a vertex function over the carrier of the packing."""
     t = packing.trunc
     g = t.graph
-    vals = _vertex_values(t, phi)
+    vals = _coerce(phi, t.n_vertices, what="vertex function")
 
     sums = np.zeros(t.faces.n_faces)
     np.add.at(sums, t.faces.face_of, vals[g.origin])
@@ -148,24 +144,23 @@ def _check_same_map(trunc: Truncation, packing: DoublePacking):
         raise ValueError("packing and truncation describe different maps")
 
 
-def disc_operator(trunc: Truncation, packing: DoublePacking, field) -> VertexFunction:
-    """Pull a disc field back through the embedding and keep the harmonic
-    part (boundary values are retained exactly).
+def disc_operator(trunc: Truncation, packing: DoublePacking,
+                  field: HarmonicDiscField) -> VertexFunction:
+    """Pull a harmonic disc field back through the embedding and keep the
+    harmonic part: the conductance-harmonic extension of its values at the
+    boundary vertices.
 
-    The field is read at the circle centres.  For a harmonic field that is
+    The field is read at the circle centres: for a harmonic field that is
     the paper's average over each shrunk vertex disc, by the mean-value
-    property; a callable field is read the same way.
+    property.  Any other kind of field raises ``TypeError``.
     """
     _check_same_map(trunc, packing)
-    if isinstance(field, HarmonicDiscField):
-        pulled = field.evaluate(packing.vertex_center)
-    elif callable(field):
-        pulled = np.asarray(field(packing.vertex_center), dtype=float)
-    else:
+    if not isinstance(field, HarmonicDiscField):
         raise TypeError(f"cannot evaluate field of type {type(field).__name__}")
+    pulled = field.evaluate(packing.vertex_center)
     if not np.all(np.isfinite(pulled)):
         raise ValueError("field is not finite at every vertex center")
-    return royden_project(trunc, pulled).harmonic_part
+    return solve_dirichlet(trunc, pulled[trunc.boundary])
 
 
 def _resolve_trace_params(trunc, packing, eps_trace, k_max, n_theta):
@@ -210,7 +205,7 @@ def cont_operator(trunc: Truncation, packing: DoublePacking, h,
     eps_trace is twice the thickness of the outermost circle layer.
     """
     _check_same_map(trunc, packing)
-    vals = _vertex_values(trunc, h)
+    vals = _coerce(h, trunc.n_vertices, what="vertex function")
     params = _resolve_trace_params(trunc, packing, eps_trace, k_max, n_theta)
     return _trace_field(extend_affine(packing, vals), *params)
 
@@ -253,7 +248,7 @@ def roundtrip(trunc: Truncation, packing: DoublePacking, h,
     where the two are expected to agree best.
     """
     _check_same_map(trunc, packing)
-    vals = _vertex_values(trunc, h)
+    vals = _coerce(h, trunc.n_vertices, what="vertex function")
     eps_trace, k_max, n_theta = _resolve_trace_params(
         trunc, packing, eps_trace, k_max, n_theta)
     ext = extend_affine(packing, vals)
@@ -337,7 +332,7 @@ def harnack_fit(trunc: Truncation, packing: DoublePacking, h_samples,
     alpha, seed = number("alpha", alpha, UNIT), integer("seed", seed, 0)
     n_balls = integer("n_balls", n_balls, 1)
     pairs_per_ball = integer("pairs_per_ball", pairs_per_ball, 1)
-    sample_vals = [_vertex_values(trunc, h) for h in h_samples]
+    sample_vals = [_coerce(h, trunc.n_vertices, what="vertex function") for h in h_samples]
     if not sample_vals:
         raise ValueError("at least one harmonic sample is required")
     _check_same_map(trunc, packing)

@@ -53,13 +53,12 @@ class TestBoundaryFunction:
         bf_c = BoundaryFunction(func=lambda t: np.cos(3 * t))
         assert np.allclose(bf_s.sample(n), bf_c.sample(n), atol=1e-12)
 
-    def test_resampling_is_exact_below_nyquist(self):
-        n = 64
-        theta = 2 * np.pi * np.arange(n) / n
-        bf = BoundaryFunction(samples=np.cos(3 * theta) - 2 * np.sin(5 * theta))
-        fine = bf.sample(256)
-        t2 = 2 * np.pi * np.arange(256) / 256
-        assert np.allclose(fine, np.cos(3 * t2) - 2 * np.sin(5 * t2), atol=1e-10)
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_samples_are_read_at_their_own_count_only(self, n):
+        bf = BoundaryFunction(samples=np.arange(64.0))
+        assert np.array_equal(bf.sample(64), np.arange(64.0))
+        with pytest.raises(ValueError, match=f"holds 64 samples, not {n}"):
+            bf.sample(n)
 
     def test_requires_exactly_one_source(self):
         with pytest.raises(ValueError):
@@ -227,6 +226,19 @@ class TestGridCapacity:
     def test_radius_that_is_not_a_real_rejected(self, radius, shown):
         with pytest.raises(ValueError, match=f"target radius .* got {shown}"):
             grid_capacity([(0j, radius)], 1 / 32)
+
+    @pytest.mark.parametrize("center, shown", [
+        ("0.3", "'0.3'"), (True, "True"), (complex("nan"), "\\(nan\\+0j\\)"),
+    ], ids=["string", "bool", "nan"])
+    def test_center_that_is_not_a_number_rejected(self, center, shown):
+        message = f"target center must be a finite number, got {shown}"
+        with pytest.raises(ValueError, match=message):
+            grid_capacity([(center, 0.1)], 1 / 32)
+
+    def test_real_and_numpy_centers_accepted(self):
+        want = grid_capacity([(0.3 + 0j, 0.1)], 1 / 32)
+        for center in (0.3, np.float64(0.3), np.complex128(0.3)):
+            assert grid_capacity([(center, 0.1)], 1 / 32) == want
 
     @pytest.mark.parametrize("h, nodes", [(2e-5, "1e\\+10"), (1e-320, "inf")])
     def test_oversized_lattice_rejected_before_allocation(self, h, nodes):

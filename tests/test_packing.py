@@ -5,6 +5,8 @@ import gc
 import math
 import tracemalloc
 import weakref
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -139,7 +141,10 @@ def stack_layout_reference(trunc, radii):
 
 def brute_sausage_bound(pk, chunk=128):
     """Reference sausage bound: the all-pairs capsule test that preceded the
-    k-d tree pruning, exact at every value."""
+    k-d tree pruning, exact at every value.  A pair crosses where each
+    segment's ends lie strictly on both sides of the other's line: by the
+    signs of the cross products that Shewchuk's static error bound makes
+    certain, and by exact rational arithmetic where it does not."""
     g = pk.trunc.graph
     u = g.origin[::2]
     v = g.target[::2]
@@ -170,11 +175,15 @@ def brute_sausage_bound(pk, chunk=128):
             np.minimum(seg_point(ai, aj, bj), seg_point(bi, aj, bj)),
             np.minimum(seg_point(aj, ai, bi), seg_point(bj, ai, bi)))
         # proper crossings have distance zero
-        def cross(o, p, q):
-            return ((p - o) * (q - o).conj()).imag
-        s1 = cross(ai, bi, aj) * cross(ai, bi, bj)
-        s2 = cross(aj, bj, ai) * cross(aj, bj, bi)
-        d = np.where((s1 < 0) & (s2 < 0), 0.0, d)
+        s1 = certain_side(ai, bi, aj) * certain_side(ai, bi, bj)
+        s2 = certain_side(aj, bj, ai) * certain_side(aj, bj, bi)
+        crossing = (s1 < 0) & (s2 < 0)
+        for i, j in zip(*np.nonzero(ok & (s1 <= 0) & (s2 <= 0) & ~crossing)):
+            p, q, r, t = [(Fraction(z.real), Fraction(z.imag))
+                          for z in (ai[i, 0], bi[i, 0], aj[0, j], bj[0, j])]
+            crossing[i, j] = (exact_side(p, q, r) * exact_side(p, q, t) < 0
+                              and exact_side(r, t, p) * exact_side(r, t, q) < 0)
+        d = np.where(crossing, 0.0, d)
         ratio = d / (rmax[ii] + rmax[jj])
         best = min(best, float(ratio[ok].min()))
     return best
@@ -299,6 +308,21 @@ def corner_block_truncation():
     return boundary_truncation(build_map(rotations_from_drawing(xy, edges)))
 
 
+def certain_side(o, p, q):
+    """The sign of (p - o) x (q - o) where Shewchuk's static error bound
+    makes the double value certain, else 0."""
+    left = (p.real - o.real) * (q.imag - o.imag)
+    right = (p.imag - o.imag) * (q.real - o.real)
+    det = left - right
+    err = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53 * (np.abs(left) + np.abs(right))
+    return np.where(np.abs(det) > err, np.sign(det), 0.0)
+
+
+def exact_side(o, p, q):
+    """(p - o) x (q - o) for points given as pairs of fractions."""
+    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+
 def triangle_around_hexagon():
     """Outer triangle 0, 1, 2 around the hexagon 3-8, joined by the edges
     0-3, 0-8, 1-4, 1-5, 2-6 and 2-7: a polyhedral map whose largest face,
@@ -312,17 +336,16 @@ def triangle_around_hexagon():
 
 
 def assert_fills_unit_disc(t, sol):
-    """Disc-mode radii lay out, unscaled, in the unit disc around the root
-    at 0, every boundary circle touching the unit circle, all to 1e-9.  The
-    maximal packing is unique up to disc automorphisms, so this pins the
-    radii completely."""
+    """Disc-mode radii lay out in the unit disc around the root at 0 at the
+    scale they were solved at, every boundary circle touching the unit
+    circle, all to 1e-9.  The maximal packing is unique up to disc
+    automorphisms, so this pins the radii completely."""
     assert sol.defect <= 1e-9
-    raw = layout(t, sol, normalize=False)
-    assert abs(raw.vertex_center[t.root]) <= 1e-12
-    reach = np.abs(raw.vertex_center[t.boundary]) + raw.vertex_radius[t.boundary]
-    assert np.max(np.abs(1.0 - reach)) <= 1e-9
     pk = layout(t, sol)
-    assert np.max(np.abs(pk.vertex_center - raw.vertex_center)) <= 1e-9
+    assert np.max(np.abs(pk.vertex_radius - sol.vertex_radius)) <= 1e-9
+    assert abs(pk.vertex_center[t.root]) <= 1e-12
+    reach = np.abs(pk.vertex_center[t.boundary]) + pk.vertex_radius[t.boundary]
+    assert np.max(np.abs(1.0 - reach)) <= 1e-9
     assert pk.layout_residual <= 1e-9
     assert pk.max_tangency_residual() <= 1e-9
     assert pk.max_orthogonality_residual() <= 1e-9
@@ -527,17 +550,16 @@ class TestLayout:
         reach = np.abs(pk.vertex_center) + pk.vertex_radius
         assert reach.max() == pytest.approx(1.0, abs=1e-9)
 
-    def test_raw_layout_scales_with_radii(self):
+    def test_layout_ignores_the_scale_of_the_radii(self):
         t = flower_truncation(7)
         sol = solve_radii(t, tol=1e-12)
-        lam = 2.5
-        scaled = solve_radii(t, boundary_radii=lam * np.ones(t.boundary.size),
+        scaled = solve_radii(t, boundary_radii=2.5 * np.ones(t.boundary.size),
                              tol=1e-12)
-        a = layout(t, sol, normalize=False)
-        b = layout(t, scaled, normalize=False)
-        assert np.allclose(b.vertex_center, lam * a.vertex_center, atol=1e-8)
+        a, b = layout(t, sol), layout(t, scaled)
+        assert np.allclose(b.vertex_center, a.vertex_center, atol=1e-8)
+        assert np.allclose(b.vertex_radius, a.vertex_radius, atol=1e-8)
         bf = t.bounded_faces
-        assert np.allclose(b.face_center[bf], lam * a.face_center[bf], atol=1e-8)
+        assert np.allclose(b.face_center[bf], a.face_center[bf], atol=1e-8)
 
     @pytest.mark.parametrize("build", [
         lambda: truncate(generate_tiling(7, 3, 5), root=0, radius=4),
@@ -883,8 +905,12 @@ def packed(t, mode="disc"):
     # all circles equal, so every rho falls in one class
     lambda: packed(boundary_truncation(generate_grid(11, 11)), "prescribed"),
     split_lattice_packing,
+    # rows of edges on lines, whose cross products rounding may leave of
+    # either sign
+    lambda: packed(boundary_truncation(generate_grid(9, 9)), "prescribed"),
+    lambda: packed(boundary_truncation(generate_grid(21, 21)), "prescribed"),
 ], ids=["ball4", "grid11", "delaunay100", "ball5", "prescribed_grid11",
-        "split_lattice"])
+        "split_lattice", "prescribed_grid9", "prescribed_grid21"])
 def sausage_packing(request):
     """A laid-out packing and its all-pairs sausage bound."""
     pk = request.param()
@@ -908,6 +934,25 @@ class TestSausageBound:
         pk, ref = sausage_packing
         assert _sausage_bound(pk, ref * (1 + 1e-12)) == ref
         assert _sausage_bound(pk, ref) >= ref
+
+    @pytest.mark.parametrize("n", [9, 21])
+    def test_collinear_edges_do_not_cross(self, n):
+        # disjoint edges on one row of the lattice: rounding once gave both
+        # sign products about -1e-67, and so a crossing at distance 0
+        pk = packed(boundary_truncation(generate_grid(n, n)), "prescribed")
+        for cap in (1.0, 2.0):
+            assert _sausage_bound(pk, cap) == pytest.approx(1.0, rel=1e-12)
+
+    def test_crossing_one_ulp_off_a_line(self):
+        # in the 4-cycle, the end (0.3, 0.3 + 1 ulp) of edge 2-3 lies one ulp
+        # above the line y = x of edge 0-1, too close for the filter to
+        # trust the sign: exact arithmetic finds the crossing
+        end = 0.3 + 1j * np.nextafter(0.3, 1.0)
+        pk = SimpleNamespace(
+            trunc=SimpleNamespace(graph=build_map([[1, 3], [2, 0], [3, 1], [0, 2]])),
+            vertex_center=np.array([0.1 + 0.1j, 0.7 + 0.7j, end, 0.5 + 0.1j]),
+            vertex_radius=np.full(4, 0.05))
+        assert _sausage_bound(pk, 1.0) == brute_sausage_bound(pk) == 0.0
 
     @pytest.mark.parametrize("spread", ["octaves", "equal", "split"])
     def test_close_pairs_holds_every_close_pair_once(self, spread):

@@ -2,7 +2,6 @@
 capacities, and the random-walk boundary-limit estimator."""
 
 import gc
-import io
 import weakref
 
 import numpy as np
@@ -13,7 +12,9 @@ from scipy.sparse.linalg import splu
 from conftest import delaunay_rotations
 from doublepack import linalg
 from doublepack.errors import InvariantViolation
+from doublepack.continuum import HarmonicDiscField
 from doublepack.maps import (
+    PlanarMap,
     Truncation,
     boundary_truncation,
     build_map,
@@ -26,10 +27,8 @@ from doublepack.potential import (
     capacity_to_json,
     energy,
     escape_capacity,
-    load_vertex_function_csv,
     royden_project,
     solve_dirichlet,
-    vertex_function_to_csv,
     walk_limit_estimate,
 )
 from doublepack.packing import layout, solve_radii
@@ -46,6 +45,11 @@ def k4_energy_oracle(phi, cond):
     for (a, b), c in cond.items():
         total += c * (phi[a] - phi[b]) ** 2
     return total
+
+
+def reweighted(pmap, edge_conductance):
+    """The same map with the given conductance on each edge."""
+    return PlanarMap(pmap.rotation, pmap.offsets, np.repeat(edge_conductance, 2))
 
 
 def path_truncation():
@@ -130,7 +134,7 @@ class TestEnergy:
 class TestSolveDirichlet:
     def test_path_midpoint(self):
         t = path_truncation()
-        h = solve_dirichlet(t, {0: 0.0, 2: 1.0})
+        h = solve_dirichlet(t, [0.0, 1.0])
         assert h.values[1] == pytest.approx(0.5)
 
     def test_constant_boundary_data(self):
@@ -169,7 +173,7 @@ class TestSolveDirichlet:
     def test_weighted_harmonicity_residual(self):
         pm = generate_tiling(7, 3, 3)
         rng = np.random.default_rng(5)
-        pm = pm.copy_with_conductance(rng.uniform(0.2, 3.0, pm.n_darts // 2))
+        pm = reweighted(pm, rng.uniform(0.2, 3.0, pm.n_darts // 2))
         t = truncate(pm, 0, 2)
         h = solve_dirichlet(t, rng.normal(size=t.boundary.size)).values
         g = t.graph
@@ -187,7 +191,7 @@ def weighted_delaunay_truncation(n, seed):
     over three decades and several vertices of degree 8 or more."""
     rng = np.random.default_rng(seed)
     pm = build_map(delaunay_rotations(rng.random((n, 2))))
-    pm = pm.copy_with_conductance(rng.uniform(0.1, 10.0, pm.n_edges) ** 1.5)
+    pm = reweighted(pm, rng.uniform(0.1, 10.0, pm.n_edges) ** 1.5)
     return boundary_truncation(pm)
 
 
@@ -257,7 +261,7 @@ class TestFactorizationCache:
         rng = np.random.default_rng(4)
         for k in range(5):
             solve_dirichlet(t, rng.normal(size=t.boundary.size))
-            disc_operator(t, pk, lambda z, k=k: (z ** (k + 1)).real)
+            disc_operator(t, pk, HarmonicDiscField(0.0, np.eye(5)[k], np.zeros(5)))
         assert count_splu == [(t.interior.size, t.interior.size)]
 
     def test_capacities_keep_no_per_target_state(self, count_splu):
@@ -317,7 +321,7 @@ class TestRoydenProject:
     def test_parts_sum_and_energies_add(self):
         pm = generate_tiling(7, 3, 3)
         rng = np.random.default_rng(13)
-        pm = pm.copy_with_conductance(rng.uniform(0.5, 2.0, pm.n_darts // 2))
+        pm = reweighted(pm, rng.uniform(0.5, 2.0, pm.n_darts // 2))
         t = truncate(pm, 0, 2)
         phi = rng.normal(size=t.n_vertices)
         split = royden_project(t, phi)
@@ -354,7 +358,7 @@ class TestCapacity:
         assert est.value == pytest.approx(12.0)
         # and with non-unit conductances the cut total
         rng = np.random.default_rng(31)
-        pm = t.graph.copy_with_conductance(rng.uniform(0.1, 2.0, t.graph.n_darts // 2))
+        pm = reweighted(t.graph, rng.uniform(0.1, 2.0, t.graph.n_darts // 2))
         t2 = Truncation(pm, t.boundary, t.root, t.radius)
         cut = sum(pm.conductance[e] for e in range(pm.n_darts)
                   if t.is_boundary[pm.origin[e]] != t.is_boundary[pm.target[e]]) / 2
@@ -374,7 +378,7 @@ class TestCapacity:
         cases = [(grid_trunc(7), [24]),
                  (truncate(generate_tiling(7, 3, 4), 0, 3), [0, 1, 2])]
         pm = generate_tiling(6, 3, 3)
-        pm = pm.copy_with_conductance(rng.uniform(0.3, 3.0, pm.n_darts // 2))
+        pm = reweighted(pm, rng.uniform(0.3, 3.0, pm.n_darts // 2))
         cases.append((truncate(pm, 0, 2), [0, 3]))
         for t, A in cases:
             e = capacity(t, A).value
@@ -569,44 +573,6 @@ class TestWalkKernel:
 
 
 class TestSerialization:
-    def test_csv_round_trip(self):
-        t = grid_trunc(5)
-        vf = VertexFunction(t, np.random.default_rng(6).normal(size=t.n_vertices))
-        text = vertex_function_to_csv(vf)
-        back = load_vertex_function_csv(t, io.StringIO(text))
-        assert np.array_equal(back.values, vf.values)
-
-    def test_csv_file_named_like_its_header(self, tmp_path, monkeypatch):
-        # a str is always a path, whatever it starts with
-        monkeypatch.chdir(tmp_path)
-        t = path_truncation()
-        vf = VertexFunction(t, np.array([0.0, 0.5, 1.0]))
-        (tmp_path / "vertex_id_values.csv").write_text(vertex_function_to_csv(vf))
-        back = load_vertex_function_csv(t, "vertex_id_values.csv")
-        assert np.array_equal(back.values, vf.values)
-
-    @pytest.mark.parametrize("rows, cause", [
-        ("0,0.0\n1,0.5\n1,99.0\n2,1.0\n", "line 4: vertex id 1 repeats, first on line 3"),
-        ("0,0.0\n1,abc\n2,1.0\n", "line 3: could not convert string to float: 'abc'"),
-        ("0,0.0\n1.5,0.5\n2,1.0\n", "line 3: 1.5 is not a vertex id"),
-        ("0,0.0\n7,0.5\n2,1.0\n", "line 3: 7 is not a vertex id"),
-        ("0,0.0\n1,nan\n2,1.0\n", "non-finite"),
-        ("0,0.0\n2,1.0\n", "no value for vertex 1"),
-    ], ids=["repeated-id", "value", "fractional-id", "out-of-range-id", "nan-value",
-            "missing"])
-    def test_csv_bad_rows_rejected(self, rows, cause):
-        with pytest.raises(ValueError, match=cause):
-            load_vertex_function_csv(path_truncation(),
-                                     io.StringIO("vertex_id,value\n" + rows))
-
-    def test_csv_shape(self):
-        t = path_truncation()
-        text = vertex_function_to_csv(VertexFunction(t, np.array([0.0, 0.5, 1.0])))
-        lines = text.strip().splitlines()
-        assert lines[0] == "vertex_id,value"
-        assert lines[1].startswith("0,")
-        assert len(lines) == 4
-
     def test_capacity_report_fields(self):
         t = grid_trunc(5)
         report = capacity_to_json(t, capacity(t, [t.root]))

@@ -268,6 +268,12 @@ class TestDiscOperator:
                + 2 * disc_operator(pk.trunc, pk, f2).values)
         assert np.allclose(lhs, rhs, atol=1e-8)
 
+    @pytest.mark.parametrize("field", [lambda z: z.real, np.zeros(3)],
+                             ids=["callable", "array"])
+    def test_only_a_disc_field_is_read(self, hyp_disc_pk, field):
+        with pytest.raises(TypeError, match="cannot evaluate field"):
+            disc_operator(hyp_disc_pk.trunc, hyp_disc_pk, field)
+
     def test_other_map_of_the_same_size_rejected(self):
         pk = pack(boundary_truncation(generate_grid(5, 5)), "disc")
         pts = np.random.default_rng(0).random((25, 2))
@@ -375,7 +381,7 @@ class TestRoundtrip:
         H = cont_operator(t, pk, h)
         back = disc_operator(t, pk, H).values
         e_h = energy(t.graph, h)
-        assert rep.roundtrip_residual == math.sqrt(energy(t.graph, h - back) / e_h)
+        assert rep.roundtrip_residual == math.sqrt(energy(t.graph, h.values - back) / e_h)
         assert rep.energy_ratio_A == energy_of_extension(pk, h) / e_h
 
 
