@@ -186,10 +186,12 @@ def grid_capacity(target, grid_h: float) -> float:
     The potential ``phi`` is 1 on the target nodes and 0 off the open disc,
     on the square lattice; the free nodes (the mask ``unknown``) are solved
     by ``lattice_solve``, which takes the mask and the right-hand side (the
-    target neighbours of each free node) and builds the operator from the
-    mask, to a double-precision residual of 1e-10 relative (its V-cycle runs
-    in single precision, which changes the work, not the answer).  The
-    capacity is the lattice Dirichlet energy of ``phi``.
+    target neighbours of each free node, counted in bytes) and applies the
+    operator from the mask without storing it, to a double-precision
+    residual of 1e-10 relative (its V-cycle runs in single precision, which
+    changes the work, not the answer).  ``phi`` is formed after the solve,
+    which then holds the only full-lattice float arrays.
+    The capacity is the lattice Dirichlet energy of ``phi``.
     Targets get a one-cell margin (the continuum definition asks for an open
     neighbourhood); the estimate refines as ``grid_h`` decreases, up to
     ``_SIZE_BUDGET`` nodes, past which it raises before any allocation.
@@ -217,12 +219,12 @@ def grid_capacity(target, grid_h: float) -> float:
         tmask |= (xx - c.real) ** 2 + (yy - c.imag) ** 2 <= (r + h) ** 2
 
     unknown = inside & ~tmask
-    phi = tmask.astype(float)
     # a free node's right-hand side counts its neighbours on the target
-    pad = np.pad(phi, 1)
-    rhs = pad[:-2, 1:-1] + pad[2:, 1:-1] + pad[1:-1, :-2] + pad[1:-1, 2:]
-    phi[unknown] = lattice_solve(unknown, rhs[unknown], 1e-10,
-                                 "grid equilibrium solve did not converge")
+    t = np.pad(tmask, 1).astype(np.int8)
+    b = (t[:-2, 1:-1] + t[2:, 1:-1] + t[1:-1, :-2] + t[1:-1, 2:])[unknown].astype(float)
+    x = lattice_solve(unknown, b, 1e-10, "grid equilibrium solve did not converge")
+    phi = tmask.astype(float)
+    phi[unknown] = x
     e = float(np.sum((phi[:, 1:] - phi[:, :-1]) ** 2))
     e += float(np.sum((phi[1:, :] - phi[:-1, :]) ** 2))
     return e

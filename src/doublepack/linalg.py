@@ -1,7 +1,11 @@
 """The sparse SPD solves: the pinned-block solve of the discrete Dirichlet
 problems, one LU reused with iterative refinement, and a multigrid-
 preconditioned conjugate gradient for the masked 5-point lattice of the
-continuum capacity, its levels built as stencil arrays on the square mask."""
+continuum capacity.  Its finest level is applied by shifted slices of the
+lattice and stores no matrix; the coarser ones are built as stencil arrays
+on the square mask and applied as DIA matrices."""
+
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -12,9 +16,10 @@ from .errors import InvariantViolation
 
 # The most lattice nodes (continuum.grid_capacity), boundary samples
 # (continuum.douglas_energy) or grid patch vertices (tilings.generate_grid)
-# one request may ask for: at 180 bytes a node (the peak-RSS rise of one
-# h = 1/512 call in a fresh process) and 60 a sample, no request within it
-# needs 1.6 GB, and it admits h = 1/1024 and n_theta = 2^23.
+# one request may ask for: at 95 bytes a node (the peak-RSS rise of one call
+# in a fresh process, 93 at h = 1/512 and 87 at h = 1/1024) and 60 a sample,
+# no lattice solve within it needs 0.8 GB nor Douglas sum 0.5 GB, and it
+# admits h = 1/1024 and n_theta = 2^23.
 _SIZE_BUDGET = 2 ** 23
 
 # the residual every harmonic solve of ``PinnedSolve.extend`` reaches
@@ -70,31 +75,64 @@ def lattice_solve(free, b, tol: float, failure: str) -> np.ndarray:
     neighbours, 0 off the mask) on the ``True`` nodes of the square mask
     ``free``, ``b`` and ``x`` over them row-major, by double-precision CG
     preconditioned with one single-precision multigrid V-cycle, to a residual
-    of ``tol * |b|``; raises ``InvariantViolation(failure)`` after 100 steps."""
+    of ``tol * |b|``; raises ``InvariantViolation(failure)`` after 100 steps.
+    A is applied by ``_laplacian``, never stored, and the CG holds four
+    lattice vectors: ``w`` takes the preconditioned residual, then ``A p``."""
     levels = _hierarchy(free)
-    a = levels[0][0].astype(np.float64)
+    on = free.ravel()
     scale = float(np.linalg.norm(b)) or 1.0
-    x, r = np.zeros((2, free.size))
-    r[free.ravel()] = b
-    p = rz = None
+    x, r, p, w = (np.zeros(free.size) for _ in range(4))
+    r[on] = b
+    rz = None
     for _ in range(_CG_STEPS):
         if float(np.linalg.norm(r)) <= tol * scale:
-            return x[free.ravel()]
-        z = _vcycle(levels, 0, r.astype(np.float32)).astype(np.float64)
-        rz_old, rz = rz, float(r @ z)
-        p = z if p is None else z + (rz / rz_old) * p
-        q = a @ p
-        alpha = rz / float(p @ q)
+            return x[on]
+        w[:] = _vcycle(levels, 0, r.astype(np.float32))
+        rz_old, rz = rz, float(r @ w)
+        if rz_old is None:
+            p[:] = w
+        else:
+            p *= rz / rz_old
+            p += w
+        _laplacian(free, p, out=w)
+        alpha = rz / float(p @ w)
         x += alpha * p
-        r -= alpha * q
+        w *= alpha
+        r -= w
     raise InvariantViolation(failure)
 
 
+def _laplacian(free, x, out=None):
+    """``A x`` for the 5-point operator A on the square mask ``free``, ``x`` a
+    lattice vector of any float dtype that vanishes off the mask, into
+    ``out`` if given.  No matrix: each neighbour term is one shifted slice of
+    the raveled lattice, the column ones put back where they wrap a row.
+    The terms are added from 0 in the order of A's DIA product, offsets -m,
+    -1, 0, +1, +m, so every sum is that product's, bit for bit."""
+    m = free.shape[0]
+    y = np.empty_like(x) if out is None else out
+    y[:m] = 0
+    np.subtract(0, x[:-m], out=y[m:])
+    first = y[::m].copy()  # the first column has no left neighbour
+    y[1:] -= x[:-1]
+    y[::m] = first
+    y += 4 * x
+    last = y[m - 1::m].copy()  # nor the last a right one
+    y[:-1] -= x[1:]
+    y[m - 1::m] = last
+    y[:-m] -= x[m:]
+    y *= free.ravel()
+    return y
+
+
 def _hierarchy(free):
-    """Levels ``(a, omega / diag a, free)`` from the 5-point operator on the
-    mask ``free`` to coarse, each ``a`` the float32 DIA matrix of the level's
-    stencils ``s`` masked to couple free nodes only (its diagonal at offset
-    ``dy m + dx`` is ``s[1 - dy, 1 - dx]``, by symmetry); last ``(a, LU)``."""
+    """Levels ``(apply, omega / diag A, free)`` from the 5-point operator on
+    the mask ``free`` to coarse, ``apply`` the product with the level's
+    operator A, built from its stencils ``s`` masked to couple free nodes
+    only.  The finest level stores no matrix: it applies ``_laplacian``.
+    Each coarser one is the float32 DIA matrix of its stencils (its diagonal
+    at offset ``dy m + dx`` is ``s[1 - dy, 1 - dx]``, by symmetry), and so is
+    a finest level that is also the coarsest; last ``(a, LU)``."""
     levels = []
     s = _LAPLACIAN
     while True:
@@ -102,12 +140,16 @@ def _hierarchy(free):
         f = np.pad(free, 1).astype(np.float32)
         s = s * f[1:-1, 1:-1]
         s *= sliding_window_view(f, free.shape)
-        dy, dx = np.nonzero(s.any(axis=(2, 3)))
-        a = sparse.dia_matrix((s[2 - dy, 2 - dx].reshape(-1, m * m), (dy - 1) * m + dx - 1),
-                              shape=(m * m, m * m))
-        if m <= _COARSEST_SIDE:
-            return levels + [(a, splu((a + sparse.diags((~free).ravel().astype(float))).tocsc()))]
-        levels.append((a, (np.float32(_OMEGA) / np.where(free, s[1, 1], np.inf)).ravel(), free))
+        dinv = (np.float32(_OMEGA) / np.where(free, s[1, 1], np.inf)).ravel()
+        if not levels and m > _COARSEST_SIDE:
+            levels.append((partial(_laplacian, free), dinv, free))
+        else:
+            dy, dx = np.nonzero(s.any(axis=(2, 3)))
+            a = sparse.dia_matrix((s[2 - dy, 2 - dx].reshape(-1, m * m), (dy - 1) * m + dx - 1),
+                                  shape=(m * m, m * m))
+            if m <= _COARSEST_SIDE:
+                return levels + [(a, splu((a + sparse.diags((~free).ravel().astype(float))).tocsc()))]
+            levels.append((a.dot, dinv, free))
         free, s = free[::2, ::2], _galerkin(s, (m + 1) // 2)
 
 
@@ -115,7 +157,9 @@ def _galerkin(s, m):
     """The stencils of ``P^T A P`` on the coarse side ``m``, unmasked, from
     those ``s`` of A: ``A_c[I, I + O]`` sums ``w(d) w(e) s[o][2 I + d]`` over
     the offsets d, o and ``e = d + o - 2 O`` in {-1, 0, 1}, with w(t) = 0.5^|t|
-    per axis, one axis at a time.  Every entry is dyadic, so it is exact."""
+    per axis, one axis at a time.  Every entry is dyadic: float32 holds it
+    exactly through five products, and the sixth (a finest side of 1281 or
+    more) rounds the coarsest stencils in their last bits."""
     for axis in (2, 3):
         n = s.shape[axis]
         out = np.zeros(s.shape[:axis] + (m,) + s.shape[axis + 1:], np.float32)
@@ -161,10 +205,10 @@ def _vcycle(levels, k, r):
     lattice vector ``r``: two damped-Jacobi sweeps each side of the coarse correction."""
     if k == len(levels) - 1:
         return levels[k][1].solve(r).astype(np.float32)
-    a, dinv, free = levels[k]
+    apply, dinv, free = levels[k]
     x = dinv * r
-    x += dinv * (r - a @ x)
-    x += _prolong(_vcycle(levels, k + 1, _restrict(r - a @ x, free)), free)
+    x += dinv * (r - apply(x))
+    x += _prolong(_vcycle(levels, k + 1, _restrict(r - apply(x), free)), free)
     for _ in range(2):
-        x += dinv * (r - a @ x)
+        x += dinv * (r - apply(x))
     return x

@@ -586,14 +586,16 @@ def _sausage_bound(pk: DoublePacking, cap: float) -> float:
             np.minimum(seg_point(aj, ai, bi), seg_point(bj, ai, bi)))
         # proper crossings have distance zero: each segment's ends lie
         # strictly on both sides of the other's line.  That is read from the
-        # signs of the four cross products where all are certain, and
-        # settled exactly for the few pairs where one is not.
+        # signs of the four cross products where all are certain.  A pair is
+        # apart where both ends of one segment are certainly on one side of
+        # the other's line; the few pairs left are settled exactly.
         c1, c2 = cross(ai, bi, aj), cross(ai, bi, bj)
         c3, c4 = cross(aj, bj, ai), cross(aj, bj, bi)
         crossing = (c1 * c2 < 0) & (c3 * c4 < 0)
-        least = np.minimum(np.minimum(np.abs(c1), np.abs(c2)),
-                           np.minimum(np.abs(c3), np.abs(c4)))
-        for k in np.flatnonzero(least <= sure):
+        near12 = np.minimum(np.abs(c1), np.abs(c2))
+        near34 = np.minimum(np.abs(c3), np.abs(c4))
+        apart = ((near12 > sure) & (c1 * c2 > 0)) | ((near34 > sure) & (c3 * c4 > 0))
+        for k in np.flatnonzero((np.minimum(near12, near34) <= sure) & ~apart):
             crossing[k] = _crosses_exactly(ai[k], bi[k], aj[k], bj[k])
         d = np.where(crossing, 0.0, d)
         best = min(best, float(np.min(d / (rmax[ii] + rmax[jj]), initial=math.inf)))

@@ -203,7 +203,9 @@ def walk_limit_estimate(trunc: Truncation, phi, v: int, samples: int,
     ``i`` of round ``r``'s ``(samples, 32)`` uniform block, drawn from
     ``default_rng([seed, r])``.  So results are bitwise reproducible and each
     sample's walk does not depend on how many other samples run.  Aggregation
-    is in sample-index order.
+    is in sample-index order.  A round draws only the rows from its first
+    live sample to its last: the generator skips the 32 draws of each row
+    before them (``PCG64.advance``), which leaves every drawn row's bits.
 
     One step of the live walkers is array work over them alone: at vertex
     ``pos`` a uniform ``u`` picks the dart ``sum_c [u >= cum[pos, c]]`` over
@@ -229,9 +231,12 @@ def walk_limit_estimate(trunc: Truncation, phi, v: int, samples: int,
     out = np.empty(samples)
     round_no = 0
     while ids.size:
-        block = np.random.default_rng([seed, round_no]).random((samples, _WALK_BLOCK))
+        bits = np.random.PCG64(np.random.SeedSequence([seed, round_no]))
+        bits.advance(_WALK_BLOCK * int(ids[0]))
+        rows = ids - ids[0]
+        block = np.random.Generator(bits).random((int(rows[-1]) + 1, _WALK_BLOCK))
         for col in range(_WALK_BLOCK):
-            u = block[ids, col]
+            u = block[rows, col]
             at = pos * width
             for c in cols:
                 at += u >= c[pos]
@@ -240,7 +245,7 @@ def walk_limit_estimate(trunc: Truncation, phi, v: int, samples: int,
                 hit = is_b[pos]
                 if hit.any():
                     out[ids[hit]] = vals[pos[hit]]
-                    ids, pos = ids[~hit], pos[~hit]
+                    ids, rows, pos = ids[~hit], rows[~hit], pos[~hit]
                     if ids.size == 0:
                         break
         round_no += 1

@@ -3,7 +3,9 @@ Douglas boundary energy, and grid capacity."""
 
 import gc
 import io
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,6 +268,16 @@ CAPACITY_TARGETS = {
 }
 
 
+# grid_capacity(CAPACITY_TARGETS[name], 1 / n), bit for bit
+PINNED_CAPACITIES = {
+    ("centred", 41): "0x1.2eb7d991cd5eap+2", ("centred", 64): "0x1.2901aa923b90ap+2",
+    ("point", 41): "0x1.8551bd57b8aaep+0", ("point", 64): "0x1.5f443c4c07e91p+0",
+    ("rim", 41): "0x1.6455f47a4c15dp+2", ("rim", 64): "0x1.60a189a87664ap+2",
+    ("thirty", 41): "0x1.e5b2ff7df03a0p+3", ("thirty", 64): "0x1.d85945082f808p+3",
+    ("three", 41): "0x1.bf408dc766777p+2", ("three", 64): "0x1.b8ad3d6892af0p+2",
+}
+
+
 def masked_laplacian(free):
     """5-point Laplacian on the free nodes of a square mask, row-major, with
     zero Dirichlet values off the mask."""
@@ -312,6 +324,33 @@ def disc_mask(n):
     return c[None, :] ** 2 + c[:, None] ** 2 < (n / 2 - 1) ** 2
 
 
+def probed_operator(apply, probed):
+    """The matrix of a 9-point operator ``apply`` on the square lattice of
+    the mask ``probed``, read entry for entry off nine float32 probes, each
+    1 on the ``probed`` nodes of one class (i mod 3, j mod 3): row I of a
+    probe's product is I's entry to its one neighbour in that class, and 0
+    where that neighbour is past the lattice's edge."""
+    m = probed.shape[0]
+    i, j = np.divmod(np.arange(m * m), m)
+    rows, cols, vals = [], [], []
+    for cy, cx in itertools.product(range(3), repeat=2):
+        y = apply((probed.ravel() & (i % 3 == cy) & (j % 3 == cx)).astype(np.float32))
+        assert y.dtype == np.float32
+        ni, nj = i + (cy - i + 1) % 3 - 1, j + (cx - j + 1) % 3 - 1
+        assert not y[(ni < 0) | (ni >= m) | (nj < 0) | (nj >= m)].any()
+        hit = np.flatnonzero(y)
+        rows.append(hit)
+        cols.append(ni[hit] * m + nj[hit])
+        vals.append(y[hit])
+    return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(m * m, m * m))
+
+
+def level_product(levels, k):
+    """The product with level ``k``'s operator (the coarsest keeps its matrix)."""
+    return levels[k][0] if k < len(levels) - 1 else levels[k][0].dot
+
+
 class TestLatticeBuild:
     # 64 is even at the fine level, 83 -> 42 -> 21 above the coarsest and
     # 201 -> 101 -> 51 -> 26 at the coarsest
@@ -322,15 +361,21 @@ class TestLatticeBuild:
         rng = np.random.default_rng(side)
         a = masked_laplacian(free)
         levels = linalg._hierarchy(free)
-        for k, level in enumerate(levels):
+        for k in range(len(levels)):
             # every level's operator is the Galerkin product of the oracles,
-            # entry for entry, and couples nothing off the mask
-            on = np.flatnonzero(free)
-            built = level[0].tocsr()
-            assert built.dtype == np.float32
+            # entry for entry, and couples nothing off the mask.  The finest
+            # stores no matrix and is read off probes on the mask, where the
+            # vectors it is applied to live; the coarser ones off probes on
+            # every node, so that their columns off the mask show too
+            apply = level_product(levels, k)
+            on, off = np.flatnonzero(free), np.flatnonzero(~free)
+            built = probed_operator(apply, free if k == 0 else np.ones_like(free))
             assert (built[on][:, on] != a).nnz == 0
-            off = np.flatnonzero(~free)
             assert built[off].nnz == 0 and built[:, off].nnz == 0
+            # and it has no entry past a node's eight neighbours: on a
+            # vector of signs (every sum exact) the products agree
+            v = rng.integers(-1, 2, free.size).astype(np.float32) * free.ravel()
+            assert np.array_equal(apply(v), built @ v)
             if k == len(levels) - 1:
                 break
             p = kron_interpolation(free)
@@ -353,18 +398,53 @@ class TestLatticeBuild:
         free = disc_mask(side)
         levels = linalg._hierarchy(free)
         assert len(levels) >= 2
-        for a, dinv, mask in levels[:-1]:
-            assert a.dtype == dinv.dtype == np.float32
-            assert a.shape == (mask.size, mask.size) == (dinv.size, dinv.size)
+        for apply, dinv, mask in levels[:-1]:
+            y = apply(mask.ravel().astype(np.float32))
+            assert y.dtype == dinv.dtype == np.float32
+            assert y.shape == dinv.shape == (mask.size,)
         assert levels[-1][0].dtype == np.float32
         r = np.zeros(free.size, np.float32)
         r[free.ravel()] = np.random.default_rng(side).normal(size=np.count_nonzero(free))
-        assert linalg._vcycle(levels, 0, r).dtype == np.float32
+        z = linalg._vcycle(levels, 0, r)
+        # the V-cycle keeps single precision and, as the finest product
+        # asks of its vectors, vanishes off the mask
+        assert z.dtype == np.float32 and not z[~free.ravel()].any()
+        # the finest product keeps the precision it is given: double in the CG
+        assert levels[0][0](z.astype(np.float64)).dtype == np.float64
         a = masked_laplacian(free)
         b = r[free.ravel()].astype(np.float64)
         x = linalg.lattice_solve(free, b, 1e-10, "no convergence")
         assert x.dtype == np.float64
         assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("border", [False, True], ids=["closed", "open"])
+    def test_finest_product_is_the_dia_product_bit_for_bit(self, dtype, border):
+        # the DIA matrix of the masked 5-point stencil, its diagonals in the
+        # order -m, -1, 0, +1, +m: the finest level's product adds the same
+        # terms in the same order, so every sum agrees, signed zeros
+        # included, on every free row
+        side = 65
+        free = random_mask(side, 3, border)
+        m, n = side, free.size
+        # the couplings of each node to the one above it and to its left
+        up = -(np.pad(free, 1)[:-2, 1:-1] & free).ravel().astype(dtype)
+        left = -(np.pad(free, 1)[1:-1, :-2] & free).ravel().astype(dtype)
+        data = np.zeros((5, n), dtype)
+        data[0, :n - m], data[1, :n - 1] = up[m:], left[1:]
+        data[2] = 4 * free.ravel()
+        data[3, 1:], data[4, m:] = left[1:], up[m:]
+        dia = sparse.dia_matrix((data, [-m, -1, 0, 1, m]), shape=(n, n))
+        rng = np.random.default_rng(side)
+        x = (rng.normal(size=n) * free.ravel()).astype(dtype)
+        x[rng.random(n) < 0.2] *= 0.0
+        x[rng.random(n) < 0.1] *= -0.0
+        want = dia @ x
+        got = linalg._hierarchy(free)[0][0](x)
+        on = free.ravel()
+        assert got.dtype == dtype
+        assert np.array_equal(got[on].view(np.uint8), want[on].view(np.uint8))
+        assert not got[~on].any()
 
 
 class TestLatticeSolve:
@@ -428,6 +508,27 @@ class TestLatticeSolve:
         a = masked_laplacian(free)
         with pytest.raises(InvariantViolation, match="grid solve gave up"):
             linalg.lattice_solve(free, np.ones(a.shape[0]), 0.0, "grid solve gave up")
+
+    @pytest.mark.parametrize("n", [41, 64])
+    @pytest.mark.parametrize("name", sorted(CAPACITY_TARGETS))
+    def test_capacities_keep_their_bits(self, name, n):
+        # the finest product adds a DIA product's terms in its order, and
+        # the levels below are built exactly, so these bits hold
+        assert grid_capacity(CAPACITY_TARGETS[name], 1 / n).hex() == PINNED_CAPACITIES[name, n]
+
+    def test_lattice_solve_in_bounded_memory(self):
+        # the finest level stores no matrix and the CG keeps four lattice
+        # vectors: a traced peak near 85 bytes a lattice node, where a
+        # float32 DIA matrix of that level and its float64 copy add 60
+        target = CAPACITY_TARGETS["three"]
+        grid_capacity(target, 1 / 128)
+        tracemalloc.start()
+        try:
+            grid_capacity(target, 1 / 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 257 ** 2
 
     def test_leaves_no_reference_cycles(self):
         # the hierarchy must be freed by reference counting alone: a cycle

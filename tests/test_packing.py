@@ -943,6 +943,23 @@ class TestSausageBound:
         for cap in (1.0, 2.0):
             assert _sausage_bound(pk, cap) == pytest.approx(1.0, rel=1e-12)
 
+    def test_exact_test_only_where_it_decides(self, monkeypatch):
+        # every T of the lattice ends an edge on the line of another.  Where
+        # one edge has both ends certainly on one side of the other's line
+        # the pair is apart without exact arithmetic: of the 556 and 1030
+        # pairs with an uncertain sign at caps 1 and 2, 108 and 198 need it
+        calls = []
+        exact = packing._crosses_exactly
+        monkeypatch.setattr(packing, "_crosses_exactly",
+                            lambda *ends: calls.append(ends) or exact(*ends))
+        pk = packed(boundary_truncation(generate_grid(9, 9)), "prescribed")
+        counts = []
+        for cap in (1.0, 2.0):
+            calls.clear()
+            assert _sausage_bound(pk, cap) == pytest.approx(1.0, rel=1e-12)
+            counts.append(len(calls))
+        assert counts == [108, 198]
+
     def test_crossing_one_ulp_off_a_line(self):
         # in the 4-cycle, the end (0.3, 0.3 + 1 ulp) of edge 2-3 lies one ulp
         # above the line y = x of edge 0-1, too close for the filter to
@@ -952,6 +969,19 @@ class TestSausageBound:
             trunc=SimpleNamespace(graph=build_map([[1, 3], [2, 0], [3, 1], [0, 2]])),
             vertex_center=np.array([0.1 + 0.1j, 0.7 + 0.7j, end, 0.5 + 0.1j]),
             vertex_radius=np.full(4, 0.05))
+        assert _sausage_bound(pk, 1.0) == brute_sausage_bound(pk) == 0.0
+
+    @pytest.mark.parametrize("first", [0, 2])
+    def test_crossing_the_rounded_sign_misses(self, first):
+        # the end (0.0346, -0.3912) of one edge lies within rounding of the
+        # other's line, and its rounded cross product puts it on the side of
+        # its other end: only exact arithmetic sees the crossing.  The other
+        # edge's ends are certainly on both sides of this edge's line, which
+        # must not make the pair apart, whichever of the two comes first
+        ends = np.array([-0.2 - 0.29j, 0.31 - 0.51j, 0.03459999999999999 - 0.3912j, -0.08 - 0.67j])
+        pk = SimpleNamespace(
+            trunc=SimpleNamespace(graph=build_map([[1, 3], [2, 0], [3, 1], [0, 2]])),
+            vertex_center=np.roll(ends, first), vertex_radius=np.full(4, 0.05))
         assert _sausage_bound(pk, 1.0) == brute_sausage_bound(pk) == 0.0
 
     @pytest.mark.parametrize("spread", ["octaves", "equal", "split"])
