@@ -35,7 +35,7 @@ from .continuum import (BoundaryFunction, HarmonicDiscField, douglas_energy,
                         energy_continuous, grid_capacity, load_boundary_csv,
                         poisson_extend)
 from .errors import (HALF, POSITIVE, QUARTER, UNIT, ConfigError, ConvergenceError,
-                     InvariantViolation)
+                     InvariantViolation, integer)
 from .maps import boundary_truncation, load_map_json, truncate
 from .packing import geometry_report, layout, packing_to_json, solve_radii
 from .potential import capacity, capacity_to_json, solve_dirichlet
@@ -125,6 +125,15 @@ class RunConfig:
             raise ConfigError("evaluate needs --boundary-csv and --points")
         if self.radii is not None and not 1 <= self.radii[0] <= self.radii[1]:
             raise ConfigError(f"bad radius sweep {self.radii}")
+        if self.n_theta is not None:
+            # the library's floor, in its words: douglas_energy's 64, and the
+            # trace's 4 k_max for roundtrip, where no derived k_max is below 1
+            # (a derived one above 1 is the library's to judge)
+            low = 64 if self.command == "douglas" else 4 * (self.k_max or 1)
+            try:
+                integer("n_theta", self.n_theta, low)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
 
 # option -> the one map source it applies to.  The {p,q} tilings are
@@ -381,7 +390,7 @@ _OPTIONS = {
     "boundary_mode": ("--boundary-mode", _choice("disc", "prescribed"), None, None),
     "pack_tol": ("--pack-tol", _NUMBER, POSITIVE, None),
     "grid_h": ("--grid-h", _NUMBER, QUARTER, None),
-    "n_theta": ("--ntheta", _INT, POSITIVE, None),
+    "n_theta": ("--ntheta", _INT, None, None),  # bounded by RunConfig.validate
     "k_max": ("--kmax", _INT, POSITIVE, None),
     "eps_trace": ("--eps-trace", _NUMBER, UNIT, None),
     "delta": ("--delta", _NUMBER, HALF, None),

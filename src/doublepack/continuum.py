@@ -189,8 +189,10 @@ def grid_capacity(target, grid_h: float) -> float:
     target neighbours of each free node, counted in bytes) and applies the
     operator from the mask without storing it, to a double-precision
     residual of 1e-10 relative (its V-cycle runs in single precision, which
-    changes the work, not the answer).  ``phi`` is formed after the solve,
-    which then holds the only full-lattice float arrays.
+    changes the work, not the answer).  During the solve only the target
+    and free masks are held here: the right-hand side is passed without a
+    name, so the solve frees it once it is copied.  ``phi`` is formed after
+    the solve, which then holds the only full-lattice float arrays.
     The capacity is the lattice Dirichlet energy of ``phi``.
     Targets get a one-cell margin (the continuum definition asks for an open
     neighbourhood); the estimate refines as ``grid_h`` decreases, up to
@@ -213,21 +215,26 @@ def grid_capacity(target, grid_h: float) -> float:
     coords = np.arange(-n_half, n_half + 1) * h
     xx = coords[None, :]
     yy = coords[:, None]
-    inside = xx ** 2 + yy ** 2 < 1.0
-    tmask = np.zeros_like(inside)
+    unknown = xx ** 2 + yy ** 2 < 1.0
+    tmask = np.zeros_like(unknown)
     for c, r in discs:
         tmask |= (xx - c.real) ** 2 + (yy - c.imag) ** 2 <= (r + h) ** 2
-
-    unknown = inside & ~tmask
-    # a free node's right-hand side counts its neighbours on the target
-    t = np.pad(tmask, 1).astype(np.int8)
-    b = (t[:-2, 1:-1] + t[2:, 1:-1] + t[1:-1, :-2] + t[1:-1, 2:])[unknown].astype(float)
-    x = lattice_solve(unknown, b, 1e-10, "grid equilibrium solve did not converge")
+    unknown &= ~tmask
+    # a free node's right-hand side counts its neighbours on the target; no
+    # name is kept to it, so the solve frees it once it is copied
+    x = lattice_solve(unknown, _neighbours(tmask)[unknown].astype(float), 1e-10,
+                      "grid equilibrium solve did not converge")
     phi = tmask.astype(float)
     phi[unknown] = x
     e = float(np.sum((phi[:, 1:] - phi[:, :-1]) ** 2))
     e += float(np.sum((phi[1:, :] - phi[:-1, :]) ** 2))
     return e
+
+
+def _neighbours(mask):
+    """How many of each node's four lattice neighbours lie on ``mask``."""
+    t = np.pad(mask, 1).astype(np.int8)
+    return t[:-2, 1:-1] + t[2:, 1:-1] + t[1:-1, :-2] + t[1:-1, 2:]
 
 
 # ---------------------------------------------------------------------------

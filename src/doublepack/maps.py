@@ -612,9 +612,17 @@ class Truncation:
         parent = pred[order].astype(np.int64)
         parent[0] = first
 
-        # breadth-first order lists the darts by depth, one level after another
-        depth = dijkstra(adj, indices=first, unweighted=True)[order]
-        levels = np.searchsorted(depth, np.arange(depth[-1] + 2))
+        # breadth-first order lists the darts by depth, one level after
+        # another, and its queue takes the children of each dart in turn, so
+        # the parents' positions never fall: level k + 1 ends where they
+        # reach the end of level k
+        position = np.empty(m, dtype=np.int64)
+        position[order] = np.arange(order.size)
+        above = position[parent]
+        levels = [0, 1]
+        while levels[-1] < order.size:
+            levels.append(int(np.searchsorted(above, levels[-1])))
+        levels = np.array(levels)
 
         reverse = order == (parent ^ 1)
         back = ~reverse & bounded[parent] & (order == g.prv[parent])

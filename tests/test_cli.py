@@ -115,6 +115,12 @@ class TestDouglas:
         doc = json.loads((tmp_path / "douglas.json").read_text())
         assert len(doc["rows"]) == 3
 
+    def test_fewer_samples_than_four_per_mode_run(self, tmp_path):
+        # the 4 k_max floor is the trace's (roundtrip); douglas needs 64
+        # samples, and 64 resolve cos(20 theta)
+        assert run(tmp_path, "douglas", "--kmax", "20", "--ntheta", "64") == 0
+        assert len((tmp_path / "douglas.csv").read_text().strip().splitlines()) == 21
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for d in (a, b):
@@ -385,6 +391,23 @@ class TestTilingBall:
         assert depths == [depth]
 
 
+# for both_entries: a sample count below the library's floor, in its words:
+# 4 k_max for roundtrip's trace (4 when k_max is derived, since no derived
+# k_max is below 1) and 64 for douglas
+NTHETA_CASES = [
+    ("roundtrip-ntheta-kmax",
+     ("roundtrip", "--tiling", "7,3", "--radii", "8:8", "--kmax", "5", "--ntheta", "8"),
+     {"command": "roundtrip", "tiling": (7, 3), "radii": (8, 8), "k_max": 5, "n_theta": 8},
+     "n_theta must be an integer of at least 20, got 8"),
+    ("roundtrip-ntheta", ("roundtrip", "--tiling", "7,3", "--radii", "8:8", "--ntheta", "2"),
+     {"command": "roundtrip", "tiling": (7, 3), "radii": (8, 8), "n_theta": 2},
+     "n_theta must be an integer of at least 4, got 2"),
+    ("douglas-ntheta", ("douglas", "--kmax", "2", "--ntheta", "8"),
+     {"command": "douglas", "k_max": 2, "n_theta": 8},
+     "n_theta must be an integer of at least 64, got 8"),
+]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_missing_source_is_config_error(self, tmp_path, capsys, entry):
@@ -593,12 +616,32 @@ class TestExitCodes:
         ("roundtrip-eps-trace", ("roundtrip", "--tiling", "7,3", "--eps-trace", "1.5"),
          {"command": "roundtrip", "tiling": (7, 3), "eps_trace": 1.5},
          "eps_trace must lie strictly between 0 and 1, got 1.5"),
-    ]))
+    ] + NTHETA_CASES))
     def test_request_the_command_cannot_run_is_refused(self, tmp_path, capsys, monkeypatch,
                                                        entry, args, config, cause):
         # the gate refuses before any map is built: building one would fail here
         monkeypatch.setattr(cli, "_truncations", None)
         refused(capsys, tmp_path / "out", entry, args, config, cause)
+
+    @pytest.mark.parametrize("entry, args, config, cause", both_entries(NTHETA_CASES))
+    def test_sample_count_below_the_floor_is_refused_before_the_tiling(
+            self, tmp_path, capsys, monkeypatch, entry, args, config, cause):
+        # the r=8 ball would take a fraction of a second to grow and pack
+        def unreachable(*args):
+            raise AssertionError("the tiling was generated")
+
+        monkeypatch.setattr(cli, "generate_tiling", unreachable)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "kept.txt").write_text("kept")
+        if entry == "main":
+            assert cli.main([*args, "--out", str(out)]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0] == f"error: {cause}"
+        else:
+            with pytest.raises(ConfigError, match=re.escape(cause)):
+                cli.run(cli.RunConfig(out_dir=str(out), **config))
+        assert [(p.name, p.read_text()) for p in out.iterdir()] == [("kept.txt", "kept")]
 
     @pytest.mark.parametrize("args, code", [
         (("pack", "--tiling", "4,4", "--layers", "3"), 2),

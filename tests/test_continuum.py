@@ -319,9 +319,24 @@ def direct_lattice_solve(free, b, tol, failure):
     return splu(masked_laplacian(free).tocsc()).solve(b)
 
 
-def disc_mask(n):
+def disc_mask(n, radius=None):
+    """The nodes of an n x n lattice inside a centred disc, clear of the
+    border by default and cut by it when ``radius`` passes it."""
     c = np.arange(n) - (n - 1) / 2
-    return c[None, :] ** 2 + c[:, None] ** 2 < (n / 2 - 1) ** 2
+    return c[None, :] ** 2 + c[:, None] ** 2 < (n / 2 - 1 if radius is None else radius) ** 2
+
+
+def masked_five_point(free):
+    """The (3, 3, n, n) float32 stencils of the 5-point operator masked to
+    the free nodes: ``s[1 + dy, 1 + dx][J] = L f(J) f(J + (dy, dx))``, with L
+    4 at the centre and -1 at the four neighbours, f the mask, 0 past the
+    lattice."""
+    n = free.shape[0]
+    f = np.pad(free, 1).astype(np.float32)
+    s = np.zeros((3, 3, n, n), np.float32)
+    for (dy, dx), weight in {(0, 0): 4, (-1, 0): -1, (0, -1): -1, (0, 1): -1, (1, 0): -1}.items():
+        s[1 + dy, 1 + dx] = weight * f[1:-1, 1:-1] * f[1 + dy:1 + dy + n, 1 + dx:1 + dx + n]
+    return s
 
 
 def probed_operator(apply, probed):
@@ -344,6 +359,10 @@ def probed_operator(apply, probed):
         vals.append(y[hit])
     return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                              shape=(m * m, m * m))
+
+
+def nan_vector(size):
+    return np.full(size, np.nan, np.float32)
 
 
 def level_product(levels, k):
@@ -382,16 +401,33 @@ class TestLatticeBuild:
             coarse = free[::2, ::2]
             e = np.zeros(coarse.size, np.float32)
             e[coarse.ravel()] = rng.normal(size=p.shape[1])
-            fine = linalg._prolong(e, free)
+            # the transfers write into buffers they are given, whatever those held
+            fine = linalg._prolong(e, free, nan_vector(free.size), nan_vector(free.size))
             assert fine.dtype == np.float32 and not fine[~free.ravel()].any()
             assert np.allclose(fine[on], p @ e[coarse.ravel()], rtol=1e-6, atol=1e-6)
             r = np.zeros(free.size, np.float32)
             r[on] = rng.normal(size=p.shape[0])
-            back = linalg._restrict(r, free)
+            back = linalg._restrict(r, free, nan_vector(free.size))
             assert back.dtype == np.float32 and not back[~coarse.ravel()].any()
             assert np.allclose(back[coarse.ravel()], p.T @ r[on], rtol=1e-5, atol=1e-5)
             a = (p.T @ a @ p).tocsr()
             free = coarse
+
+    @pytest.mark.parametrize("side", [41, 64, 65, 83, 201])
+    @pytest.mark.parametrize("border", [False, True], ids=["closed", "open"])
+    @pytest.mark.parametrize("kind", ["random", "disc"])
+    def test_first_coarsening_is_the_galerkin_product(self, side, border, kind):
+        # the first coarse stencils, formed from the mask at coarse size, are
+        # _galerkin's of the masked fine stencils, entry for entry
+        if kind == "random":
+            free = random_mask(side, side, border)
+        else:
+            free = disc_mask(side, 0.6 * side if border else None)
+        assert free[[0, -1]].any() == border
+        built = linalg._first_coarsening(free)
+        want = linalg._galerkin(masked_five_point(free), (side + 1) // 2)
+        assert built.dtype == np.float32 and built.shape == want.shape
+        assert not (built != want).any()
 
     @pytest.mark.parametrize("side", [64, 65])
     def test_hierarchy_is_single_precision_and_the_solve_double(self, side):
@@ -517,9 +553,11 @@ class TestLatticeSolve:
         assert grid_capacity(CAPACITY_TARGETS[name], 1 / n).hex() == PINNED_CAPACITIES[name, n]
 
     def test_lattice_solve_in_bounded_memory(self):
-        # the finest level stores no matrix and the CG keeps four lattice
-        # vectors: a traced peak near 85 bytes a lattice node, where a
-        # float32 DIA matrix of that level and its float64 copy add 60
+        # a traced peak near 67 bytes a lattice node, in the residual of the
+        # first coarse level of a V-cycle: the CG's four float64 vectors (32),
+        # the float32 workspace (16), the hierarchy (13, most of it the first
+        # coarse level's nine diagonals), the two masks (2) and the coarse
+        # level's own vectors
         target = CAPACITY_TARGETS["three"]
         grid_capacity(target, 1 / 128)
         tracemalloc.start()
@@ -528,7 +566,33 @@ class TestLatticeSolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 100 * 257 ** 2
+        assert peak <= 75 * 257 ** 2
+
+    def test_hierarchy_and_solve_in_bounded_memory(self, monkeypatch):
+        # a seeded three-disc union at h = 1/256.  Building the hierarchy,
+        # workspace included, peaks near 38 bytes a node, far below the
+        # solve; the solve near 66 (see the test above)
+        rng = np.random.default_rng(7)
+        target = [(complex(*rng.uniform(-0.5, 0.5, 2)), float(rng.uniform(0.05, 0.2)))
+                  for _ in range(3)]
+        grid_capacity(target, 1 / 256)
+        hierarchy, peaks = linalg._hierarchy, {}
+
+        def traced(free):
+            tracemalloc.reset_peak()
+            levels = hierarchy(free)
+            peaks["hierarchy"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            return levels
+
+        monkeypatch.setattr(linalg, "_hierarchy", traced)
+        tracemalloc.start()
+        try:
+            grid_capacity(target, 1 / 256)
+            peaks["solve"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks["hierarchy"] <= 45 * 513 ** 2 and peaks["solve"] <= 70 * 513 ** 2
 
     def test_leaves_no_reference_cycles(self):
         # the hierarchy must be freed by reference counting alone: a cycle

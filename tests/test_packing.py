@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import dijkstra
 
 from doublepack import maps, packing
 from doublepack.errors import ConvergenceError
@@ -915,6 +916,25 @@ def sausage_packing(request):
     """A laid-out packing and its all-pairs sausage bound."""
     pk = request.param()
     return pk, brute_sausage_bound(pk)
+
+
+def test_dart_tree_levels_are_the_breadth_first_depths(sausage_packing):
+    # dijkstra's unweighted depths over the dart graph a layout walks (a
+    # dart to its reverse, to the dart before it when it borders a bounded
+    # face, and to the dart after it when that one does), sorted as the
+    # breadth-first order lists them, cut into levels
+    t = sausage_packing[0].trunc
+    g, tree = t.graph, t.dart_tree
+    m = g.n_darts
+    darts = np.arange(m)
+    bounded = t.faces.face_of != t.outer_face
+    ahead = bounded[g.nxt]
+    src = np.concatenate([darts, darts[bounded], darts[ahead]])
+    dst = np.concatenate([darts ^ 1, g.prv[bounded], g.nxt[ahead]])
+    adj = sp.csr_matrix((np.ones(src.size), (src, dst)), shape=(m, m))
+    depth = dijkstra(adj, indices=tree.order[0], unweighted=True)[tree.order]
+    assert np.all(np.diff(depth) >= 0)
+    assert np.array_equal(tree.levels, np.searchsorted(depth, np.arange(depth[-1] + 2)))
 
 
 class TestSausageBound:
