@@ -36,6 +36,7 @@ from scipy.spatial import cKDTree
 
 from .errors import POSITIVE, ConvergenceError, integer, number
 from .maps import Truncation
+from .textio import Records
 
 __all__ = [
     "RadiiSolution", "Carrier", "DoublePacking", "GeometryReport", "solve_radii",
@@ -651,12 +652,16 @@ def geometry_report(pk: DoublePacking) -> GeometryReport:
 
 
 def packing_to_json(pk: DoublePacking) -> dict:
-    bf = pk.trunc.bounded_faces
-    ids = [*range(pk.trunc.n_vertices), *bf.tolist()]
-    kinds = ["vertex"] * pk.trunc.n_vertices + ["face"] * bf.size
+    """The packing as a JSON document: ``circles``, one record ``{"id",
+    "kind", "radius", "center": [x, y]}`` per vertex and then per bounded
+    face, and the ``layout_residual``.  The circles are ``textio.Records``,
+    held as columns: indexing or iterating them builds each plain record,
+    ``textio.json_text`` writes them without building any, and
+    ``json.dumps`` raises ``TypeError`` on them."""
+    nv, bf = pk.trunc.n_vertices, pk.trunc.bounded_faces
     zs = np.concatenate([pk.vertex_center, pk.face_center[bf]])
-    rs = np.concatenate([pk.vertex_radius, pk.face_radius[bf]])
-    circles = [{"id": i, "kind": kind, "radius": r, "center": [x, y]}
-               for i, kind, r, x, y in zip(ids, kinds, rs.tolist(),
-                                           zs.real.tolist(), zs.imag.tolist())]
+    circles = Records({"id": np.concatenate([np.arange(nv), bf]),
+                       "kind": np.repeat(np.array(["vertex", "face"]), [nv, bf.size]),
+                       "radius": np.concatenate([pk.vertex_radius, pk.face_radius[bf]]),
+                       "center": [zs.real, zs.imag]})
     return {"circles": circles, "layout_residual": pk.layout_residual}

@@ -21,6 +21,7 @@ from .maps import Truncation
 from .packing import DoublePacking
 from .potential import (VertexFunction, _coerce, _target_set, capacity, energy,
                         solve_dirichlet)
+from .textio import Records
 
 __all__ = [
     "AffineExtension",
@@ -393,9 +394,12 @@ def transfer_report_to_json(report: TransferReport) -> dict:
 
 
 def harnack_to_json(fit: HarnackFit) -> dict:
+    """The fit as a JSON document; its ``pairs`` are ``textio.Records`` of
+    ``[distance, ratio]`` held as the two columns of ``fit.pairs``, which
+    ``textio.json_text`` writes."""
     return {"beta_hat": float(fit.beta_hat),
             "C_hat": float(fit.C_hat),
             "fitted": bool(fit.fitted),
             "alpha": float(fit.alpha),
             "n_pairs": int(fit.pairs.shape[0]),
-            "pairs": [[float(a), float(b)] for a, b in fit.pairs]}
+            "pairs": Records([fit.pairs[:, 0], fit.pairs[:, 1]])}

@@ -3,14 +3,20 @@
 ``delaunay_rotations`` turns seeded points into the rotation lists of their
 Delaunay triangulation; the map and packing tests each sample their own
 points.  ``TWO_WHEELS`` is a planar map whose rim cuts its interior in two,
-and ``PINCHED_WHEEL`` one whose outer face visits a rim vertex twice.  The
+and ``PINCHED_WHEEL`` one whose outer face visits a rim vertex twice.
+``plain_json`` is the text json itself writes for a document once its
+``Records`` are plain lists of records.  The
 one hook prints a one-line verdict per deliverable check from
 test_acceptance.py at the end of the run, so the terminal (and any tee'd log)
 ends with a compact scoreboard.
 """
 
+import json
+
 import numpy as np
 from scipy.spatial import Delaunay
+
+from doublepack.textio import Records
 
 
 def delaunay_rotations(pts):
@@ -23,6 +29,18 @@ def delaunay_rotations(pts):
         d = pts[nb] - pts[v]
         rotations.append(nb[np.argsort(np.arctan2(d[:, 1], d[:, 0]))].tolist())
     return rotations
+
+
+def plain_json(doc) -> str:
+    """The text ``json_text(doc)`` must give: ``json.dumps`` of ``doc`` with
+    each ``Records`` made the list of its records by iterating it."""
+    def plain(node):
+        if isinstance(node, dict):
+            return {key: plain(value) for key, value in node.items()}
+        if isinstance(node, (list, tuple, Records)):
+            return [plain(item) for item in node]
+        return node
+    return json.dumps(plain(doc), indent=2, sort_keys=True) + "\n"
 
 
 # Two 4-wheels, hubs 1 and 5, that share rim vertex 0: the rim of the outer

@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import PINCHED_WHEEL, TWO_WHEELS
+from conftest import PINCHED_WHEEL, TWO_WHEELS, plain_json
 from doublepack import cli, potential, transfer
 from doublepack.continuum import BoundaryFunction, boundary_function_to_csv
 from doublepack.errors import ConfigError
 from doublepack.maps import map_to_json
+from doublepack.textio import Records, json_text
 from doublepack.tilings import generate_tiling
 
 
@@ -93,6 +94,24 @@ class TestPack:
         doc = json.loads((tmp_path / "packing.json").read_text())
         assert doc["config"]["tiling"] == [7, 3]
         assert doc["defect"] <= 1e-8
+
+    @pytest.mark.parametrize("command, fields, artifact", [
+        ("pack", {"grid": (5, 5)}, "packing.json"),
+        ("pack", {"tiling": (7, 3), "layers": 3}, "packing.json"),
+        ("pack", {"map_file": "map.json"}, "packing.json"),
+        ("harnack", {"tiling": (7, 3), "seed": 7}, "harnack.json"),
+    ], ids=["pack-grid", "pack-tiling", "pack-map", "harnack"])
+    def test_records_reach_the_text_as_columns(self, tmp_path, monkeypatch, command,
+                                               fields, artifact):
+        # the artifact holds what json writes for the plain records
+        monkeypatch.chdir(tmp_path)
+        write_inputs(tmp_path)
+        docs = []
+        monkeypatch.setattr(cli, "json_text", lambda doc: docs.append(doc) or json_text(doc))
+        cli.run(cli.RunConfig(command=command, out_dir="out", **fields))
+        (doc,) = docs
+        assert isinstance(doc["circles" if command == "pack" else "pairs"], Records)
+        assert (tmp_path / "out" / artifact).read_text() == plain_json(doc)
 
     def test_analyze(self, tmp_path):
         assert run(tmp_path, "analyze", "--grid", "5") == 0

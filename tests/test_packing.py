@@ -1089,6 +1089,13 @@ class TestGeometryReport:
         assert r.max() / r.min() - 1 <= 0.01
 
 
+@pytest.fixture(scope="module")
+def ball7():
+    """The disc packing of the (7,3) r=7 ball: 10,151 circles."""
+    t = truncate(generate_tiling(7, 3, 7), 0, 7)
+    return layout(t, solve_radii(t, boundary_mode="disc"))
+
+
 class TestSerialization:
     def test_packing_json_schema(self):
         t = flower_truncation(7)
@@ -1102,6 +1109,21 @@ class TestSerialization:
             assert c["radius"] > 0
             assert len(c["center"]) == 2
 
+    def test_json_circles_are_columns(self, ball7):
+        # no dict per circle: on the r=7 ball (10,151 circles) the traced
+        # peak is about the columns' 56 bytes a circle, against 430 for a
+        # dict per circle
+        tracemalloc.start()
+        try:
+            circles = packing_to_json(ball7)["circles"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        shape = circles.shape
+        columns = [shape["id"], shape["kind"], shape["radius"], *shape["center"]]
+        assert len(circles) == ball7.trunc.n_vertices + ball7.trunc.bounded_faces.size
+        assert peak < 1.25 * sum(column.nbytes for column in columns) < 80 * len(circles)
+
     def test_svg_rendering(self):
         from doublepack.render import packing_to_svg
 
@@ -1111,3 +1133,17 @@ class TestSerialization:
         assert svg.count("<circle") == t.n_vertices + t.bounded_faces.size
         assert "stroke-dasharray" in svg
         assert packing_to_svg(pk) == svg  # deterministic
+
+    def test_svg_circle_lines(self, ball7):
+        # more circles than one formatting block: one line per circle, y
+        # flipped, vertex circles in the first group
+        from doublepack.render import packing_to_svg
+
+        bf = ball7.trunc.bounded_faces
+        z = np.concatenate([ball7.vertex_center, ball7.face_center[bf]])
+        r = np.concatenate([ball7.vertex_radius, ball7.face_radius[bf]])
+        want = [f'<circle cx="{x:.6f}" cy="{-y:.6f}" r="{s:.6f}"/>'
+                for x, y, s in zip(z.real.tolist(), z.imag.tolist(), r.tolist())]
+        lines = packing_to_svg(ball7).splitlines()
+        assert [line for line in lines if line.startswith("<circle")] == want
+        assert lines.index("</g>") == 2 + ball7.trunc.n_vertices
