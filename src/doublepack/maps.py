@@ -22,6 +22,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,7 +84,11 @@ class PlanarMap:
             raise ValueError("dart arrays must have equal, even length")
         if m == 0:
             raise ValueError("empty map")
-        if not np.array_equal(np.sort(self.rotation), np.arange(m)):
+        # m entries in range that hit every dart form a permutation
+        hit = np.zeros(m, dtype=bool)
+        if self.rotation.min() >= 0 and self.rotation.max() < m:
+            hit[self.rotation] = True
+        if not hit.all():
             raise ValueError("nxt is not a permutation of the darts")
         self.degrees = np.diff(self.offsets)
         if self.offsets.size < 2 or self.offsets[0] != 0 or self.offsets[-1] != m \
@@ -100,11 +105,15 @@ class PlanarMap:
         after[self.offsets[1:] - 1] = self.offsets[:-1]
         self.nxt = np.empty(m, dtype=np.int64)
         self.nxt[self.rotation] = self.rotation[after]
-        if np.any(self.conductance <= 0) or not np.all(np.isfinite(self.conductance)):
-            raise ValueError("non-positive conductance")
-        if np.any(self.conductance[0::2] != self.conductance[1::2]):
-            raise ValueError("conductance differs between the two darts of an edge")
-        if connected_components(self.adjacency, return_labels=False) > 1:
+        if conductance is not None:
+            c = self.conductance
+            if np.any(c <= 0) or not np.all(np.isfinite(c)):
+                raise ValueError("non-positive conductance")
+            if np.any(c[0::2] != c[1::2]):
+                raise ValueError("conductance differs between the two darts of an edge")
+        # the adjacency is symmetric, so one search from vertex 0 reaches all
+        if breadth_first_order(self.adjacency, 0, return_predecessors=False).size \
+                < self.n_vertices:
             raise ValueError("map is not connected")
 
     # -- basic structure ---------------------------------------------------
@@ -124,8 +133,10 @@ class PlanarMap:
 
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
-        """Vertex adjacency matrix (parallel darts summed), for csgraph."""
-        return sp.csr_matrix((np.ones(self.n_darts), (self.origin, self.target)),
+        """Vertex adjacency matrix for csgraph, read straight off the CSR
+        rotation: row v stores one entry of 1 per dart leaving v, so
+        parallel darts are duplicate entries (they sum as values)."""
+        return sp.csr_matrix((np.ones(self.n_darts), self.target[self.rotation], self.offsets),
                              shape=(self.n_vertices, self.n_vertices))
 
     def vertex_darts(self, v: int) -> np.ndarray:
@@ -220,18 +231,17 @@ def build_map(rotations, conductances=None) -> PlanarMap:
     unlisted edges default to 1.
 
     The lists are checked here, then flattened once and handed to
-    ``_pair_half_edges``, the one pairing core, which the generators in
-    ``tilings`` call directly on the neighbor arrays they build.
+    ``_pair_half_edges``, the one pairing core, which ``generate_grid``
+    calls directly on the neighbor table it builds.
     """
     n = len(rotations)
     if n == 0:
         raise ValueError("empty map")
-    entries, lengths = [], []
-    for v, nbrs in enumerate(rotations):
-        if not isinstance(nbrs, (list, tuple, np.ndarray)):
-            raise ValueError(f"rotation of vertex {v} is not a list")
-        entries.extend(nbrs)
-        lengths.append(len(nbrs))
+    listed = list(map(isinstance, rotations, repeat((list, tuple, np.ndarray), n)))
+    if not all(listed):
+        raise ValueError(f"rotation of vertex {listed.index(False)} is not a list")
+    lengths = np.fromiter(map(len, rotations), np.int64, n)
+    entries = list(chain.from_iterable(rotations))
     if not entries:
         raise ValueError("map has no edges")
     m = len(entries)
@@ -245,7 +255,7 @@ def build_map(rotations, conductances=None) -> PlanarMap:
                     if not (isinstance(u, numbers.Integral) and 0 <= u < n))
         kind = "out-of-range" if isinstance(u, numbers.Integral) else "non-integer"
         raise ValueError(f"vertex {src[i]} lists {kind} neighbor {u}")
-    return _pair_half_edges(dst, np.array(lengths, dtype=np.int64), conductances)
+    return _pair_half_edges(dst, lengths, conductances)
 
 
 def _pair_half_edges(dst: np.ndarray, degrees: np.ndarray, conductances=None) -> PlanarMap:
@@ -254,29 +264,36 @@ def _pair_half_edges(dst: np.ndarray, degrees: np.ndarray, conductances=None) ->
     weighted as ``build_map`` documents."""
     n, m = degrees.size, dst.size
     src = np.repeat(np.arange(n), degrees)     # origin of each half-edge
-    # occurrence rank of each half-edge among those from src to dst; the
-    # sorts are stable, so ties keep the order of the concatenated lists
-    pair = src * n + dst
-    by_pair = np.argsort(pair, kind="stable")
-    rank = np.empty(m, dtype=np.int64)
-    rank[by_pair] = np.arange(m) - np.searchsorted(pair[by_pair], pair[by_pair])
-    loop = src == dst
-    rank[loop] //= 2
-    # the two half-edges of an edge share (lo, hi, rank) and no others do
-    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-    order = np.lexsort((rank, hi, lo))
-    key = np.stack([lo, hi, rank])[:, order]
-    same = np.all(key[:, 1:] == key[:, :-1], axis=0)
-    alone = order[~(np.r_[False, same] | np.r_[same, False])]
-    if alone.size:
-        e = int(alone.min())
-        if loop[e]:
+    lo = np.minimum(src, dst)
+    # one stable sort groups the half-edges of each vertex pair, in the
+    # order of the concatenated lists
+    key = lo * n + np.maximum(src, dst)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    opens = np.r_[True, key[1:] != key[:-1]]
+    start = np.flatnonzero(opens)
+    group = np.cumsum(opens) - 1
+    # in a group the k-th half-edge from the lower end pairs with the k-th
+    # from the higher one, and the occurrences of a loop pair off in turn,
+    # so a loop's even occurrences stand for its lower end
+    loop = (src == dst)[order]
+    low = np.where(loop, (np.arange(m) - start[group]) % 2 == 0, (src == lo)[order])
+    lows = np.r_[0, np.cumsum(low)]
+    n_low = lows[np.r_[start[1:], m]] - lows[start]
+    n_high = np.diff(np.r_[start, m]) - n_low
+    if np.any(n_low != n_high):
+        highs = np.arange(m + 1) - lows
+        rank = np.where(low, lows[:-1] - lows[start][group], highs[:-1] - highs[start][group])
+        alone = np.where(low, rank >= n_high[group], rank >= n_low[group])
+        e = int(order[alone].min())
+        if src[e] == dst[e]:
             raise ValueError(f"dangling half-edge: odd loop count at vertex {src[e]}")
         raise ValueError(f"dangling half-edge between {src[e]} and {dst[e]}")
-    # edge k holds the k-th first half-edge; its darts are 2k and 2k + 1
-    pairs = order.reshape(-1, 2)
-    dart = np.empty(m, dtype=np.int64)
-    dart[pairs[np.argsort(pairs[:, 0])].ravel()] = np.arange(m)
+    lower, higher = order[low], order[~low]
+    partner = np.empty(m, dtype=np.int64)
+    partner[lower] = higher
+    partner[higher] = lower
+    dart = _number_darts(partner)
 
     cond = np.ones(m)
     if conductances is not None:
@@ -285,6 +302,18 @@ def _pair_half_edges(dst: np.ndarray, degrees: np.ndarray, conductances=None) ->
         else:
             cond[dart] = _listed_conductances(list(conductances), src, dst, n)
     return PlanarMap(dart, np.r_[0, np.cumsum(degrees)], cond)
+
+
+def _number_darts(partner: np.ndarray) -> np.ndarray:
+    """Dart of each half-edge of the concatenated lists, given the
+    position of its partner: edge k holds the k-th first half-edge, whose
+    dart is 2k, and its partner's is 2k + 1."""
+    m = partner.size
+    lead = (np.arange(m) < partner).nonzero()[0]
+    dart = np.empty(m, dtype=np.int64)
+    dart[lead] = np.arange(0, m, 2)
+    dart[partner[lead]] = np.arange(1, m, 2)
+    return dart
 
 
 def _is_triple(entry) -> bool:

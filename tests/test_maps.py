@@ -5,14 +5,15 @@ import hashlib
 import io
 import json
 import re
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 
 from doublepack.maps import (
     PlanarMap,
@@ -28,7 +29,7 @@ from doublepack.maps import (
     trace_faces,
     truncate,
 )
-from doublepack.maps import _bfs_distances
+from doublepack.maps import _bfs_distances, _pair_half_edges
 from doublepack.tilings import generate_grid, generate_tiling
 
 from conftest import TWO_WHEELS, delaunay_rotations
@@ -140,6 +141,35 @@ def build_map_reference(rotations):
         origin[ids] = v
         nxt[ids] = np.roll(ids, -1)
     return new_id, origin, nxt
+
+
+def pair_half_edges_reference(dst, degrees):
+    """Three-key reference for maps._pair_half_edges: each half-edge ranked
+    among those with its origin and end, then every (lo, hi, rank) class
+    lexsorted and cut into pairs.  Returns the dart number of each
+    half-edge, or raises the same ValueError."""
+    n, m = degrees.size, dst.size
+    src = np.repeat(np.arange(n), degrees)
+    pair = src * n + dst
+    by_pair = np.argsort(pair, kind="stable")
+    rank = np.empty(m, dtype=np.int64)
+    rank[by_pair] = np.arange(m) - np.searchsorted(pair[by_pair], pair[by_pair])
+    loop = src == dst
+    rank[loop] //= 2
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    order = np.lexsort((rank, hi, lo))
+    key = np.stack([lo, hi, rank])[:, order]
+    same = np.all(key[:, 1:] == key[:, :-1], axis=0)
+    alone = order[~(np.r_[False, same] | np.r_[same, False])]
+    if alone.size:
+        e = int(alone.min())
+        if loop[e]:
+            raise ValueError(f"dangling half-edge: odd loop count at vertex {src[e]}")
+        raise ValueError(f"dangling half-edge between {src[e]} and {dst[e]}")
+    pairs = order.reshape(-1, 2)
+    dart = np.empty(m, dtype=np.int64)
+    dart[pairs[np.argsort(pairs[:, 0])].ravel()] = np.arange(m)
+    return dart
 
 
 def trace_faces_reference(nxt):
@@ -683,6 +713,18 @@ class TestTilings:
         corner_degrees = m.degrees[[0, 4, 10, 14]]
         assert np.all(corner_degrees == 2)
 
+    def test_tiling_in_bounded_memory(self):
+        # grown a stage at a time, the r=8 ball peaks at about 2.3 times the
+        # arrays of the map it returns; the face-by-face growth peaked at 6
+        tracemalloc.start()
+        try:
+            m = generate_tiling(7, 3, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in vars(m).values() if isinstance(a, np.ndarray))
+        assert peak < 3 * kept
+
     def test_grid_over_the_size_budget_is_refused(self):
         with pytest.raises(ValueError, match="a 4000x3000 grid patch has 12000000 "
                                              "vertices; the size budget is 8388608"):
@@ -870,3 +912,55 @@ def test_tiling_euler_property(params):
     assert euler_characteristic(m, f) == 2
     assert int(m.degrees.sum()) == m.n_darts
     assert np.all(m.degrees <= p)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(2, 9), n_extra=st.integers(0, 8), n_loops=st.integers(0, 3),
+       n_drop=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_pairing_matches_three_key_reference(n, n_extra, n_loops, n_drop, seed):
+    # random rotation systems: a path keeps them connected, random extra
+    # edges repeat edges and make loops, and up to two entries are dropped,
+    # leaving their partners dangling; the error names the first of those
+    rng = np.random.default_rng(seed)
+    ends = [(v, v + 1) for v in range(n - 1)]
+    ends += [tuple(rng.integers(n, size=2).tolist()) for _ in range(n_extra)]
+    ends += [(v, v) for v in rng.integers(n, size=n_loops).tolist()]
+    ends += [ends[i] for i in rng.integers(len(ends), size=n_extra // 2).tolist()]
+    rotations = [[] for _ in range(n)]
+    for u, v in ends:
+        rotations[u].append(v)
+        rotations[v].append(u)
+    for v in rng.integers(n, size=n_drop).tolist():
+        if rotations[v]:
+            rotations[v].pop(int(rng.integers(len(rotations[v]))))
+    for rot in rotations:
+        rng.shuffle(rot)
+    dst = np.array([u for rot in rotations for u in rot], dtype=np.int64)
+    degrees = np.array([len(rot) for rot in rotations], dtype=np.int64)
+    assume(dst.size)    # build_map refuses a map with no edges before pairing
+    try:
+        expected = pair_half_edges_reference(dst, degrees)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            _pair_half_edges(dst, degrees)
+        return
+    assert np.array_equal(_pair_half_edges(dst, degrees).rotation, expected)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_adjacency_matches_summed_matrix_on_multigraphs(seed):
+    # the adjacency stores one entry per dart, so doubled edges and loops
+    # are duplicate entries; csgraph answers as on the matrix that sums them
+    m = build_map(delaunay_multigraph(30, 4, 2, seed))
+    summed = sp.csr_matrix((np.ones(m.n_darts), (m.origin, m.target)),
+                           shape=(m.n_vertices, m.n_vertices))
+    assert abs(m.adjacency - summed).sum() == 0
+    for graph in (m.adjacency, summed):
+        assert connected_components(graph, return_labels=False) == 1
+    sources = np.arange(0, m.n_vertices, 7)
+    assert np.array_equal(dijkstra(m.adjacency, indices=sources, unweighted=True),
+                          dijkstra(summed, indices=sources, unweighted=True))
+    inner = np.flatnonzero(np.random.default_rng(seed).random(m.n_vertices) < 0.6)
+    labels = [connected_components(graph[inner][:, inner])[1]
+              for graph in (m.adjacency, summed)]
+    assert np.array_equal(*labels)
